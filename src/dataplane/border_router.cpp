@@ -166,19 +166,13 @@ void BorderRouter::receive_fabric_frame(const net::FabricFrame& frame_in) {
     net::OverlayFrame inner = frame.inner;
     if (inner.hop_limit() <= 1) {
       ++counters_.ttl_drops;  // edge<->border transient loop guard (§5.2)
-      if (tracer_) {
-        tracer_->note(frame.vn, inner, telemetry::HopKind::Drop, config_.name, simulator_.now(),
-                      "ttl");
-      }
+      trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "ttl");
       return;
     }
     inner.set_hop_limit(static_cast<std::uint8_t>(inner.hop_limit() - 1));
     ++counters_.hairpinned;
-    if (tracer_) {
-      std::string detail = "to ";
-      detail += target.to_string();
-      tracer_->note(frame.vn, inner, telemetry::HopKind::Hairpin, config_.name, simulator_.now(),
-                    detail);
+    if (tracing()) {
+      trace_hop(frame.vn, inner, telemetry::HopKind::Hairpin, "to " + target.to_string());
     }
     encap_to(target, frame.vn, frame.source_group, frame.policy_applied, inner);
     return;
@@ -189,26 +183,17 @@ void BorderRouter::receive_fabric_frame(const net::FabricFrame& frame_in) {
     if (!frame.policy_applied && !route->group.is_unknown() &&
         sgacl_.evaluate(frame.vn, frame.source_group, route->group) == policy::Action::Deny) {
       ++counters_.policy_drops;
-      if (tracer_) {
-        tracer_->note(frame.vn, frame.inner, telemetry::HopKind::SgaclDeny, config_.name,
-                      simulator_.now(), "border-egress");
-      }
+      trace_hop(frame.vn, frame.inner, telemetry::HopKind::SgaclDeny, "border-egress");
       return;
     }
     ++counters_.external_out;
-    if (tracer_) {
-      tracer_->note(frame.vn, frame.inner, telemetry::HopKind::ExternalOut, config_.name,
-                    simulator_.now());
-    }
+    trace_hop(frame.vn, frame.inner, telemetry::HopKind::ExternalOut);
     if (deliver_external_) deliver_external_(destination, frame.inner);
     return;
   }
 
   ++counters_.no_route_drops;
-  if (tracer_) {
-    tracer_->note(frame.vn, frame.inner, telemetry::HopKind::Drop, config_.name,
-                  simulator_.now(), "no-route");
-  }
+  trace_hop(frame.vn, frame.inner, telemetry::HopKind::Drop, "no-route");
 }
 
 void BorderRouter::register_metrics(telemetry::MetricsRegistry& registry,

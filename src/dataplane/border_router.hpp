@@ -156,10 +156,19 @@ class BorderRouter {
   /// capture `this`.
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
-  /// Attaches an opt-in packet path tracer (nullptr detaches).
+  /// Attaches an opt-in packet path tracer (nullptr detaches); while it is
+  /// idle every hook is one inline branch and builds nothing.
   void set_tracer(telemetry::PathTracer* tracer) { tracer_ = tracer; }
 
  private:
+  /// Tracer hooks: one inline branch while the tracer is idle. A hook
+  /// that formats its detail tests tracing() before building it.
+  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && !tracer_->idle(); }
+  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, telemetry::HopKind kind,
+                 std::string_view detail = {}) {
+    if (tracing()) tracer_->note(vn, frame, kind, config_.name, simulator_.now(), detail);
+  }
+
   struct ExternalRoute {
     net::GroupId group;
   };

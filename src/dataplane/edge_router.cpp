@@ -252,15 +252,12 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
   }
 
   const net::VnEid destination{source->vn, frame.destination_eid()};
-  if (tracer_) tracer_->ingress(source->vn, frame, config_.name, simulator_.now());
+  if (tracing()) tracer_->ingress(source->vn, frame, config_.name, simulator_.now());
 
   // Same-edge destination: run the egress pipeline directly.
   if (local_.lookup(destination) != nullptr) {
     ++counters_.locally_switched;
-    if (tracer_) {
-      tracer_->note(source->vn, frame, telemetry::HopKind::LocalSwitch, config_.name,
-                    simulator_.now());
-    }
+    trace_hop(source->vn, frame, telemetry::HopKind::LocalSwitch);
     egress_deliver(destination, source->group, false, frame);
     return;
   }
@@ -270,10 +267,7 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
     // Mapping points at an RLOC the IGP says is gone (§5.1): bypass it and
     // ride the border default until the endpoint re-registers elsewhere.
     ++counters_.default_routed;
-    if (tracer_) {
-      tracer_->note(source->vn, frame, telemetry::HopKind::DefaultRoute, config_.name,
-                    simulator_.now(), "rloc-fallback");
-    }
+    trace_hop(source->vn, frame, telemetry::HopKind::DefaultRoute, "rloc-fallback");
     encap_to(config_.border_rloc, destination, source->group, false, frame);
     return;
   }
@@ -282,10 +276,7 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
       // §5.3 ablation: enforce here using the (possibly stale) cached group.
       if (sgacl_.evaluate(source->vn, source->group, entry->group) == policy::Action::Deny) {
         ++counters_.policy_drops;
-        if (tracer_) {
-          tracer_->note(source->vn, frame, telemetry::HopKind::SgaclDeny, config_.name,
-                        simulator_.now(), "ingress");
-        }
+        trace_hop(source->vn, frame, telemetry::HopKind::SgaclDeny, "ingress");
         return;
       }
       encap_to(entry->primary_rloc(), destination, source->group, true, frame);
@@ -310,18 +301,13 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
       }
     }
     ++counters_.resolution_drops;
-    if (tracer_) {
-      tracer_->note(source->vn, frame, telemetry::HopKind::Drop, config_.name, simulator_.now(),
-                    "resolution-pending");
-    }
+    trace_hop(source->vn, frame, telemetry::HopKind::Drop, "resolution-pending");
     return;
   }
   // Miss (or negative): default route to the border while resolution runs.
   ++counters_.default_routed;
-  if (tracer_) {
-    tracer_->note(source->vn, frame, telemetry::HopKind::DefaultRoute, config_.name,
-                  simulator_.now(), entry == nullptr ? "cache-miss" : "negative-entry");
-  }
+  trace_hop(source->vn, frame, telemetry::HopKind::DefaultRoute,
+            entry == nullptr ? "cache-miss" : "negative-entry");
   encap_to(config_.border_rloc, destination, source->group, false, frame);
 }
 
@@ -331,10 +317,7 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
 
 void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   ++counters_.decapsulated;
-  if (tracer_ && !frame.inner.is_arp()) {
-    tracer_->note(frame.vn, frame.inner, telemetry::HopKind::Decap, config_.name,
-                  simulator_.now());
-  }
+  trace_hop(frame.vn, frame.inner, telemetry::HopKind::Decap);  // ARP is never traced
   if (frame.inner.is_arp()) {
     // Unicast-converted ARP from an L2 gateway: deliver to the target MAC.
     const net::VnEid mac_eid{frame.vn, net::Eid{frame.inner.destination_mac}};
@@ -362,10 +345,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   net::OverlayFrame inner = frame.inner;
   if (inner.hop_limit() <= 1) {
     ++counters_.ttl_drops;  // transient edge<->border loop protection (§5.2)
-    if (tracer_) {
-      tracer_->note(frame.vn, inner, telemetry::HopKind::Drop, config_.name, simulator_.now(),
-                    "ttl");
-    }
+    trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "ttl");
     return;
   }
   inner.set_hop_limit(static_cast<std::uint8_t>(inner.hop_limit() - 1));
@@ -373,10 +353,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   const lisp::MapCacheEntry* entry = cache_.lookup(destination, simulator_.now());
   if (entry != nullptr && !entry->negative() && entry->primary_rloc() != config_.rloc) {
     ++counters_.stale_forwards;
-    if (tracer_) {
-      tracer_->note(frame.vn, inner, telemetry::HopKind::StaleForward, config_.name,
-                    simulator_.now());
-    }
+    trace_hop(frame.vn, inner, telemetry::HopKind::StaleForward);
     encap_to(entry->primary_rloc(), destination, frame.source_group, frame.policy_applied,
              inner);
     return;
@@ -386,10 +363,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
     // Came *from* a border and we have no better idea: bouncing it back
     // would loop (§5.2); hold the line and drop after resolution kicks in.
     ++counters_.no_route_drops;
-    if (tracer_) {
-      tracer_->note(frame.vn, inner, telemetry::HopKind::Drop, config_.name, simulator_.now(),
-                    "no-route");
-    }
+    trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "no-route");
     return;
   }
   ++counters_.default_routed;
@@ -406,24 +380,16 @@ void EdgeRouter::egress_deliver(const net::VnEid& destination, net::GroupId sour
   if (!policy_already_applied &&
       sgacl_.evaluate(destination.vn, source_group, entry->group) == policy::Action::Deny) {
     ++counters_.policy_drops;
-    if (tracer_) {
-      tracer_->note(destination.vn, frame, telemetry::HopKind::SgaclDeny, config_.name,
-                    simulator_.now(), "stage2");
-    }
+    trace_hop(destination.vn, frame, telemetry::HopKind::SgaclDeny, "stage2");
     return;
   }
-  if (tracer_) {
-    tracer_->note(destination.vn, frame, telemetry::HopKind::SgaclPermit, config_.name,
-                  simulator_.now(), policy_already_applied ? "policy-bit" : "stage2");
-  }
+  trace_hop(destination.vn, frame, telemetry::HopKind::SgaclPermit,
+            policy_already_applied ? "policy-bit" : "stage2");
 
   const AttachedEndpoint* endpoint = find_endpoint(destination);
   assert(endpoint != nullptr);
   ++counters_.frames_delivered;
-  if (tracer_) {
-    tracer_->note(destination.vn, frame, telemetry::HopKind::Deliver, config_.name,
-                  simulator_.now());
-  }
+  trace_hop(destination.vn, frame, telemetry::HopKind::Deliver);
   if (deliver_local_) {
     if (endpoint->vlan) {
       // Re-apply the destination port's access VLAN (§3.5 element i).
@@ -443,11 +409,8 @@ void EdgeRouter::egress_deliver(const net::VnEid& destination, net::GroupId sour
 void EdgeRouter::encap_to(net::Ipv4Address rloc, const net::VnEid& destination,
                           net::GroupId source_group, bool policy_applied,
                           const net::OverlayFrame& frame) {
-  if (tracer_) {
-    std::string detail = "to ";
-    detail += rloc.to_string();
-    tracer_->note(destination.vn, frame, telemetry::HopKind::Encap, config_.name,
-                  simulator_.now(), detail);
+  if (tracing()) {
+    trace_hop(destination.vn, frame, telemetry::HopKind::Encap, "to " + rloc.to_string());
   }
   net::FabricFrame out;
   out.outer_source = config_.rloc;

@@ -293,8 +293,8 @@ class EdgeRouter {
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
   /// Attaches an opt-in packet path tracer (nullptr detaches). The tracer
-  /// records hop-by-hop transit for armed flows; when no flow is armed the
-  /// hooks reduce to a pointer test plus an empty-map check.
+  /// records hop-by-hop transit for armed flows; while it is idle (no flow
+  /// armed or open) every hook is one inline branch and builds nothing.
   void set_tracer(telemetry::PathTracer* tracer) { tracer_ = tracer; }
 
   // --- Assurance-plane leak probes (quiesce invariants) -------------------
@@ -381,6 +381,14 @@ class EdgeRouter {
   /// Repoints the default route at the first live border candidate.
   void reselect_border();
   [[nodiscard]] bool is_border(net::Ipv4Address rloc) const;
+
+  /// Tracer hooks: one inline branch while the tracer is idle. A hook
+  /// that formats its detail tests tracing() before building it.
+  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && !tracer_->idle(); }
+  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, telemetry::HopKind kind,
+                 std::string_view detail = {}) {
+    if (tracing()) tracer_->note(vn, frame, kind, config_.name, simulator_.now(), detail);
+  }
 
   sim::Simulator& simulator_;
   EdgeRouterConfig config_;

@@ -13,6 +13,13 @@ namespace {
 /// Virtual gateway MAC endpoints address their off-link traffic to.
 const net::MacAddress kGatewayMac = net::MacAddress::from_u64(0x02'00'00'00'00'01ull);
 
+template <typename Router>
+std::vector<std::string> names_of(const std::vector<std::unique_ptr<Router>>& routers) {
+  std::vector<std::string> names;
+  for (const auto& router : routers) names.push_back(router->name());
+  return names;
+}
+
 std::uint64_t frame_flow_hash(const net::FabricFrame& frame) {
   std::size_t h = std::hash<net::MacAddress>{}(frame.inner.source_mac);
   h ^= std::hash<net::MacAddress>{}(frame.inner.destination_mac) << 1;
@@ -65,9 +72,10 @@ void SdaFabric::add_border(const std::string& name) {
   cfg.rloc = rloc;
   cfg.node = node;
   cfg.default_action = config_.default_action;
-  borders_[name] = std::make_unique<dataplane::BorderRouter>(simulator_, cfg);
-  border_order_.push_back(name);
-  border_by_rloc_[rloc] = name;
+  const auto index = static_cast<std::uint32_t>(borders_.size());
+  borders_.push_back(std::make_unique<dataplane::BorderRouter>(simulator_, cfg));
+  border_index_[name] = index;
+  rloc_owner_[rloc] = RlocOwner{true, index, node};
 }
 
 void SdaFabric::add_edge(const std::string& name) {
@@ -97,9 +105,10 @@ void SdaFabric::add_edge(const std::string& name) {
   cfg.rule_retry_interval = config_.rule_retry_interval;
   cfg.seed = config_.seed;  // mixed with the RLOC inside the router
   // border_rloc is filled in finalize() once the borders exist.
-  edges_[name] = std::make_unique<dataplane::EdgeRouter>(simulator_, cfg);
-  edge_order_.push_back(name);
-  edge_by_rloc_[rloc] = name;
+  const auto index = static_cast<std::uint32_t>(edges_.size());
+  edges_.push_back(std::make_unique<dataplane::EdgeRouter>(simulator_, cfg));
+  edge_index_[name] = index;
+  rloc_owner_[rloc] = RlocOwner{false, index, node};
 }
 
 void SdaFabric::add_underlay_node(const std::string& name) {
@@ -114,13 +123,13 @@ void SdaFabric::link(const std::string& a, const std::string& b, sim::Duration l
 
 void SdaFabric::finalize() {
   assert(!finalized_);
-  if (border_order_.empty()) throw std::runtime_error("fabric needs at least one border");
+  if (borders_.empty()) throw std::runtime_error("fabric needs at least one border");
   finalized_ = true;
 
   // The first border embeds the primary routing server and the policy
   // server (as in the paper's warehouse deployment). Additional routing
   // servers (§4.1 horizontal scale-out) are placed round-robin on borders.
-  dataplane::BorderRouter& primary = *borders_.at(border_order_.front());
+  dataplane::BorderRouter& primary = *borders_.front();
   map_server_rloc_ = primary.rloc();
   policy_server_rloc_ = primary.rloc();
 
@@ -128,7 +137,7 @@ void SdaFabric::finalize() {
   map_server_.set_negative_ttl_seconds(config_.negative_ttl_seconds);
   for (unsigned i = 0; i < server_count; ++i) {
     lisp::MapServerNodeConfig ms_cfg = config_.map_server;
-    ms_cfg.rloc = borders_.at(border_order_[i % border_order_.size()])->rloc();
+    ms_cfg.rloc = borders_[i % borders_.size()]->rloc();
     lisp::MapServer* database = &map_server_;
     if (i > 0) {
       replica_dbs_.push_back(std::make_unique<lisp::MapServer>());
@@ -137,10 +146,6 @@ void SdaFabric::finalize() {
     }
     server_nodes_.push_back(std::make_unique<lisp::MapServerNode>(
         simulator_, *database, ms_cfg, config_.seed ^ (0x5D + i)));
-  }
-  // Edge groups: round-robin assignment of Map-Request traffic.
-  for (std::size_t e = 0; e < edge_order_.size(); ++e) {
-    request_server_of_[edges_.at(edge_order_[e])->rloc()] = e % server_nodes_.size();
   }
 
   // Shard plan: home edge groups onto event lanes, control legs (the
@@ -153,8 +158,8 @@ void SdaFabric::finalize() {
                                                           : config_.sharding.workers;
     std::vector<underlay::NodeId> edge_nodes;
     std::vector<underlay::NodeId> control_nodes;
-    for (const auto& name : edge_order_) edge_nodes.push_back(nodes_by_name_.at(name));
-    for (const auto& name : border_order_) control_nodes.push_back(nodes_by_name_.at(name));
+    for (const auto& edge : edges_) edge_nodes.push_back(edge->config().node);
+    for (const auto& border : borders_) control_nodes.push_back(border->config().node);
     shard_plan_ = compute_edge_group_plan(topology_, lanes, edge_nodes, control_nodes);
   }
 
@@ -203,11 +208,8 @@ void SdaFabric::finalize() {
           telemetry_.causal.finish(it->second, simulator_.now());
           catchup_trace_by_replica_.erase(it);
         });
-    for (std::size_t e = 0; e < edge_order_.size(); ++e) {
-      const std::size_t server = e % server_nodes_.size();
-      if (e < server_nodes_.size()) {
-        ha_->set_probe_source(server, edges_.at(edge_order_[e])->rloc());
-      }
+    for (std::size_t e = 0; e < edges_.size() && e < server_nodes_.size(); ++e) {
+      ha_->set_probe_source(e, edges_[e]->rloc());
     }
   }
 
@@ -218,7 +220,7 @@ void SdaFabric::finalize() {
   // authority (server 0, or the elected leader) actually pushes — its term
   // rides on each publish so a deposed leader's pushes are fenced at the
   // borders instead of hardcoding index 0 as the forever-primary.
-  for (const auto& name : border_order_) border_feeds_[name] = BorderFeedState{};
+  for (const auto& border : borders_) border_feeds_[border->name()] = BorderFeedState{};
   for (std::size_t srv = 0; srv < server_nodes_.size(); ++srv) {
     lisp::MapServer& db = srv == 0 ? map_server_ : *replica_dbs_[srv - 1];
     db.set_publish_callback([this, srv](const net::VnEid& eid,
@@ -249,13 +251,14 @@ void SdaFabric::finalize() {
                      srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
                      std::move(detail));
       }
-      for (const auto& name : border_order_) {
+      for (const auto& border_ptr : borders_) {
+        dataplane::BorderRouter& border = *border_ptr;
+        const std::string& name = border.name();
         BorderFeedState& feed = border_feeds_.at(name);
         if (!feed.connected) {
           ++feed.dropped_publishes;  // surfaces as a gap after reconnect
           continue;
         }
-        dataplane::BorderRouter& border = *borders_.at(name);
         const std::uint64_t pub_span = telemetry_.causal.span_begin(
             publish.trace, 0, "publish", name, simulator_.now());
         control_send(feed_rloc, border.rloc(),
@@ -289,30 +292,26 @@ void SdaFabric::finalize() {
     db.set_move_callback([this, srv](const net::VnEid& eid, net::Ipv4Address previous,
                                      const lisp::MappingRecord& record) {
       if (!is_feed_authority(srv)) return;
-      const auto it = edge_by_rloc_.find(previous);
-      if (it == edge_by_rloc_.end()) return;
+      const auto old_edge = edge_at(previous);
+      if (!old_edge) return;
       lisp::MapNotify notify{0, eid, record.rlocs, control_epoch_of(srv)};
       if (telemetry_.causal.enabled()) {
         if (const auto mt = move_trace_by_eid_.find(eid); mt != move_trace_by_eid_.end()) {
           notify.trace = mt->second;
         }
       }
-      const std::string edge_name = it->second;
+      const std::string& edge_name = edges_[*old_edge]->name();
       if (telemetry_.recorder.enabled()) {
-        std::string detail = "move of ";
-        detail += eid.to_string();
-        detail += ", notify old edge ";
-        detail += edge_name;
         record_event(telemetry::EventKind::MapNotify,
                      srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
-                     std::move(detail));
+                     "move of " + eid.to_string() + ", notify old edge " + edge_name);
       }
       const std::uint64_t mv_span = telemetry_.causal.span_begin(
           notify.trace, 0, "mobility-notify", edge_name, simulator_.now());
       control_send(server_nodes_[srv]->rloc(), previous,
                    lisp::message_wire_size(lisp::Message{notify}),
-                   [this, edge_name, notify, mv_span] {
-                     const bool applied = edges_.at(edge_name)->receive_map_notify(notify);
+                   [this, old = *old_edge, notify, mv_span] {
+                     const bool applied = edges_[old]->receive_map_notify(notify);
                      // The old edge applying the mobility notify is the
                      // paper's move-convergence endpoint (Fig. 5 step 2).
                      if (applied && notify.trace != 0) {
@@ -328,21 +327,18 @@ void SdaFabric::finalize() {
   // hosting edge (§5.3); rule updates push to hosting edges (§5.4).
   policy_server_.set_endpoint_changed_callback(
       [this](const std::string& credential, const policy::EndpointPolicy& policy) {
-        const auto it = endpoints_by_credential_.find(credential);
-        if (it == endpoints_by_credential_.end() || it->second.edge.empty()) return;
-        EndpointState& state = it->second;
+        const auto it = mac_by_credential_.find(credential);
+        if (it == mac_by_credential_.end()) return;
+        EndpointState& state = endpoints_.at(it->second);
+        if (state.edge == kDetached) return;
         state.definition.group = policy.group;
-        dataplane::EdgeRouter& hosting = *edges_.at(state.edge);
+        dataplane::EdgeRouter& hosting = *edges_[state.edge];
         const net::MacAddress mac = state.definition.mac;
         // CoA-style signal: one control message to the hosting edge.
         policy_server_.record_group_host(hosting.rloc(), policy.vn, policy.group);
         if (telemetry_.recorder.enabled()) {
-          std::string detail = credential;
-          detail += " -> ";
-          detail += policy.group.to_string();
-          detail += " at ";
-          detail += state.edge;
-          record_event(telemetry::EventKind::GroupChange, "policy_server", std::move(detail));
+          record_event(telemetry::EventKind::GroupChange, "policy_server",
+                       credential + " -> " + policy.group.to_string() + " at " + hosting.name());
         }
         control_send(policy_server_rloc_, hosting.rloc(), 64,
                      [&hosting, mac, group = policy.group] {
@@ -351,22 +347,17 @@ void SdaFabric::finalize() {
       });
   policy_server_.set_rules_push_callback([this](net::Ipv4Address edge_rloc, net::VnId vn,
                                                 const std::vector<policy::Rule>& rules) {
-    const auto it = edge_by_rloc_.find(edge_rloc);
-    if (it == edge_by_rloc_.end()) return;
-    if (rules.empty()) return;
+    const auto target = edge_at(edge_rloc);
+    if (!target || rules.empty()) return;
     const net::GroupId destination = rules.front().pair.destination;
-    const std::string edge_name = it->second;
     if (telemetry_.recorder.enabled()) {
-      std::string detail = std::to_string(rules.size());
-      detail += " rules for ";
-      detail += destination.to_string();
-      detail += " -> ";
-      detail += edge_name;
-      record_event(telemetry::EventKind::PolicyPush, "policy_server", std::move(detail));
+      record_event(telemetry::EventKind::PolicyPush, "policy_server",
+                   std::to_string(rules.size()) + " rules for " + destination.to_string() +
+                       " -> " + edges_[*target]->name());
     }
     control_send(policy_server_rloc_, edge_rloc, 64 + 8 * rules.size(),
-                 [this, edge_name, vn, destination, rules] {
-                   edges_.at(edge_name)->install_rules(vn, destination, rules);
+                 [this, edge = *target, vn, destination, rules] {
+                   edges_[edge]->install_rules(vn, destination, rules);
                  });
   });
 
@@ -418,12 +409,12 @@ void SdaFabric::finalize() {
         });
   }
 
-  for (auto& [name, edge] : edges_) wire_edge(*edge);
-  for (auto& [name, border] : borders_) wire_border(*border);
+  for (auto& edge : edges_) wire_edge(*edge);
+  for (auto& border : borders_) wire_border(*border);
 
   // Underlay reachability watchers (§5.1) for every edge.
-  for (const auto& name : edge_order_) {
-    dataplane::EdgeRouter& edge = *edges_.at(name);
+  for (const auto& edge_ptr : edges_) {
+    dataplane::EdgeRouter& edge = *edge_ptr;
     underlay_->watch(edge.config().node, [&edge](net::Ipv4Address rloc, bool reachable) {
       edge.on_rloc_reachability(rloc, reachable);
     });
@@ -459,15 +450,13 @@ void SdaFabric::register_telemetry() {
   underlay_->register_metrics(reg, "underlay");
   if (l2_gateway_) l2_gateway_->register_metrics(reg, "l2_gateway");
 
-  for (std::size_t i = 0; i < edge_order_.size(); ++i) {
-    dataplane::EdgeRouter& edge = *edges_.at(edge_order_[i]);
-    edge.register_metrics(reg, "edge[" + std::to_string(i) + "]");
-    edge.set_tracer(&telemetry_.tracer);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    edges_[i]->register_metrics(reg, "edge[" + std::to_string(i) + "]");
+    edges_[i]->set_tracer(&telemetry_.tracer);
   }
-  for (std::size_t i = 0; i < border_order_.size(); ++i) {
-    dataplane::BorderRouter& border = *borders_.at(border_order_[i]);
-    border.register_metrics(reg, "border[" + std::to_string(i) + "]");
-    border.set_tracer(&telemetry_.tracer);
+  for (std::size_t i = 0; i < borders_.size(); ++i) {
+    borders_[i]->register_metrics(reg, "border[" + std::to_string(i) + "]");
+    borders_[i]->set_tracer(&telemetry_.tracer);
   }
 
   // Fabric-level latency decomposition. Onboarding runs tens to hundreds of
@@ -476,6 +465,8 @@ void SdaFabric::register_telemetry() {
   // border default route.
   reg.register_counter("fabric.stale_epoch_acks_accepted",
                        [this] { return stale_acks_accepted_; });
+  reg.register_gauge("fabric.frames_in_flight",
+                     [this] { return static_cast<double>(frames_in_flight()); });
   onboard_ms_ = &reg.histogram("fabric.onboard_ms", {0.0, 500.0, 50});
   roam_ms_ = &reg.histogram("fabric.roam_ms", {0.0, 500.0, 50});
   first_packet_us_ = &reg.histogram("fabric.first_packet_us", {0.0, 20'000.0, 50});
@@ -544,8 +535,15 @@ void SdaFabric::register_invariants() {
   // by the resolution outcome) — a parked frame at quiesce is a leak.
   eng.add_invariant("no-parked-packet-leak", [this] {
     std::size_t parked = 0;
-    for (const auto& [name, edge] : edges_) parked += edge->parked_frame_count();
+    for (const auto& edge : edges_) parked += edge->parked_frame_count();
     return std::make_pair(parked == 0, "parked_frames=" + std::to_string(parked));
+  });
+
+  // Every data frame handed to the underlay either arrives or is dropped
+  // at send time; a held frame-slab slot at quiesce is a leak.
+  eng.add_invariant("no-frame-slot-leak", [this] {
+    const std::size_t held = frames_in_flight();
+    return std::make_pair(held == 0, "frames_in_flight=" + std::to_string(held));
   });
 
   // Every causal operation and armed packet trace must resolve: an open
@@ -573,13 +571,12 @@ void SdaFabric::register_invariants() {
   // within one round: at quiesce no resync may be in flight, and any
   // sequence gap must be matched by at least one applied snapshot.
   eng.add_invariant("pubsub-gap-resolved", [this] {
-    for (const auto& name : border_order_) {
-      const dataplane::BorderRouter& border = *borders_.at(name);
-      if (border.resync_in_flight()) {
-        return std::make_pair(false, name + " resync still in flight");
+    for (const auto& border : borders_) {
+      if (border->resync_in_flight()) {
+        return std::make_pair(false, border->name() + " resync still in flight");
       }
-      if (border.counters().out_of_sequence > 0 && border.counters().snapshots_applied == 0) {
-        return std::make_pair(false, name + " saw a feed gap but never resynced");
+      if (border->counters().out_of_sequence > 0 && border->counters().snapshots_applied == 0) {
+        return std::make_pair(false, border->name() + " saw a feed gap but never resynced");
       }
     }
     return std::make_pair(true, std::string{"all border feeds sequenced"});
@@ -597,8 +594,9 @@ std::uint64_t SdaFabric::trace_flow(const net::VnEid& source, const net::VnEid& 
 }
 
 std::size_t SdaFabric::active_server_index(net::Ipv4Address edge_rloc) const {
-  const auto it = request_server_of_.find(edge_rloc);
-  const std::size_t home = it == request_server_of_.end() ? 0 : it->second;
+  // Edge groups: Map-Request traffic is assigned round-robin by edge index.
+  const auto edge = edge_at(edge_rloc);
+  const std::size_t home = edge ? *edge % server_nodes_.size() : 0;
   return ha_ ? ha_->active_server_for(home) : home;
 }
 
@@ -607,8 +605,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
   // underlay reachability watcher repoints the route when the primary
   // border becomes unreachable (and back when it returns).
   std::vector<net::Ipv4Address> border_rlocs;
-  border_rlocs.reserve(border_order_.size());
-  for (const auto& name : border_order_) border_rlocs.push_back(borders_.at(name)->rloc());
+  border_rlocs.reserve(borders_.size());
+  for (const auto& border : borders_) border_rlocs.push_back(border->rloc());
   edge.set_border_rlocs(std::move(border_rlocs));
 
   edge.set_send_data([this](const net::FabricFrame& frame) { dispatch_fabric_frame(frame); });
@@ -706,7 +704,7 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
         ha_ && ha_->election_enabled()
             ? control_leader()
             : (ha_ && ha_->failover_enabled()
-                   ? ha_->active_server_for(request_server_of_.at(edge.rloc()))
+                   ? active_server_index(edge.rloc())
                    : 0);
     for (std::size_t i = 0; i < server_nodes_.size(); ++i) {
       lisp::MapServerNode& node = *server_nodes_[i];
@@ -801,9 +799,9 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
   });
 
   edge.set_send_smr([this, &edge](net::Ipv4Address to, const lisp::SolicitMapRequest& smr_in) {
-    const auto it = edge_by_rloc_.find(to);
-    if (it == edge_by_rloc_.end()) return;  // borders are pub/sub-fresh: no SMR needed
-    const std::string target = it->second;
+    const auto stale_edge = edge_at(to);
+    if (!stale_edge) return;  // borders are pub/sub-fresh: no SMR needed
+    const std::string& target = edges_[*stale_edge]->name();
     lisp::SolicitMapRequest smr = smr_in;
     if (telemetry_.causal.enabled()) {
       // One SmrFanout operation per (EID, stale edge): the op closes when
@@ -813,21 +811,18 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                           simulator_.now());
     }
     if (telemetry_.recorder.enabled()) {
-      std::string detail = "for ";
-      detail += smr.eid.to_string();
-      detail += " -> ";
-      detail += target;
-      record_event(telemetry::EventKind::Smr, edge.name(), std::move(detail));
+      record_event(telemetry::EventKind::Smr, edge.name(),
+                   "for " + smr.eid.to_string() + " -> " + target);
     }
     const std::uint64_t smr_span =
         smr.trace == 0 ? 0
                        : telemetry_.causal.span_begin(smr.trace, 0, "smr", target,
                                                       simulator_.now());
-    auto deliver = [this, to, target, smr, smr_span] {
+    auto deliver = [this, to, stale_index = *stale_edge, smr, smr_span] {
       control_send(smr.source_rloc, to, lisp::message_wire_size(lisp::Message{smr}),
-                   [this, target, smr, smr_span] {
+                   [this, stale_index, smr, smr_span] {
                      telemetry_.causal.span_end(smr.trace, smr_span, simulator_.now());
-                     dataplane::EdgeRouter& stale = *edges_.at(target);
+                     dataplane::EdgeRouter& stale = *edges_[stale_index];
                      stale.receive_smr(smr);
                      // If the target did not adopt the trace (it already had a
                      // resolution in flight for this EID, or ignored the SMR),
@@ -926,19 +921,17 @@ void SdaFabric::provision_endpoint(const EndpointDefinition& endpoint) {
                                     policy::EndpointPolicy{endpoint.vn, endpoint.group});
   EndpointState state;
   state.definition = endpoint;
-  endpoints_by_credential_[endpoint.credential] = std::move(state);
-  credential_by_mac_[endpoint.mac] = endpoint.credential;
+  endpoints_[endpoint.mac] = std::move(state);
+  mac_by_credential_[endpoint.credential] = endpoint.mac;
 }
 
 void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv4Prefix& prefix,
                                     net::GroupId group, std::uint32_t ttl_seconds) {
-  for (const auto& name : border_order_) {
-    borders_.at(name)->add_external_prefix(vn, prefix, group);
-  }
+  for (const auto& border : borders_) border->add_external_prefix(vn, prefix, group);
   // The routing server answers external prefixes with the border RLOC so
   // edges cache a positive mapping instead of default-routing forever.
   lisp::MappingRecord record;
-  record.rlocs = {net::Rloc{borders_.at(border_order_.front())->rloc()}};
+  record.rlocs = {net::Rloc{borders_.front()->rloc()}};
   record.group = group;
   record.ttl_seconds = ttl_seconds;
   map_server_.register_prefix(vn, prefix, record);
@@ -953,54 +946,57 @@ void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv4Prefix& prefix,
 
 void SdaFabric::connect_endpoint(const std::string& credential, const std::string& edge,
                                  dataplane::PortId port, OnboardCallback callback) {
-  const auto it = endpoints_by_credential_.find(credential);
-  if (it == endpoints_by_credential_.end())
+  const auto it = mac_by_credential_.find(credential);
+  if (it == mac_by_credential_.end())
     throw std::invalid_argument("unknown credential: " + credential);
-  onboard(it->second, edge, port, /*fast_reauth=*/false, std::move(callback));
+  onboard(endpoints_.at(it->second), edge_index_.at(edge), port, /*fast_reauth=*/false,
+          std::move(callback));
 }
 
 void SdaFabric::roam_endpoint(const net::MacAddress& mac, const std::string& new_edge,
                               dataplane::PortId port, OnboardCallback callback) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) throw std::invalid_argument("unknown endpoint MAC");
-  EndpointState& state = endpoints_by_credential_.at(cred->second);
+  const auto it = endpoints_.find(mac);
+  if (it == endpoints_.end()) throw std::invalid_argument("unknown endpoint MAC");
+  EndpointState& state = it->second;
+  const std::uint32_t target = edge_index_.at(new_edge);
+  const bool moves = state.edge != kDetached && state.edge != target;
   std::uint64_t move_trace = 0;
-  if (telemetry_.causal.enabled() && !state.edge.empty() && state.edge != new_edge) {
+  if (telemetry_.causal.enabled() && moves) {
     // A cross-edge roam is a Move operation: it spans re-auth, the fresh
     // Map-Register, and the mobility Map-Notify converging the old edge.
     move_trace =
         telemetry_.causal.begin(telemetry::OpKind::Move, mac.to_string(), simulator_.now());
   }
-  if (!state.edge.empty() && state.edge != new_edge) {
+  if (moves) {
     // Detach from the previous edge; its registration stays until the new
     // edge overwrites it (the old edge keeps forwarding via Map-Notify).
-    edges_.at(state.edge)->detach_endpoint(mac, /*deregister=*/false);
-    state.edge.clear();
+    edges_[state.edge]->detach_endpoint(mac, /*deregister=*/false);
+    state.edge = kDetached;
   }
-  onboard(state, new_edge, port, /*fast_reauth=*/true, std::move(callback), move_trace);
+  onboard(state, target, port, /*fast_reauth=*/true, std::move(callback), move_trace);
 }
 
 void SdaFabric::disconnect_endpoint(const net::MacAddress& mac) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return;
-  EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return;
+  const auto it = endpoints_.find(mac);
+  if (it == endpoints_.end() || it->second.edge == kDetached) return;
+  EndpointState& state = it->second;
   services_.withdraw_provider(state.definition.vn, mac);  // mDNS goodbye
-  edges_.at(state.edge)->detach_endpoint(mac, /*deregister=*/true);
-  state.edge.clear();
+  edges_[state.edge]->detach_endpoint(mac, /*deregister=*/true);
+  state.edge = kDetached;
 }
 
-void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
+void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
                         dataplane::PortId port, bool fast_reauth, OnboardCallback callback,
                         std::uint64_t move_trace) {
   assert(finalized_);
   // An endpoint can only be attached in one place: a fresh connect while
   // attached elsewhere behaves like an unplug + replug.
-  if (!state.edge.empty() && state.edge != edge_name) {
-    edges_.at(state.edge)->detach_endpoint(state.definition.mac, /*deregister=*/false);
-    state.edge.clear();
+  if (state.edge != kDetached && state.edge != edge_index) {
+    edges_[state.edge]->detach_endpoint(state.definition.mac, /*deregister=*/false);
+    state.edge = kDetached;
   }
-  dataplane::EdgeRouter& edge = *edges_.at(edge_name);
+  dataplane::EdgeRouter& edge = *edges_[edge_index];
+  const std::string& edge_name = edge.name();
   const sim::SimTime started = simulator_.now();
   const EndpointDefinition def = state.definition;
   state.onboarding = true;
@@ -1050,7 +1046,7 @@ void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
   const sim::SimTime cpu_done = reserve_policy_cpu(auth_cpu);
   const sim::SimTime auth_done = std::max(cpu_done, simulator_.now() + auth_client_delay);
 
-  simulator_.schedule_at(auth_done, [this, &state, &edge, def, edge_name, port, started,
+  simulator_.schedule_at(auth_done, [this, &state, &edge, def, edge_index, port, started,
                                      dhcp_delay, rules_delay, fail, callback, fast_reauth,
                                      move_trace] {
     // Step 1-2: authenticate and fetch (VN, GroupId).
@@ -1065,7 +1061,7 @@ void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
       return;
     }
 
-    simulator_.schedule_after(rules_delay + dhcp_delay, [this, &state, &edge, def, edge_name,
+    simulator_.schedule_after(rules_delay + dhcp_delay, [this, &state, &edge, def, edge_index,
                                                          port, started, policy, callback,
                                                          fail, fast_reauth, move_trace] {
       // Step 3: DHCP address (sticky lease).
@@ -1090,7 +1086,7 @@ void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
         attached.ipv6 = l2::slaac_address(slaac->second, def.mac);
       }
 
-      state.edge = edge_name;
+      state.edge = edge_index;
       state.port = port;
       state.onboarding = false;
       state.definition.group = policy->group;
@@ -1114,8 +1110,8 @@ void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
         move_trace_by_eid_[ip_eid] = move_trace;
       }
       pending_onboards_[ip_eid].push_back(
-          [this, def, edge_name, started, policy, ip = *ip, ipv6 = attached.ipv6, callback,
-           fast_reauth] {
+          [this, def, &edge_name = edge.name(), started, policy, ip = *ip, ipv6 = attached.ipv6,
+           callback, fast_reauth] {
             const sim::Duration elapsed = simulator_.now() - started;
             telemetry::LatencyHistogram* hist = fast_reauth ? roam_ms_ : onboard_ms_;
             if (hist) {
@@ -1151,14 +1147,17 @@ void SdaFabric::onboard(EndpointState& state, const std::string& edge_name,
 // Traffic injection
 // ---------------------------------------------------------------------------
 
+std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> SdaFabric::sender_of(
+    const net::MacAddress& mac) {
+  const auto it = endpoints_.find(mac);
+  if (it == endpoints_.end() || it->second.edge == kDetached) return {nullptr, nullptr};
+  dataplane::EdgeRouter* edge = edges_[it->second.edge].get();
+  return {edge, edge->find_endpoint(mac)};
+}
+
 bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address destination,
                                   std::uint16_t dport, std::uint16_t payload_bytes) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return false;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return false;
-  dataplane::EdgeRouter& edge = *edges_.at(state.edge);
-  const dataplane::AttachedEndpoint* attached = edge.find_endpoint(mac);
+  const auto [edge, attached] = sender_of(mac);
   if (!attached) return false;
 
   net::OverlayFrame frame;
@@ -1176,29 +1175,18 @@ bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address d
   if (config_.trace_first_packets) {
     // Arm a path trace for the first packet of every new flow so the
     // first-packet latency histogram decomposes hop by hop.
-    std::string key = attached->vn.to_string();
-    key += '|';
-    key += attached->ip.to_string();
-    key += '|';
-    key += destination.to_string();
-    if (traced_flows_.insert(std::move(key)).second) {
-      telemetry_.tracer.arm(net::VnEid{attached->vn, net::Eid{attached->ip}},
-                            net::VnEid{attached->vn, net::Eid{destination}});
-    }
+    const std::pair flow{net::VnEid{attached->vn, net::Eid{attached->ip}},
+                         net::VnEid{attached->vn, net::Eid{destination}}};
+    if (traced_flows_.insert(flow).second) telemetry_.tracer.arm(flow.first, flow.second);
   }
-  edge.endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(mac, frame);
   return true;
 }
 
 bool SdaFabric::endpoint_send_udp6(const net::MacAddress& mac,
                                    const net::Ipv6Address& destination, std::uint16_t dport,
                                    std::uint16_t payload_bytes) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return false;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return false;
-  dataplane::EdgeRouter& edge = *edges_.at(state.edge);
-  const dataplane::AttachedEndpoint* attached = edge.find_endpoint(mac);
+  const auto [edge, attached] = sender_of(mac);
   if (!attached || !attached->ipv6) return false;
 
   net::OverlayFrame frame;
@@ -1213,17 +1201,15 @@ bool SdaFabric::endpoint_send_udp6(const net::MacAddress& mac,
   dgram.destination_port = dport;
   dgram.payload_size = payload_bytes;
   frame.l3 = dgram;
-  edge.endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(mac, frame);
   return true;
 }
 
 void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv6Prefix& prefix,
                                     net::GroupId group, std::uint32_t ttl_seconds) {
-  for (const auto& name : border_order_) {
-    borders_.at(name)->add_external_prefix(vn, prefix, group);
-  }
+  for (const auto& border : borders_) border->add_external_prefix(vn, prefix, group);
   lisp::MappingRecord record;
-  record.rlocs = {net::Rloc{borders_.at(border_order_.front())->rloc()}};
+  record.rlocs = {net::Rloc{borders_.front()->rloc()}};
   record.group = group;
   record.ttl_seconds = ttl_seconds;
   map_server_.register_prefix(vn, prefix, record);
@@ -1231,12 +1217,7 @@ void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv6Prefix& prefix,
 }
 
 bool SdaFabric::endpoint_send_arp(const net::MacAddress& mac, net::Ipv4Address target) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return false;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return false;
-  dataplane::EdgeRouter& edge = *edges_.at(state.edge);
-  const dataplane::AttachedEndpoint* attached = edge.find_endpoint(mac);
+  const auto [edge, attached] = sender_of(mac);
   if (!attached) return false;
 
   net::OverlayFrame frame;
@@ -1250,23 +1231,19 @@ bool SdaFabric::endpoint_send_arp(const net::MacAddress& mac, net::Ipv4Address t
   arp.target_mac = net::MacAddress{};
   arp.target_ip = target;
   frame.l3 = arp;
-  edge.endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(mac, frame);
   return true;
 }
 
 bool SdaFabric::advertise_service(const net::MacAddress& mac, const std::string& type,
                                   const std::string& name, std::uint16_t port) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return false;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return false;
-  const dataplane::AttachedEndpoint* attached = edges_.at(state.edge)->find_endpoint(mac);
+  const auto [edge, attached] = sender_of(mac);
   if (!attached) return false;
 
   l2::ServiceInstance instance{type, name, attached->ip, port, mac};
   const net::VnId vn = attached->vn;
   // The advertisement rides the control plane to the registry.
-  control_send(edges_.at(state.edge)->rloc(), map_server_rloc_, 96,
+  control_send(edge->rloc(), map_server_rloc_, 96,
                [this, vn, instance = std::move(instance)] {
                  services_.advertise(vn, instance);
                });
@@ -1275,18 +1252,13 @@ bool SdaFabric::advertise_service(const net::MacAddress& mac, const std::string&
 
 bool SdaFabric::endpoint_query_service(const net::MacAddress& mac, const std::string& type,
                                        ServiceQueryCallback callback) {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return false;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return false;
-  dataplane::EdgeRouter& edge = *edges_.at(state.edge);
-  const dataplane::AttachedEndpoint* attached = edge.find_endpoint(mac);
+  const auto [edge, attached] = sender_of(mac);
   if (!attached) return false;
 
   // The "broadcast" query is absorbed at the edge and proxied: one control
   // round trip to the registry, then a unicast answer back to the querier.
   const net::VnId vn = attached->vn;
-  const net::Ipv4Address edge_rloc = edge.rloc();
+  const net::Ipv4Address edge_rloc = edge->rloc();
   control_send(edge_rloc, map_server_rloc_, 64,
                [this, vn, type, edge_rloc, callback = std::move(callback)] {
                  auto instances = services_.query(vn, type);
@@ -1310,7 +1282,7 @@ void SdaFabric::external_send_udp(const std::string& border, net::VnId vn,
   dgram.protocol = net::IpProtocol::Udp;
   dgram.payload_size = payload_bytes;
   frame.l3 = dgram;
-  borders_.at(border)->external_receive(vn, source_group, frame);
+  borders_[border_index_.at(border)]->external_receive(vn, source_group, frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,30 +1311,31 @@ void SdaFabric::set_link_state(const std::string& a, const std::string& b, bool 
 }
 
 void SdaFabric::reboot_edge(const std::string& name, sim::Duration downtime) {
-  dataplane::EdgeRouter& edge = *edges_.at(name);
+  const std::uint32_t index = edge_index_.at(name);
+  dataplane::EdgeRouter& edge = *edges_[index];
   record_event(telemetry::EventKind::Reboot, name, "down");
   edge.reboot();
   topology_.set_node_state(edge.config().node, false);
   underlay_->topology_changed();
 
-  // Collect the endpoints that were attached here; they re-onboard when the
-  // router returns.
-  std::vector<std::string> stranded;
-  for (auto& [credential, state] : endpoints_by_credential_) {
-    if (state.edge == name) {
-      state.edge.clear();
-      stranded.push_back(credential);
+  // Collect the endpoints that were attached here, in credential-table
+  // order; they re-onboard when the router returns.
+  std::vector<EndpointState*> stranded;
+  for (const auto& [credential, mac] : mac_by_credential_) {
+    EndpointState& state = endpoints_.at(mac);
+    if (state.edge == index) {
+      state.edge = kDetached;
+      stranded.push_back(&state);
     }
   }
 
-  simulator_.schedule_after(downtime, [this, name, stranded] {
-    dataplane::EdgeRouter& rebooted = *edges_.at(name);
-    record_event(telemetry::EventKind::Reboot, name, "up");
+  simulator_.schedule_after(downtime, [this, index, stranded] {
+    dataplane::EdgeRouter& rebooted = *edges_[index];
+    record_event(telemetry::EventKind::Reboot, rebooted.name(), "up");
     topology_.set_node_state(rebooted.config().node, true);
     underlay_->topology_changed();
-    for (const auto& credential : stranded) {
-      EndpointState& state = endpoints_by_credential_.at(credential);
-      onboard(state, name, state.port, /*fast_reauth=*/false, {});
+    for (EndpointState* state : stranded) {
+      onboard(*state, index, state->port, /*fast_reauth=*/false, {});
     }
   });
 }
@@ -1380,7 +1353,7 @@ void SdaFabric::set_border_feed_connected(const std::string& border, bool connec
   // Reconnect: the border cannot know how many updates it missed, so it
   // always pulls a snapshot (gap detection would only catch the loss once
   // the *next* publish arrives — possibly much later).
-  if (connected) borders_.at(border)->request_resync();
+  if (connected) borders_[border_index_.at(border)]->request_resync();
 }
 
 bool SdaFabric::border_feed_connected(const std::string& border) const {
@@ -1392,7 +1365,7 @@ std::uint64_t SdaFabric::border_publishes_dropped(const std::string& border) con
 }
 
 void SdaFabric::resync_border(const std::string& name) {
-  dataplane::BorderRouter& border = *borders_.at(name);
+  dataplane::BorderRouter& border = *borders_[border_index_.at(name)];
   // Leaderless window (open election, or a quorum-stalled minority): there
   // is no authority to snapshot from. The border's resync retry timer
   // re-requests until a quorate leader exists.
@@ -1424,9 +1397,9 @@ void SdaFabric::resync_border(const std::string& name) {
     });
     const std::uint64_t next_seq = publish_seq_ + 1;
     const std::uint64_t epoch = control_epoch_of(leader);
-    dataplane::BorderRouter& target = *borders_.at(name);
+    dataplane::BorderRouter& target = *borders_[border_index_.at(name)];
     control_send(authority_rloc, target.rloc(), 64 + 48 * entries->size(),
-                 [this, name, entries, next_seq, epoch, rh_span] {
+                 [this, &target, name, entries, next_seq, epoch, rh_span] {
                    // A snapshot for a disconnected feed is lost like any
                    // other update; the border's retry timer re-requests.
                    if (!border_feeds_.at(name).connected) return;
@@ -1437,7 +1410,7 @@ void SdaFabric::resync_border(const std::string& name) {
                      record_event(telemetry::EventKind::SnapshotApplied, name,
                                   std::move(detail));
                    }
-                   borders_.at(name)->apply_snapshot(*entries, next_seq, epoch);
+                   target.apply_snapshot(*entries, next_seq, epoch);
                    // Applying the snapshot re-homes this border; the op
                    // completes when the last pending border has re-homed.
                    if (rehome_trace_ != 0 && rehome_pending_.erase(name) > 0) {
@@ -1479,12 +1452,12 @@ void SdaFabric::on_leader_changed(std::size_t leader, std::uint64_t epoch) {
                                             "epoch " + std::to_string(epoch),
                                             simulator_.now());
     rehome_pending_.clear();
-    for (const auto& name : border_order_) rehome_pending_.insert(name);
+    for (const auto& border : borders_) rehome_pending_.insert(border->name());
   }
   const net::Ipv4Address leader_rloc = server_nodes_[leader]->rloc();
-  for (const auto& name : border_order_) borders_.at(name)->request_resync();
-  for (const auto& name : edge_order_) {
-    dataplane::EdgeRouter& edge = *edges_.at(name);
+  for (const auto& border : borders_) border->request_resync();
+  for (const auto& edge_ptr : edges_) {
+    dataplane::EdgeRouter& edge = *edge_ptr;
     control_send(leader_rloc, edge.rloc(), 32,
                  [&edge, epoch] { edge.observe_control_epoch(epoch); });
   }
@@ -1503,36 +1476,49 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
       throw std::logic_error("fabric frame failed wire-format round-trip");
     }
   }
-  const underlay::NodeId from = node_of_rloc(frame.outer_source);
-  // Audited by-value capture: the frame must outlive dispatch (the caller's
-  // copy dies before arrival), so this callable exceeds the InlineAction SBO
-  // buffer and deliberately takes the heap-fallback path. Everything the
-  // per-event dispatch loop itself allocates stays at zero; this is the one
-  // per-frame allocation, equivalent to the old std::function behavior.
-  const bool delivered = underlay_->deliver(
-      from, frame.outer_destination, frame_flow_hash(frame), frame.wire_size(),
-      [this, frame] {
-        if (telemetry_.tracer.open_count() > 0) {
-          std::string via = frame.outer_source.to_string();
-          via += " -> ";
-          via += frame.outer_destination.to_string();
-          telemetry_.tracer.note(frame.vn, frame.inner, telemetry::HopKind::Transit, "underlay",
-                                 simulator_.now(), via);
-        }
-        if (const auto e = edge_by_rloc_.find(frame.outer_destination);
-            e != edge_by_rloc_.end()) {
-          edges_.at(e->second)->receive_fabric_frame(frame);
-          return;
-        }
-        if (const auto b = border_by_rloc_.find(frame.outer_destination);
-            b != border_by_rloc_.end()) {
-          borders_.at(b->second)->receive_fabric_frame(frame);
-        }
-      });
-  if (!delivered && telemetry_.tracer.open_count() > 0) {
+  // The frame must outlive dispatch (the caller's copy dies before
+  // arrival) but is too big to ride inline in the event, so it waits in a
+  // recycled slab slot and the event carries only the slot number.
+  if (free_frames_.empty()) {
+    free_frames_.push_back(static_cast<std::uint32_t>(frames_.size()));
+    frames_.emplace_back();
+    free_frames_.reserve(frames_.capacity());  // release_frame never allocates
+  }
+  const std::uint32_t slot = free_frames_.back();
+  free_frames_.pop_back();
+  frames_[slot] = frame;
+  auto arrive = [this, slot] {
+    // Move the frame out first: receiving it can dispatch again and grow
+    // the slab.
+    const net::FabricFrame arrived = release_frame(slot);
+    if (!telemetry_.tracer.idle()) {
+      telemetry_.tracer.note(arrived.vn, arrived.inner, telemetry::HopKind::Transit, "underlay",
+                             simulator_.now(),
+                             arrived.outer_source.to_string() + " -> " +
+                                 arrived.outer_destination.to_string());
+    }
+    const auto to = rloc_owner_.find(arrived.outer_destination);
+    if (to != rloc_owner_.end() && to->second.border) {
+      borders_[to->second.index]->receive_fabric_frame(arrived);
+    } else if (to != rloc_owner_.end()) {
+      edges_[to->second.index]->receive_fabric_frame(arrived);
+    }
+  };
+  static_assert(sim::InlineAction::fits_inline<decltype(arrive)>);
+  if (underlay_->deliver(node_of_rloc(frame.outer_source), frame.outer_destination,
+                         frame_flow_hash(frame), frame.wire_size(), std::move(arrive))) {
+    return;
+  }
+  (void)release_frame(slot);
+  if (!telemetry_.tracer.idle()) {
     telemetry_.tracer.note(frame.vn, frame.inner, telemetry::HopKind::Drop, "underlay",
                            simulator_.now(), "unreachable-or-fault");
   }
+}
+
+net::FabricFrame SdaFabric::release_frame(std::uint32_t slot) {
+  free_frames_.push_back(slot);
+  return std::move(frames_[slot]);
 }
 
 void SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
@@ -1546,26 +1532,32 @@ void SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::si
 }
 
 underlay::NodeId SdaFabric::node_of_rloc(net::Ipv4Address rloc) const {
-  const auto node = topology_.node_by_loopback(rloc);
-  assert(node.has_value());
-  return *node;
+  const auto owner = rloc_owner_.find(rloc);
+  assert(owner != rloc_owner_.end());
+  return owner->second.node;
 }
 
-dataplane::EdgeRouter& SdaFabric::edge(const std::string& name) { return *edges_.at(name); }
+std::optional<std::uint32_t> SdaFabric::edge_at(net::Ipv4Address rloc) const {
+  const auto owner = rloc_owner_.find(rloc);
+  if (owner == rloc_owner_.end() || owner->second.border) return std::nullopt;
+  return owner->second.index;
+}
+
+dataplane::EdgeRouter& SdaFabric::edge(const std::string& name) {
+  return *edges_[edge_index_.at(name)];
+}
 
 dataplane::BorderRouter& SdaFabric::border(const std::string& name) {
-  return *borders_.at(name);
+  return *borders_[border_index_.at(name)];
 }
 
-std::vector<std::string> SdaFabric::edge_names() const { return edge_order_; }
-std::vector<std::string> SdaFabric::border_names() const { return border_order_; }
+std::vector<std::string> SdaFabric::edge_names() const { return names_of(edges_); }
+std::vector<std::string> SdaFabric::border_names() const { return names_of(borders_); }
 
 std::optional<std::string> SdaFabric::location_of(const net::MacAddress& mac) const {
-  const auto cred = credential_by_mac_.find(mac);
-  if (cred == credential_by_mac_.end()) return std::nullopt;
-  const EndpointState& state = endpoints_by_credential_.at(cred->second);
-  if (state.edge.empty()) return std::nullopt;
-  return state.edge;
+  const auto it = endpoints_.find(mac);
+  if (it == endpoints_.end() || it->second.edge == kDetached) return std::nullopt;
+  return edges_[it->second.edge]->name();
 }
 
 }  // namespace sda::fabric

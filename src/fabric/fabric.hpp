@@ -22,6 +22,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dataplane/border_router.hpp"
@@ -225,6 +226,12 @@ class SdaFabric {
   /// Where an endpoint is currently attached (edge name), if anywhere.
   [[nodiscard]] std::optional<std::string> location_of(const net::MacAddress& mac) const;
 
+  /// Data frames sent into the underlay that have not arrived yet (slots
+  /// held in the frame slab). 0 whenever the simulator has quiesced.
+  [[nodiscard]] std::size_t frames_in_flight() const {
+    return frames_.size() - free_frames_.size();
+  }
+
   void set_delivery_listener(DeliveryListener listener) {
     delivery_listener_ = std::move(listener);
   }
@@ -262,12 +269,31 @@ class SdaFabric {
   std::uint64_t trace_flow(const net::VnEid& source, const net::VnEid& destination);
 
  private:
+  /// Edge index of an endpoint that is attached nowhere.
+  static constexpr std::uint32_t kDetached = UINT32_MAX;
+
   struct EndpointState {
     EndpointDefinition definition;
-    std::string edge;  // empty = not attached
+    std::uint32_t edge = kDetached;  // index into edges_
     dataplane::PortId port = 0;
     bool onboarding = false;
   };
+
+  /// The router behind an edge or border RLOC, and its underlay node.
+  struct RlocOwner {
+    bool border = false;
+    std::uint32_t index = 0;  // into borders_ or edges_
+    underlay::NodeId node = 0;
+  };
+
+  /// The edge whose RLOC is `rloc`, if it is an edge's.
+  [[nodiscard]] std::optional<std::uint32_t> edge_at(net::Ipv4Address rloc) const;
+
+  /// The edge hosting `mac` and its attachment there; the attachment is
+  /// nullptr when the MAC is unknown or attached nowhere (the send calls'
+  /// shared preamble).
+  [[nodiscard]] std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> sender_of(
+      const net::MacAddress& mac);
 
   void wire_edge(dataplane::EdgeRouter& edge);
   void wire_border(dataplane::BorderRouter& border);
@@ -316,13 +342,17 @@ class SdaFabric {
   /// round-trip count. A nonzero `move_trace` is the causal move operation
   /// opened by roam_endpoint(); once the address is known it is indexed by
   /// EID so the mobility Map-Notify can close it.
-  void onboard(EndpointState& state, const std::string& edge_name, dataplane::PortId port,
+  void onboard(EndpointState& state, std::uint32_t edge_index, dataplane::PortId port,
                bool fast_reauth, OnboardCallback callback, std::uint64_t move_trace = 0);
 
   /// Reserves policy-server CPU; returns when the work completes.
   sim::SimTime reserve_policy_cpu(sim::Duration service);
 
+  /// Sends an encapsulated frame across the underlay. The frame waits in
+  /// a slab slot, so the arrival closure captures only [this, slot].
   void dispatch_fabric_frame(const net::FabricFrame& frame);
+  /// Moves the frame out of `slot` and frees the slot.
+  [[nodiscard]] net::FabricFrame release_frame(std::uint32_t slot);
 
   sim::Simulator& simulator_;
   FabricConfig config_;
@@ -336,8 +366,6 @@ class SdaFabric {
   std::vector<std::unique_ptr<lisp::MapServer>> replica_dbs_;
   /// Queueing front ends; node 0 serves the primary database.
   std::vector<std::unique_ptr<lisp::MapServerNode>> server_nodes_;
-  /// Which server node an edge's Map-Requests go to (by edge RLOC).
-  std::unordered_map<net::Ipv4Address, std::size_t> request_server_of_;
   /// Health tracking / failover / anti-entropy (nullptr when disabled).
   std::unique_ptr<HaMonitor> ha_;
   /// Edge-group → event-lane homing, computed at finalize().
@@ -351,12 +379,16 @@ class SdaFabric {
   std::unordered_map<std::uint32_t, net::Ipv6Prefix> slaac_prefixes_;  // by VN
 
   std::unordered_map<std::string, underlay::NodeId> nodes_by_name_;
-  std::unordered_map<std::string, std::unique_ptr<dataplane::EdgeRouter>> edges_;
-  std::unordered_map<std::string, std::unique_ptr<dataplane::BorderRouter>> borders_;
-  std::vector<std::string> edge_order_;
-  std::vector<std::string> border_order_;
-  std::unordered_map<net::Ipv4Address, std::string> edge_by_rloc_;
-  std::unordered_map<net::Ipv4Address, std::string> border_by_rloc_;
+  /// Routers in creation order, addressed by dense index; names map to
+  /// indices only at the API boundary.
+  std::vector<std::unique_ptr<dataplane::EdgeRouter>> edges_;
+  std::vector<std::unique_ptr<dataplane::BorderRouter>> borders_;
+  std::unordered_map<std::string, std::uint32_t> edge_index_;
+  std::unordered_map<std::string, std::uint32_t> border_index_;
+  std::unordered_map<net::Ipv4Address, RlocOwner> rloc_owner_;
+  /// In-flight data frames (a recycled slab) and its free slots.
+  std::vector<net::FabricFrame> frames_;
+  std::vector<std::uint32_t> free_frames_;
   /// Pub/sub feed session state per border (Fig. 1 "sync" hardening).
   struct BorderFeedState {
     bool connected = true;
@@ -367,8 +399,9 @@ class SdaFabric {
   std::uint64_t stale_acks_accepted_ = 0;  // epoch-fence audit (must stay 0)
   std::unique_ptr<l2::L2Gateway> l2_gateway_;
 
-  std::unordered_map<std::string, EndpointState> endpoints_by_credential_;
-  std::unordered_map<net::MacAddress, std::string> credential_by_mac_;
+  std::unordered_map<net::MacAddress, EndpointState> endpoints_;
+  /// Serves the credential-keyed calls only.
+  std::unordered_map<std::string, net::MacAddress> mac_by_credential_;
   /// Onboard callbacks waiting for an EID's Map-Register to complete.
   std::unordered_map<net::VnEid, std::vector<std::function<void()>>> pending_onboards_;
 
@@ -376,8 +409,14 @@ class SdaFabric {
   bool finalized_ = false;
 
   telemetry::Telemetry telemetry_;
-  /// Flows already traced by the first-packet tracer ("vn|src|dst" keys).
-  std::unordered_set<std::string> traced_flows_;
+  /// Flows already traced by the first-packet tracer: (source, destination).
+  struct FlowHash {
+    std::size_t operator()(const std::pair<net::VnEid, net::VnEid>& flow) const noexcept {
+      return net::hash_combine(std::hash<net::VnEid>{}(flow.first),
+                               std::hash<net::VnEid>{}(flow.second));
+    }
+  };
+  std::unordered_set<std::pair<net::VnEid, net::VnEid>, FlowHash> traced_flows_;
   /// First-packet latency decomposition (microseconds), fed by completed
   /// path traces when config_.trace_first_packets is on.
   telemetry::LatencyHistogram* first_packet_us_ = nullptr;

@@ -231,9 +231,9 @@ void HaMonitor::arm_watchdog(std::size_t node) {
       sim::decorrelated_backoff(node_rng_[node], el.watchdog_timeout,
                                 config_.election_timeout, config_.election_timeout * 3);
   simulator_.schedule_after(el.watchdog_timeout, [this, node] {
-    const ElectionState& el = election_[node];
-    if (servers_[node]->online() && el.leader != node && !el.candidate &&
-        simulator_.now() - el.last_assert >= el.watchdog_timeout &&
+    const ElectionState& now_el = election_[node];
+    if (servers_[node]->online() && now_el.leader != node && !now_el.candidate &&
+        simulator_.now() - now_el.last_assert >= now_el.watchdog_timeout &&
         !(config_.dampening && state_[node].suppressed)) {
       start_election(node);
     }
@@ -283,21 +283,21 @@ void HaMonitor::start_election(std::size_t node) {
                   [this, node, j, claim] { receive_claim(j, node, claim); });
   }
   simulator_.schedule_after(config_.election_claim_timeout, [this, node, claim] {
-    ElectionState& el = election_[node];
+    ElectionState& cand = election_[node];
     // Unchallenged (no live lower-index peer objected with a newer term).
-    if (!el.candidate || el.epoch != claim) return;
-    if (config_.election_quorum && !quorum_reached(el)) {
+    if (!cand.candidate || cand.epoch != claim) return;
+    if (config_.election_quorum && !quorum_reached(cand)) {
       // Quorum elections: a candidate that cannot confirm a strict
       // majority of the configured replicas (a minority partition) stalls
       // leaderless instead of asserting — the watchdog retries with a
       // fresh term until the partition heals.
-      el.candidate = false;
-      el.leader = kNoLeader;
+      cand.candidate = false;
+      cand.leader = kNoLeader;
       quorum_lost_ = true;
       ++counters_.quorum_stalls;
       emit(telemetry::EventKind::QuorumLost, node,
            "term " + std::to_string(claim) + " stalled with " +
-               std::to_string(el.votes + 1) + "/" + std::to_string(servers_.size()) +
+               std::to_string(cand.votes + 1) + "/" + std::to_string(servers_.size()) +
                " replicas");
       return;
     }

@@ -95,14 +95,14 @@ void PathTracer::ingress(net::VnId vn, const net::OverlayFrame& frame, const std
 }
 
 void PathTracer::note(net::VnId vn, const net::OverlayFrame& frame, HopKind kind,
-                      const std::string& node, sim::SimTime now, std::string detail) {
+                      const std::string& node, sim::SimTime now, std::string_view detail) {
   if (open_.empty()) return;
   const auto key = key_of(vn, frame);
   if (!key) return;
   const auto it = open_.find(*key);
   if (it == open_.end()) return;
 
-  it->second.hops.push_back(TraceHop{now, kind, node, std::move(detail)});
+  it->second.hops.push_back(TraceHop{now, kind, node, std::string{detail}});
   if (hop_is_terminal(kind)) {
     PacketTrace trace = std::move(it->second);
     open_.erase(it);

@@ -8,14 +8,14 @@
 // exit to an external network) complete the trace, which makes first-packet
 // latency decomposable: the total is the sum of visible per-stage deltas.
 //
-// The hooks are safe to call unconditionally from the data plane: while no
-// trace is armed or open, note()/ingress() return after one integer
-// comparison, so compiled-in-but-idle tracing costs ~nothing.
+// The data plane tests idle() before calling a hook or building any of its
+// arguments, so compiled-in-but-idle tracing costs one branch per hook.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -97,7 +97,7 @@ class PathTracer {
   /// Appends a hop to the open trace for this frame's flow, if any.
   /// Terminal kinds complete the trace.
   void note(net::VnId vn, const net::OverlayFrame& frame, HopKind kind, const std::string& node,
-            sim::SimTime now, std::string detail = {});
+            sim::SimTime now, std::string_view detail = {});
 
   // --- Introspection -------------------------------------------------------
 

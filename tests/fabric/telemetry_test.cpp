@@ -171,5 +171,54 @@ TEST_F(TelemetryFabric, SnapshotDeltaIsolatesTrafficWindow) {
   EXPECT_EQ(delta.counters.at("edge[1].policy_drops"), 0u);  // nothing denied in window
 }
 
+
+// trace_first_packets arms one trace per (vn, source, destination) flow: on a
+// fixed scenario the first-packet histogram gets exactly one sample per
+// delivered flow, however many packets each flow sends or interleaves.
+TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
+  sim::Simulator sim;
+  FabricConfig config;
+  config.l2_gateway = false;
+  config.seed = 7;
+  config.trace_first_packets = true;
+  SdaFabric fabric(sim, config);
+  fabric.add_border("b0");
+  for (int e = 0; e < 3; ++e) {
+    fabric.add_edge("e" + std::to_string(e));
+    fabric.link("e" + std::to_string(e), "b0");
+  }
+  fabric.finalize();
+  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
+  std::vector<MacAddress> macs;
+  std::vector<net::Ipv4Address> ips(6);
+  for (std::size_t h = 0; h < 6; ++h) {
+    macs.push_back(MacAddress::from_u64(0x0200 + h));
+    fabric.provision_endpoint({"host" + std::to_string(h), "pw", macs[h], kVn, GroupId{10}});
+    fabric.connect_endpoint("host" + std::to_string(h), "e" + std::to_string(h / 2), 1,
+                            [&ips, h](const OnboardResult& r) { ips[h] = r.ip; });
+  }
+  sim.run();
+
+  // Every ordered pair sends three packets: two back to back (the second
+  // leaves before the first arrives) and one after the flow has settled.
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t a = 0; a < 6; ++a) {
+      for (std::size_t b = 0; b < 6; ++b) {
+        if (a == b) continue;
+        fabric.endpoint_send_udp(macs[a], ips[b], 443, 100);
+        if (round == 0) fabric.endpoint_send_udp(macs[a], ips[b], 443, 100);
+      }
+    }
+    sim.run();
+  }
+  // A destination nobody holds is dropped at the border: no sample.
+  fabric.endpoint_send_udp(macs[0], *net::Ipv4Address::parse("10.100.250.250"), 443, 100);
+  sim.run();
+
+  const telemetry::Snapshot snap = fabric.metrics().snapshot();
+  EXPECT_EQ(snap.histograms.at("fabric.first_packet_us").total, 30u);
+  EXPECT_EQ(fabric.path_tracer().open_count(), 0u);
+}
+
 }  // namespace
 }  // namespace sda::fabric

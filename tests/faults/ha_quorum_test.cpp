@@ -29,7 +29,7 @@ MacAddress mac(std::uint64_t i) { return MacAddress::from_u64(0x0200'0000'0000ul
 
 fabric::FabricConfig quorum_config(std::size_t servers) {
   fabric::FabricConfig cfg;
-  cfg.routing_servers = servers;
+  cfg.routing_servers = static_cast<unsigned>(servers);
   cfg.ha.failover = true;
   cfg.ha.heartbeat_interval = milliseconds{100};
   cfg.ha.heartbeat_timeout = milliseconds{20};
@@ -132,7 +132,9 @@ TEST_F(QuorumFixture, PartitionedMinorityNeverElectsItself) {
   EXPECT_GE(snapshot.counters.at("ha.quorum_stalls"), 1u);
   EXPECT_EQ(snapshot.counters.at("ha.minority_leaders"), 0u);
   for (const auto& v : fabric->telemetry().assurance.evaluate_invariants()) {
-    if (v.name == "no-minority-leader") EXPECT_TRUE(v.pass) << v.detail;
+    if (v.name == "no-minority-leader") {
+      EXPECT_TRUE(v.pass) << v.detail;
+    }
   }
 
   // Heal: the minority's inflated term forces one quorate re-election;

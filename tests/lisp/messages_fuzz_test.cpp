@@ -10,10 +10,13 @@
 namespace sda::lisp {
 namespace {
 
+// No padding: the test names carry this struct's raw bytes, so a padding
+// hole would put uninitialised stack bytes into them.
 struct FuzzCase {
   std::uint64_t seed;
-  int iterations;
+  std::int64_t iterations;
 };
+static_assert(sizeof(FuzzCase) == 2 * sizeof(std::uint64_t));
 
 class MessageFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

@@ -102,7 +102,7 @@ TEST(ShardedSimulatorTest, RingOverflowSpillsLosslessly) {
   });
   core.run();
   ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   EXPECT_GT(core.overflow_posts(), 0u);
   EXPECT_EQ(core.late_posts(), 0u);
 }

@@ -33,7 +33,7 @@ TEST(MetricsRegistry, CellReferencesSurviveLaterRegistrations) {
   MetricsRegistry registry;
   Counter& first = registry.counter("a.first");
   for (int i = 0; i < 64; ++i) {
-    registry.counter("b.filler" + std::to_string(i));
+    (void)registry.counter("b.filler" + std::to_string(i));
   }
   first.inc();
   EXPECT_EQ(registry.snapshot().counters.at("a.first"), 1u);
@@ -90,9 +90,9 @@ TEST(MetricsRegistry, DeltaSaturatesWhenSubsystemResets) {
 
 TEST(MetricsRegistry, UnregisterPrefixRemovesNode) {
   MetricsRegistry registry;
-  registry.counter("edge[0].a");
-  registry.counter("edge[0].b");
-  registry.counter("edge[1].a");
+  (void)registry.counter("edge[0].a");
+  (void)registry.counter("edge[0].b");
+  (void)registry.counter("edge[1].a");
   registry.register_counter("edge[0].probe", [] { return std::uint64_t{1}; });
   EXPECT_EQ(registry.unregister_prefix("edge[0]."), 3u);
   const Snapshot snap = registry.snapshot();
