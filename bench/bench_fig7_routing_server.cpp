@@ -147,7 +147,7 @@ stats::Summary simulate_load(double queries_per_second, std::uint32_t queries) {
       lisp::MapRequest request;
       request.nonce = q;
       request.eid = eid_of(q % 10000);
-      node.submit_request(request, {});
+      node.submit_request(request);
     });
   }
   sim.run();

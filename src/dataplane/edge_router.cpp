@@ -426,21 +426,22 @@ void EdgeRouter::encap_to(net::Ipv4Address rloc, const net::VnEid& destination,
 void EdgeRouter::resolve(const net::VnEid& eid, bool smr_invoked, std::uint64_t trace) {
   if (!send_map_request_) return;
   if (pending_requests_.contains(eid)) return;
-  pending_requests_[eid] = PendingRequest{next_nonce_++, config_.map_request_retries,
-                                          smr_invoked, trace, config_.map_request_timeout};
+  pending_requests_.insert(eid, PendingRequest{next_nonce_++, config_.map_request_retries,
+                                               smr_invoked, trace, config_.map_request_timeout});
   transmit_map_request(eid);
 }
 
 void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
-  const auto it = pending_requests_.find(eid);
-  if (it == pending_requests_.end()) return;  // answered meanwhile
+  const PendingRequest* attempt = pending_requests_.find(eid);
+  if (attempt == nullptr) return;  // answered meanwhile
 
   lisp::MapRequest request;
-  request.nonce = it->second.nonce;
+  request.nonce = attempt->nonce;
   request.eid = eid;
   request.itr_rloc = config_.rloc;
-  request.smr_invoked = it->second.smr_invoked;
-  request.trace = it->second.trace;
+  request.smr_invoked = attempt->smr_invoked;
+  request.trace = attempt->trace;
+  const sim::Duration timeout = attempt->timeout;
   ++counters_.map_requests_sent;
   send_map_request_(request);
 
@@ -448,21 +449,20 @@ void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
   // retries remain, the timer's job is to clear the pending entry so a
   // later packet can retrigger resolution. Each retransmit backs off with
   // decorrelated jitter so loss-induced storms spread out.
-  const std::uint64_t nonce = it->second.nonce;
-  auto retransmit = [this, eid, nonce] {
-    const auto pending = pending_requests_.find(eid);
-    if (pending == pending_requests_.end()) return;
-    if (pending->second.nonce != nonce) return;  // superseded by a newer attempt
-    if (pending->second.retries_left == 0) {
+  auto retransmit = [this, eid, nonce = request.nonce] {
+    PendingRequest* pending = pending_requests_.find(eid);
+    if (pending == nullptr) return;
+    if (pending->nonce != nonce) return;  // superseded by a newer attempt
+    if (pending->retries_left == 0) {
       // Out of retries: give up so a later packet can retrigger resolution.
-      pending_requests_.erase(pending);
+      pending_requests_.erase(eid);
       drop_parked(eid);
       return;
     }
-    --pending->second.retries_left;
-    pending->second.nonce = next_nonce_++;
-    pending->second.timeout = next_backoff(pending->second.timeout, config_.map_request_timeout,
-                                           config_.map_request_timeout_cap);
+    --pending->retries_left;
+    pending->nonce = next_nonce_++;
+    pending->timeout = next_backoff(pending->timeout, config_.map_request_timeout,
+                                    config_.map_request_timeout_cap);
     ++counters_.map_request_retries;
     transmit_map_request(eid);
   };
@@ -471,26 +471,26 @@ void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
   // fail the build here instead of silently allocating per miss.
   static_assert(sim::InlineAction::fits_inline<decltype(retransmit)>,
                 "map-request retransmit timer must not heap-allocate");
-  it->second.timer = simulator_.schedule_after(it->second.timeout, std::move(retransmit));
+  pending_requests_.find(eid)->timer = simulator_.schedule_after(timeout, std::move(retransmit));
 }
 
 void EdgeRouter::receive_map_request_busy(const net::VnEid& eid, sim::Duration retry_after) {
-  const auto it = pending_requests_.find(eid);
-  if (it == pending_requests_.end()) return;  // answered (or given up) meanwhile
+  PendingRequest* pending = pending_requests_.find(eid);
+  if (pending == nullptr) return;  // answered (or given up) meanwhile
   ++counters_.server_busy;
-  simulator_.cancel(it->second.timer);
-  if (it->second.retries_left == 0) {
-    pending_requests_.erase(it);
+  simulator_.cancel(pending->timer);
+  if (pending->retries_left == 0) {
+    pending_requests_.erase(eid);
     drop_parked(eid);
     return;
   }
-  --it->second.retries_left;
-  it->second.nonce = next_nonce_++;
+  --pending->retries_left;
+  pending->nonce = next_nonce_++;
   // Honor the server's retry-after instead of the local RTO — but jitter
   // it: every shed client hears the same hint, and retrying at the exact
   // deadline re-synchronizes the stampede the shed was deflecting.
-  it->second.timer = simulator_.schedule_after(jittered_retry_after(retry_after),
-                                               [this, eid] { transmit_map_request(eid); });
+  pending->timer = simulator_.schedule_after(jittered_retry_after(retry_after),
+                                             [this, eid] { transmit_map_request(eid); });
 }
 
 void EdgeRouter::receive_map_register_busy(const net::VnEid& eid, sim::Duration retry_after) {
@@ -652,10 +652,9 @@ void EdgeRouter::run_probe_sweep() {
 }
 
 void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
-  const auto pending = pending_requests_.find(reply.eid);
-  if (pending != pending_requests_.end()) {
-    simulator_.cancel(pending->second.timer);
-    pending_requests_.erase(pending);
+  if (const PendingRequest* pending = pending_requests_.find(reply.eid)) {
+    simulator_.cancel(pending->timer);
+    pending_requests_.erase(reply.eid);
   }
   cache_.install(reply.eid, reply, simulator_.now());
   maybe_schedule_probe_sweep();
@@ -876,7 +875,8 @@ void EdgeRouter::reboot() {
   endpoints_.clear();
   eid_to_mac_.clear();
   group_refcounts_.clear();
-  for (auto& [eid, pending] : pending_requests_) simulator_.cancel(pending.timer);
+  pending_requests_.for_each(
+      [this](const net::VnEid&, PendingRequest& pending) { simulator_.cancel(pending.timer); });
   pending_requests_.clear();
   for (auto& [eid, pending] : pending_registers_) simulator_.cancel(pending.timer);
   pending_registers_.clear();

@@ -23,6 +23,7 @@
 
 #include "dataplane/sgacl.hpp"
 #include "dataplane/vrf.hpp"
+#include "lisp/flat_index.hpp"
 #include "lisp/map_cache.hpp"
 #include "lisp/messages.hpp"
 #include "net/packet.hpp"
@@ -313,8 +314,8 @@ class EdgeRouter {
   /// Causal trace id riding the in-flight resolution for `eid` (0 if none).
   /// Lets the fabric tell whether an SMR's trace was adopted by the target.
   [[nodiscard]] std::uint64_t pending_request_trace(const net::VnEid& eid) const {
-    const auto it = pending_requests_.find(eid);
-    return it == pending_requests_.end() ? 0 : it->second.trace;
+    const PendingRequest* pending = pending_requests_.find(eid);
+    return pending == nullptr ? 0 : pending->trace;
   }
 
  private:
@@ -420,7 +421,8 @@ class EdgeRouter {
     sim::Duration timeout{0};  // current RTO (grows under backoff)
     sim::EventHandle timer;    // armed retransmit (cancelled by busy/reply)
   };
-  std::unordered_map<net::VnEid, PendingRequest> pending_requests_;
+  /// Flat, so a miss's resolution allocates no table node.
+  lisp::FlatMap<net::VnEid, PendingRequest> pending_requests_;
   /// Registrations awaiting their Map-Notify ack (reliable Map-Register);
   /// mirrors pending_requests_. ttl_seconds 0 marks a pending withdrawal.
   struct PendingRegister {

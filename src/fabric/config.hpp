@@ -120,19 +120,6 @@ struct HaConfig {
   sim::Duration dampening_half_life = std::chrono::seconds{4};
 };
 
-/// Per-edge-group event lanes over a worker pool (the sharded simulator
-/// core). The fabric computes a ShardPlan at finalize() — edge groups
-/// distributed over lanes, control nodes (borders, servers) homed to lane
-/// 0, lookahead = the minimum cross-lane link latency — and exports it via
-/// SdaFabric::shard_plan() and `sharding.*` gauges. LaneFabric is the
-/// harness that executes a plan on a multi-worker ShardedSimulator.
-struct ShardingConfig {
-  /// Worker threads for lane execution (1 = single-threaded).
-  std::size_t workers = 1;
-  /// Event lanes; 0 = one lane per worker.
-  std::size_t lanes = 0;
-};
-
 struct FabricConfig {
   FabricTimings timings;
   /// Edge map-cache capacity (0 = unbounded; small values model small FIBs).
@@ -170,9 +157,6 @@ struct FabricConfig {
   /// Map-Requests to its own routing server; Map-Registers fan out to all
   /// servers so every replica stays complete.
   unsigned routing_servers = 1;
-  /// Shard planning for the parallel simulator core: how edge groups are
-  /// homed onto event lanes. Defaults to single-lane (no plan computed).
-  ShardingConfig sharding;
   /// Control-plane high availability: heartbeat failover and replica
   /// anti-entropy (PR 4). Defaults entirely off.
   HaConfig ha;

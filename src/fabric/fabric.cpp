@@ -146,21 +146,15 @@ void SdaFabric::finalize() {
     }
     server_nodes_.push_back(std::make_unique<lisp::MapServerNode>(
         simulator_, *database, ms_cfg, config_.seed ^ (0x5D + i)));
-  }
-
-  // Shard plan: home edge groups onto event lanes, control legs (the
-  // borders carrying the routing/policy servers) onto lane 0, and derive
-  // the conservative lookahead from the underlay. The plan is exported via
-  // shard_plan() / sharding.* gauges; LaneFabric executes such plans on a
-  // multi-worker ShardedSimulator.
-  {
-    const std::size_t lanes = config_.sharding.lanes != 0 ? config_.sharding.lanes
-                                                          : config_.sharding.workers;
-    std::vector<underlay::NodeId> edge_nodes;
-    std::vector<underlay::NodeId> control_nodes;
-    for (const auto& edge : edges_) edge_nodes.push_back(edge->config().node);
-    for (const auto& border : borders_) control_nodes.push_back(border->config().node);
-    shard_plan_ = compute_edge_group_plan(topology_, lanes, edge_nodes, control_nodes);
+    // Every Map-Request job completes into the control slab slot it came
+    // from (the ticket).
+    server_nodes_.back()->set_request_sink(
+        [this](std::uint32_t slot, const lisp::MapReply& reply, sim::Duration) {
+          on_map_reply(slot, reply);
+        },
+        [this](std::uint32_t slot, sim::Duration retry_after) {
+          on_request_shed(slot, retry_after);
+        });
   }
 
   // Control-plane HA (PR 4): heartbeat failover and/or replica
@@ -182,11 +176,9 @@ void SdaFabric::finalize() {
     ha_ = std::make_unique<HaMonitor>(
         simulator_, config_.ha, std::move(nodes), std::move(databases),
         [this](net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
-               std::function<void()> action) {
-          control_send(from, to, bytes, std::move(action));
-        },
+               sim::InlineAction action) { control_send(from, to, bytes, std::move(action)); },
         [this](telemetry::EventKind kind, const std::string& node, std::string detail) {
-          record_event(kind, node, std::move(detail));
+          record_event(kind, node, detail);
         },
         config_.seed);
     ha_->set_leader_changed([this](std::size_t leader, std::uint64_t epoch) {
@@ -243,13 +235,11 @@ void SdaFabric::finalize() {
       }
       const net::Ipv4Address feed_rloc = server_nodes_[srv]->rloc();
       if (telemetry_.recorder.enabled()) {
-        std::string detail = publish.withdrawal() ? "withdraw " : "publish ";
-        detail += eid.to_string();
-        detail += " seq ";
-        detail += std::to_string(publish.seq);
         record_event(telemetry::EventKind::Publish,
                      srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
-                     std::move(detail));
+                     publish.withdrawal() ? telemetry::DetailForm::WithdrawSeq
+                                          : telemetry::DetailForm::PublishSeq,
+                     eid, {}, publish.seq);
       }
       for (const auto& border_ptr : borders_) {
         dataplane::BorderRouter& border = *border_ptr;
@@ -380,32 +370,21 @@ void SdaFabric::finalize() {
                                       [done = std::move(done), result] { done(result); });
                        });
         },
-        // MAC EID -> RLOC lookup.
+        // MAC EID -> RLOC lookup: a Map-Request riding the same control
+        // slab legs as an edge's, answered to `done` instead of an edge.
         [this](net::Ipv4Address edge_rloc, const net::VnEid& mac_eid,
                std::function<void(std::optional<net::Ipv4Address>)> done) {
-          lisp::MapServerNode& node = *server_nodes_[active_server_index(edge_rloc)];
-          const net::Ipv4Address server_rloc = node.rloc();
-          lisp::MapRequest request;
-          request.nonce = 0;
-          request.eid = mac_eid;
-          request.itr_rloc = edge_rloc;
-          control_send(
-              edge_rloc, server_rloc, lisp::message_wire_size(lisp::Message{request}),
-              [this, &node, edge_rloc, server_rloc, request, done = std::move(done)] {
-                node.submit_request(
-                    request, [this, edge_rloc, server_rloc, done](const lisp::MapReply& reply,
-                                                                  sim::Duration) {
-                      control_send(server_rloc, edge_rloc,
-                                   lisp::message_wire_size(lisp::Message{reply}),
-                                   [done, reply] {
-                                     if (reply.negative()) {
-                                       done(std::nullopt);
-                                     } else {
-                                       done(reply.rlocs.front().address);
-                                     }
-                                   });
-                    });
-              });
+          const std::uint32_t slot = acquire_control();
+          ControlSlot& c = controls_[slot];
+          c.request = lisp::MapRequest{};
+          c.request.eid = mac_eid;
+          c.request.itr_rloc = edge_rloc;
+          c.server = static_cast<std::uint32_t>(active_server_index(edge_rloc));
+          c.edge = kDetached;
+          c.requester = edge_rloc;
+          c.span = 0;
+          c.l2_done = std::move(done);
+          send_request_leg(slot);
         });
   }
 
@@ -435,16 +414,6 @@ void SdaFabric::register_telemetry() {
     server_nodes_[i]->register_metrics(reg, "routing_server[" + std::to_string(i) + "]");
   }
   if (ha_) ha_->register_metrics(reg, "ha");
-  reg.register_gauge("sharding.lanes",
-                     [this] { return static_cast<double>(shard_plan_.shards); });
-  reg.register_gauge("sharding.workers", [this] {
-    return static_cast<double>(config_.sharding.workers);
-  });
-  reg.register_gauge("sharding.cross_links",
-                     [this] { return static_cast<double>(shard_plan_.cross_links); });
-  reg.register_gauge("sharding.lookahead_us", [this] {
-    return static_cast<double>(shard_plan_.lookahead.count()) / 1000.0;
-  });
   policy_server_.register_metrics(reg, "policy_server");
   services_.register_metrics(reg, "services");
   underlay_->register_metrics(reg, "underlay");
@@ -467,6 +436,8 @@ void SdaFabric::register_telemetry() {
                        [this] { return stale_acks_accepted_; });
   reg.register_gauge("fabric.frames_in_flight",
                      [this] { return static_cast<double>(frames_in_flight()); });
+  reg.register_gauge("fabric.control_in_flight",
+                     [this] { return static_cast<double>(control_in_flight()); });
   onboard_ms_ = &reg.histogram("fabric.onboard_ms", {0.0, 500.0, 50});
   roam_ms_ = &reg.histogram("fabric.roam_ms", {0.0, 500.0, 50});
   first_packet_us_ = &reg.histogram("fabric.first_packet_us", {0.0, 20'000.0, 50});
@@ -546,6 +517,13 @@ void SdaFabric::register_invariants() {
     return std::make_pair(held == 0, "frames_in_flight=" + std::to_string(held));
   });
 
+  // Likewise every Map-Request either gets its Map-Reply to the requester
+  // or is lost, swallowed or shed; a held control-slab slot is a leak.
+  eng.add_invariant("no-control-slot-leak", [this] {
+    const std::size_t held = control_in_flight();
+    return std::make_pair(held == 0, "control_in_flight=" + std::to_string(held));
+  });
+
   // Every causal operation and armed packet trace must resolve: an open
   // trace at quiesce means a control-plane flow started but never
   // converged (or an instrumentation hook leaked its operation).
@@ -583,10 +561,15 @@ void SdaFabric::register_invariants() {
   });
 }
 
-void SdaFabric::record_event(telemetry::EventKind kind, const std::string& node,
-                             std::string detail) {
-  if (!telemetry_.recorder.enabled()) return;
-  telemetry_.recorder.record(simulator_.now(), kind, node, std::move(detail));
+void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
+                             std::string_view detail) {
+  telemetry_.recorder.record(simulator_.now(), kind, node, detail);
+}
+
+void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
+                             telemetry::DetailForm form, const net::VnEid& eid,
+                             net::Ipv4Address rloc, std::uint64_t number) {
+  telemetry_.recorder.record(simulator_.now(), kind, node, form, eid, rloc, number);
 }
 
 std::uint64_t SdaFabric::trace_flow(const net::VnEid& source, const net::VnEid& destination) {
@@ -611,69 +594,9 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
 
   edge.set_send_data([this](const net::FabricFrame& frame) { dispatch_fabric_frame(frame); });
 
-  edge.set_send_map_request([this, &edge](const lisp::MapRequest& request) {
-    // Each edge group queries its assigned routing server (§4.1) — or,
-    // with HA failover on and that server declared down, the next live
-    // replica. The choice is re-evaluated on every (re)transmit, so a
-    // retransmission after a failover rides the new server.
-    lisp::MapServerNode& node = *server_nodes_[active_server_index(edge.rloc())];
-    const net::Ipv4Address server_rloc = node.rloc();
-    if (telemetry_.recorder.enabled()) {
-      std::string detail = "for ";
-      detail += request.eid.to_string();
-      detail += " -> ";
-      detail += server_rloc.to_string();
-      record_event(telemetry::EventKind::MapRequest, edge.name(), std::move(detail));
-    }
-    const std::uint64_t rq_span = telemetry_.causal.span_begin(
-        request.trace, 0, "map-request", edge.name(), simulator_.now());
-    control_send(edge.rloc(), server_rloc, lisp::message_wire_size(lisp::Message{request}),
-                 [this, &edge, &node, server_rloc, request, rq_span] {
-                   node.submit_request(
-                       request,
-                       [this, &edge, server_rloc, rq_span](const lisp::MapReply& reply,
-                                                           sim::Duration) {
-                         if (telemetry_.recorder.enabled()) {
-                           std::string detail = reply.negative() ? "negative for " : "for ";
-                           detail += reply.eid.to_string();
-                           record_event(telemetry::EventKind::MapReply, edge.name(),
-                                        std::move(detail));
-                         }
-                         telemetry_.causal.span_end(reply.trace, rq_span, simulator_.now());
-                         const std::uint64_t rp_span = telemetry_.causal.span_begin(
-                             reply.trace, rq_span, "map-reply", edge.name(), simulator_.now());
-                         control_send(server_rloc, edge.rloc(),
-                                      lisp::message_wire_size(lisp::Message{reply}),
-                                      [this, &edge, reply, rp_span] {
-                                        edge.receive_map_reply(reply);
-                                        // An SMR-invoked resolution landing
-                                        // at the stale sender closes the
-                                        // SMR fan-out operation.
-                                        if (reply.trace != 0) {
-                                          telemetry_.causal.span_end(reply.trace, rp_span,
-                                                                     simulator_.now());
-                                          telemetry_.causal.finish(reply.trace,
-                                                                   simulator_.now());
-                                        }
-                                      });
-                       },
-                       // Bounded admission shed the request: an explicit
-                       // busy + retry-after rides back to the edge, which
-                       // backs off for the server's hint instead of its
-                       // local RTO.
-                       [this, &edge, server_rloc, eid = request.eid](sim::Duration retry_after) {
-                         if (telemetry_.recorder.enabled()) {
-                           std::string detail = "map-request for ";
-                           detail += eid.to_string();
-                           record_event(telemetry::EventKind::Shed, edge.name(),
-                                        std::move(detail));
-                         }
-                         control_send(server_rloc, edge.rloc(), 32,
-                                      [&edge, eid, retry_after] {
-                                        edge.receive_map_request_busy(eid, retry_after);
-                                      });
-                       });
-                 });
+  edge.set_send_map_request([this, index = *edge_at(edge.rloc())](
+                                const lisp::MapRequest& request) {
+    send_map_request(index, request);
   });
 
   edge.set_send_map_register([this, &edge](const lisp::MapRegister& reg_in) {
@@ -684,11 +607,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
       registration.trace = telemetry_.causal.begin(
           telemetry::OpKind::Register, registration.eid.to_string(), simulator_.now());
     }
-    if (telemetry_.recorder.enabled()) {
-      std::string detail = "for ";
-      detail += registration.eid.to_string();
-      record_event(telemetry::EventKind::MapRegister, edge.name(), std::move(detail));
-    }
+    record_event(telemetry::EventKind::MapRegister, edge.name(), telemetry::DetailForm::ForEid,
+                 registration.eid);
     // Route updates go to *all* routing servers so replicas stay complete
     // (§4.1). Onboarding completion is tied to the acking server's
     // Map-Notify, which also cancels the edge's reliable-registration
@@ -782,12 +702,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                    : lisp::MapServerNode::ShedCallback{
                                      [this, &edge, &node, eid = registration.eid](
                                          sim::Duration retry_after) {
-                                       if (telemetry_.recorder.enabled()) {
-                                         std::string detail = "map-register for ";
-                                         detail += eid.to_string();
-                                         record_event(telemetry::EventKind::Shed, edge.name(),
-                                                      std::move(detail));
-                                       }
+                                       record_event(telemetry::EventKind::Shed, edge.name(),
+                                                    telemetry::DetailForm::RegisterForEid, eid);
                                        control_send(node.rloc(), edge.rloc(), 32,
                                                     [&edge, eid, retry_after] {
                                                       edge.receive_map_register_busy(
@@ -911,7 +827,7 @@ void SdaFabric::update_rule(const RuleDefinition& rule) {
     detail += " -> ";
     detail += rule.destination.to_string();
     detail += rule.action == policy::Action::Allow ? " allow" : " deny";
-    record_event(telemetry::EventKind::RuleUpdate, "policy_server", std::move(detail));
+    record_event(telemetry::EventKind::RuleUpdate, "policy_server", detail);
   }
   policy_server_.update_rule(rule.vn, rule.source, rule.destination, rule.action);
 }
@@ -1123,7 +1039,7 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
               detail += edge_name;
               record_event(
                   fast_reauth ? telemetry::EventKind::Roam : telemetry::EventKind::Onboard,
-                  edge_name, std::move(detail));
+                  edge_name, detail);
             }
             if (!callback) return;
             OnboardResult result;
@@ -1302,7 +1218,7 @@ void SdaFabric::set_link_state(const std::string& a, const std::string& b, bool 
         detail += " <-> ";
         detail += b;
         detail += up ? " up" : " down";
-        record_event(telemetry::EventKind::LinkState, "fabric", std::move(detail));
+        record_event(telemetry::EventKind::LinkState, "fabric", detail);
       }
       return;
     }
@@ -1408,7 +1324,7 @@ void SdaFabric::resync_border(const std::string& name) {
                      detail += " entries, next seq ";
                      detail += std::to_string(next_seq);
                      record_event(telemetry::EventKind::SnapshotApplied, name,
-                                  std::move(detail));
+                                  detail);
                    }
                    target.apply_snapshot(*entries, next_seq, epoch);
                    // Applying the snapshot re-homes this border; the op
@@ -1521,14 +1437,135 @@ net::FabricFrame SdaFabric::release_frame(std::uint32_t slot) {
   return std::move(frames_[slot]);
 }
 
-void SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
-                             std::function<void()> action) {
+bool SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
+                             sim::InlineAction action) {
   if (from == to) {
     simulator_.schedule_after(sim::Duration{0}, std::move(action));
+    return true;
+  }
+  return underlay_->deliver(node_of_rloc(from), to, std::hash<std::uint32_t>{}(from.value()),
+                            bytes, std::move(action), underlay::TrafficClass::Control);
+}
+
+// ---------------------------------------------------------------------------
+// The first packet's resolution round (§3.2.2): Map-Request -> map-server
+// job -> Map-Reply, carried in a recycled control slab
+// ---------------------------------------------------------------------------
+
+std::uint32_t SdaFabric::acquire_control() {
+  if (free_controls_.empty()) {
+    free_controls_.push_back(static_cast<std::uint32_t>(controls_.size()));
+    controls_.emplace_back();
+    free_controls_.reserve(controls_.capacity());  // release_control never allocates
+  }
+  const std::uint32_t slot = free_controls_.back();
+  free_controls_.pop_back();
+  return slot;
+}
+
+void SdaFabric::release_control(std::uint32_t slot) {
+  controls_[slot].l2_done = nullptr;
+  free_controls_.push_back(slot);
+}
+
+void SdaFabric::send_map_request(std::uint32_t edge_index, const lisp::MapRequest& request) {
+  // Each edge group queries its assigned routing server (§4.1) — or, with
+  // HA failover on and that server declared down, the next live replica.
+  // The choice is re-evaluated on every (re)transmit, so a retransmission
+  // after a failover rides the new server.
+  const dataplane::EdgeRouter& edge = *edges_[edge_index];
+  const std::size_t server = active_server_index(edge.rloc());
+  record_event(telemetry::EventKind::MapRequest, edge.name(),
+               telemetry::DetailForm::ForEidToRloc, request.eid, server_nodes_[server]->rloc());
+  const std::uint32_t slot = acquire_control();
+  ControlSlot& c = controls_[slot];
+  c.request = request;
+  c.server = static_cast<std::uint32_t>(server);
+  c.edge = edge_index;
+  c.requester = edge.rloc();
+  c.span = telemetry_.causal.span_begin(request.trace, 0, "map-request", edge.name(),
+                                        simulator_.now());
+  send_request_leg(slot);
+}
+
+void SdaFabric::send_request_leg(std::uint32_t slot) {
+  const ControlSlot& c = controls_[slot];
+  auto arrive = [this, slot] {
+    // The server answers (or sheds) through its sinks; a server that is
+    // offline swallows the request, which ends the round here.
+    if (!server_nodes_[controls_[slot].server]->submit_request(controls_[slot].request, slot)) {
+      release_control(slot);
+    }
+  };
+  static_assert(sim::InlineAction::fits_inline<decltype(arrive)>);
+  if (!control_send(c.requester, server_nodes_[c.server]->rloc(), c.request.wire_size(),
+                    std::move(arrive))) {
+    release_control(slot);
+  }
+}
+
+void SdaFabric::on_map_reply(std::uint32_t slot, const lisp::MapReply& reply) {
+  ControlSlot& c = controls_[slot];
+  c.reply = reply;  // reuses the slot's locator capacity
+  if (c.edge != kDetached) {
+    const std::string& edge_name = edges_[c.edge]->name();
+    record_event(telemetry::EventKind::MapReply, edge_name,
+                 reply.negative() ? telemetry::DetailForm::NegativeForEid
+                                  : telemetry::DetailForm::ForEid,
+                 reply.eid);
+    telemetry_.causal.span_end(reply.trace, c.span, simulator_.now());
+    c.span = telemetry_.causal.span_begin(reply.trace, c.span, "map-reply", edge_name,
+                                          simulator_.now());
+  }
+  auto arrive = [this, slot] { on_map_reply_arrival(slot); };
+  static_assert(sim::InlineAction::fits_inline<decltype(arrive)>);
+  if (!control_send(server_nodes_[c.server]->rloc(), c.requester, c.reply.wire_size(),
+                    std::move(arrive))) {
+    release_control(slot);
+  }
+}
+
+void SdaFabric::on_request_shed(std::uint32_t slot, sim::Duration retry_after) {
+  // The caller (send_request_leg's arrival) frees the slot.
+  const ControlSlot& c = controls_[slot];
+  if (c.edge == kDetached) return;  // the L2 gateway's lookup is dropped
+  // Bounded admission shed the request: an explicit busy + retry-after
+  // rides back to the edge, which backs off for the server's hint instead
+  // of its local RTO.
+  dataplane::EdgeRouter& edge = *edges_[c.edge];
+  record_event(telemetry::EventKind::Shed, edge.name(), telemetry::DetailForm::RequestForEid,
+               c.request.eid);
+  auto busy = [&edge, eid = c.request.eid, retry_after] {
+    edge.receive_map_request_busy(eid, retry_after);
+  };
+  static_assert(sim::InlineAction::fits_inline<decltype(busy)>);
+  control_send(server_nodes_[c.server]->rloc(), edge.rloc(), 32, std::move(busy));
+}
+
+void SdaFabric::on_map_reply_arrival(std::uint32_t slot) {
+  ControlSlot& c = controls_[slot];
+  if (c.edge == kDetached) {
+    const auto done = std::move(c.l2_done);
+    const std::optional<net::Ipv4Address> rloc =
+        c.reply.negative() ? std::nullopt
+                           : std::optional<net::Ipv4Address>{c.reply.rlocs.front().address};
+    release_control(slot);
+    if (done) done(rloc);
     return;
   }
-  underlay_->deliver(node_of_rloc(from), to, std::hash<std::uint32_t>{}(from.value()), bytes,
-                     std::move(action), underlay::TrafficClass::Control);
+  // Swap the reply out before the edge reacts: flushing parked frames can
+  // resolve again and grow the slab.
+  std::swap(arrived_reply_, c.reply);
+  const std::uint32_t edge = c.edge;
+  const std::uint64_t span = c.span;
+  release_control(slot);
+  edges_[edge]->receive_map_reply(arrived_reply_);
+  // An SMR-invoked resolution landing at the stale sender closes the SMR
+  // fan-out operation.
+  if (arrived_reply_.trace != 0) {
+    telemetry_.causal.span_end(arrived_reply_.trace, span, simulator_.now());
+    telemetry_.causal.finish(arrived_reply_.trace, simulator_.now());
+  }
 }
 
 underlay::NodeId SdaFabric::node_of_rloc(net::Ipv4Address rloc) const {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -29,7 +30,6 @@
 #include "dataplane/edge_router.hpp"
 #include "fabric/config.hpp"
 #include "fabric/ha.hpp"
-#include "fabric/sharding.hpp"
 #include "l2/dhcp.hpp"
 #include "l2/l2_gateway.hpp"
 #include "l2/service_discovery.hpp"
@@ -231,6 +231,13 @@ class SdaFabric {
   [[nodiscard]] std::size_t frames_in_flight() const {
     return frames_.size() - free_frames_.size();
   }
+  /// Map-Requests (from edges and the L2 gateway) not yet finished: slots
+  /// held in the control slab from the send until the Map-Reply arrives,
+  /// or until the request or reply is lost, swallowed by an offline
+  /// server, or shed. 0 whenever the simulator has quiesced.
+  [[nodiscard]] std::size_t control_in_flight() const {
+    return controls_.size() - free_controls_.size();
+  }
 
   void set_delivery_listener(DeliveryListener listener) {
     delivery_listener_ = std::move(listener);
@@ -240,15 +247,6 @@ class SdaFabric {
   }
 
   [[nodiscard]] const FabricConfig& config() const { return config_; }
-
-  /// The shard plan computed at finalize() from `config().sharding`: edge
-  /// groups distributed over event lanes, control nodes (borders hosting
-  /// the routing/policy servers) homed to lane 0, and the conservative
-  /// lookahead bound (minimum cross-lane link latency). A default
-  /// single-lane config yields a trivial one-shard plan. The plan is the
-  /// contract between this fabric's layout and the sharded simulator core
-  /// (sim::ShardedSimulator / fabric::LaneFabric execute such plans).
-  [[nodiscard]] const ShardPlan& shard_plan() const { return shard_plan_; }
 
   // --- Telemetry (PR 3 observability) --------------------------------------
 
@@ -308,12 +306,43 @@ class SdaFabric {
 
   /// Records a flight-recorder event iff the recorder is enabled (callers
   /// should build detail strings only on the enabled path).
-  void record_event(telemetry::EventKind kind, const std::string& node,
-                    std::string detail = {});
+  void record_event(telemetry::EventKind kind, std::string_view node,
+                    std::string_view detail = {});
+  /// Same, by fields: nothing is formatted until the recorder is read.
+  void record_event(telemetry::EventKind kind, std::string_view node,
+                    telemetry::DetailForm form, const net::VnEid& eid,
+                    net::Ipv4Address rloc = {}, std::uint64_t number = 0);
 
   /// Underlay control-plane delivery: edge/border RLOC -> action at dest.
-  void control_send(net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
-                    std::function<void()> action);
+  /// Returns false when the underlay dropped the message at send time
+  /// (unreachable, or lost to a fault); the action then never runs.
+  bool control_send(net::Ipv4Address from, net::Ipv4Address to, std::size_t bytes,
+                    sim::InlineAction action);
+
+  /// One Map-Request in flight and, once answered, its Map-Reply. Each leg
+  /// (edge -> server, server job, server -> edge) carries only the slot
+  /// number, so none of them allocates.
+  struct ControlSlot {
+    lisp::MapRequest request;
+    lisp::MapReply reply;  // keeps its locator capacity across uses
+    std::uint32_t server = 0;          // index into server_nodes_
+    std::uint32_t edge = kDetached;    // requesting edge; kDetached = L2 gateway
+    net::Ipv4Address requester;        // where the reply goes
+    std::uint64_t span = 0;            // open causal span of the current leg
+    /// The L2 gateway's MAC lookup answers this instead of an edge.
+    std::function<void(std::optional<net::Ipv4Address>)> l2_done;
+  };
+  [[nodiscard]] std::uint32_t acquire_control();
+  void release_control(std::uint32_t slot);
+  /// An edge's Map-Request: takes a control slot and sends the first leg.
+  void send_map_request(std::uint32_t edge_index, const lisp::MapRequest& request);
+  /// Sends slot's Map-Request to its server; arrival submits the job.
+  void send_request_leg(std::uint32_t slot);
+  /// MapServerNode sinks: a job answered, or shed by bounded admission.
+  void on_map_reply(std::uint32_t slot, const lisp::MapReply& reply);
+  void on_request_shed(std::uint32_t slot, sim::Duration retry_after);
+  /// The Map-Reply reached its requester.
+  void on_map_reply_arrival(std::uint32_t slot);
 
   [[nodiscard]] underlay::NodeId node_of_rloc(net::Ipv4Address rloc) const;
   [[nodiscard]] net::Ipv4Address next_rloc();
@@ -368,8 +397,6 @@ class SdaFabric {
   std::vector<std::unique_ptr<lisp::MapServerNode>> server_nodes_;
   /// Health tracking / failover / anti-entropy (nullptr when disabled).
   std::unique_ptr<HaMonitor> ha_;
-  /// Edge-group → event-lane homing, computed at finalize().
-  ShardPlan shard_plan_;
   net::Ipv4Address map_server_rloc_;  // where the primary routing server lives
   policy::PolicyServer policy_server_;
   net::Ipv4Address policy_server_rloc_;
@@ -389,6 +416,12 @@ class SdaFabric {
   /// In-flight data frames (a recycled slab) and its free slots.
   std::vector<net::FabricFrame> frames_;
   std::vector<std::uint32_t> free_frames_;
+  /// In-flight Map-Requests/Replies (a recycled slab) and its free slots,
+  /// plus the reply handed to the requesting edge (swapped out of its slot
+  /// so the slab may grow while the edge reacts).
+  std::vector<ControlSlot> controls_;
+  std::vector<std::uint32_t> free_controls_;
+  lisp::MapReply arrived_reply_;
   /// Pub/sub feed session state per border (Fig. 1 "sync" hardening).
   struct BorderFeedState {
     bool connected = true;

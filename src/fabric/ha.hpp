@@ -65,7 +65,7 @@ class HaMonitor {
   /// as every other control message, so partitions and loss fail them
   /// realistically.
   using ControlSend = std::function<void(net::Ipv4Address from, net::Ipv4Address to,
-                                         std::size_t bytes, std::function<void()> action)>;
+                                         std::size_t bytes, sim::InlineAction action)>;
   /// Flight-recorder hook (Failover / Failback / AntiEntropy / election
   /// and dampening events).
   using EventHook = std::function<void(telemetry::EventKind kind, const std::string& node,

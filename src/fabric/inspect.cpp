@@ -68,18 +68,6 @@ std::string inspect(SdaFabric& fabric, const InspectOptions& options) {
            std::to_string(ha->counters().epoch_rejections) + " stale terms fenced\n";
   }
 
-  if (const ShardPlan& plan = fabric.shard_plan(); plan.shards > 1) {
-    out += "sharding: " + std::to_string(plan.shards) + " lanes over " +
-           std::to_string(fabric.config().sharding.workers) + " workers, " +
-           std::to_string(plan.cross_links) + " cross-lane links, lookahead " +
-           std::to_string(plan.lookahead.count() / 1000) + " us";
-    out += " (lane sizes:";
-    for (const auto& members : plan.members) {
-      out += " " + std::to_string(members.size());
-    }
-    out += ")\n";
-  }
-
   if (options.include_policy) {
     const auto& ps = fabric.policy_server().stats();
     out += "policy server: " + std::to_string(fabric.policy_server().endpoint_count()) +

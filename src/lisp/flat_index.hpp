@@ -1,0 +1,198 @@
+// Flat open-addressing key index: maps keys to the u32 slot numbers of a
+// caller-owned slot array.
+//
+// The table holds only slot numbers (power-of-two size, linear probing,
+// backward-shift deletion — no tombstones, so churn never forces a rehash);
+// the keys stay in the caller's slots and are read back through a `key_of`
+// callable. Lookups cost one probe sequence with no pointer chasing, and
+// inserts and erases allocate nothing until the table must grow. The
+// map-cache indexes its LRU slots with it; FlatMap below pairs it with a
+// recycled slot vector for plain key -> value tables (the edge's pending
+// Map-Requests).
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+namespace sda::lisp {
+
+template <typename Key, typename Hash = std::hash<Key>>
+class FlatIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  /// Sizes the table for `entries` keys under the 70% load bound.
+  template <typename KeyOf>
+  void reserve(std::size_t entries, KeyOf key_of) {
+    std::size_t table_size = std::max<std::size_t>(16, table_.size());
+    while (entries * 10 > table_size * 7) table_size <<= 1;
+    if (table_size != table_.size()) rehash(table_size, key_of);
+  }
+
+  /// The slot holding `key`, or kNone. `key_of(slot)` returns a slot's key.
+  template <typename KeyOf>
+  [[nodiscard]] std::uint32_t find(const Key& key, KeyOf key_of) const {
+    if (table_.empty()) return kNone;
+    std::size_t idx = home_of(key);
+    while (true) {
+      const std::uint32_t e = table_[idx];
+      if (e == kNone) return kNone;
+      if (key_of(e) == key) return e;
+      idx = (idx + 1) & mask_;
+    }
+  }
+
+  /// Indexes `slot` under `key`; the key must not already be present.
+  template <typename KeyOf>
+  void insert(const Key& key, std::uint32_t slot, KeyOf key_of) {
+    // Keep the load factor under 70% so probe chains stay short.
+    if ((size_ + 1) * 10 > table_.size() * 7) {
+      rehash(std::max<std::size_t>(16, table_.size() * 2), key_of);
+    }
+    std::size_t idx = home_of(key);
+    while (table_[idx] != kNone) idx = (idx + 1) & mask_;
+    table_[idx] = slot;
+    ++size_;
+  }
+
+  /// Removes `key`, compacting its probe cluster; returns the slot it
+  /// indexed, or kNone when absent.
+  template <typename KeyOf>
+  std::uint32_t erase(const Key& key, KeyOf key_of) {
+    if (table_.empty()) return kNone;
+    std::size_t i = home_of(key);
+    while (true) {
+      const std::uint32_t e = table_[i];
+      if (e == kNone) return kNone;  // not present
+      if (key_of(e) == key) break;
+      i = (i + 1) & mask_;
+    }
+    const std::uint32_t erased = table_[i];
+    --size_;
+    // Backward-shift deletion: pull cluster members whose home position
+    // lies at or before the hole back over it, instead of a tombstone.
+    std::size_t j = i;
+    while (true) {
+      j = (j + 1) & mask_;
+      const std::uint32_t e = table_[j];
+      if (e == kNone) break;
+      const std::size_t k = home_of(key_of(e));
+      const bool home_between_hole_and_j = (i < j) ? (k > i && k <= j) : (k > i || k <= j);
+      if (!home_between_hole_and_j) {
+        table_[i] = e;
+        i = j;
+      }
+    }
+    table_[i] = kNone;
+    return erased;
+  }
+
+  /// Forgets every key; keeps the table's size.
+  void clear() {
+    std::fill(table_.begin(), table_.end(), kNone);
+    size_ = 0;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  [[nodiscard]] std::size_t home_of(const Key& key) const { return Hash{}(key) & mask_; }
+
+  template <typename KeyOf>
+  void rehash(std::size_t new_size, KeyOf key_of) {
+    const std::vector<std::uint32_t> old = std::move(table_);
+    table_.assign(new_size, kNone);
+    mask_ = new_size - 1;
+    for (const std::uint32_t e : old) {
+      if (e == kNone) continue;
+      std::size_t idx = home_of(key_of(e));
+      while (table_[idx] != kNone) idx = (idx + 1) & mask_;
+      table_[idx] = e;
+    }
+  }
+
+  std::vector<std::uint32_t> table_;  // slot numbers, kNone = empty
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Key -> value table over a recycled slot vector indexed by FlatIndex.
+/// Value pointers stay valid until the next insert(); erased slots are
+/// reused, so a table whose size stays bounded stops allocating.
+template <typename Key, typename Value, typename Hash = std::hash<Key>>
+class FlatMap {
+ public:
+  [[nodiscard]] Value* find(const Key& key) {
+    const std::uint32_t i = index_.find(key, key_of());
+    return i == kNone ? nullptr : &slots_[i].value;
+  }
+  [[nodiscard]] const Value* find(const Key& key) const {
+    const std::uint32_t i = index_.find(key, key_of());
+    return i == kNone ? nullptr : &slots_[i].value;
+  }
+  [[nodiscard]] bool contains(const Key& key) const { return find(key) != nullptr; }
+
+  /// Adds `key` (which must be absent) and returns its value.
+  Value& insert(const Key& key, Value value) {
+    std::uint32_t i;
+    if (free_.empty()) {
+      i = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+      free_.reserve(slots_.capacity());  // erase() never allocates
+    } else {
+      i = free_.back();
+      free_.pop_back();
+    }
+    slots_[i] = Slot{key, std::move(value), true};
+    index_.insert(key, i, key_of());
+    return slots_[i].value;
+  }
+
+  /// Removes `key`; returns whether it was present.
+  bool erase(const Key& key) {
+    const std::uint32_t i = index_.erase(key, key_of());
+    if (i == kNone) return false;
+    slots_[i].live = false;
+    free_.push_back(i);
+    return true;
+  }
+
+  /// Visits every (key, value) in slot order.
+  template <typename F>
+  void for_each(F visit) {
+    for (Slot& slot : slots_) {
+      if (slot.live) visit(slot.key, slot.value);
+    }
+  }
+
+  void clear() {
+    slots_.clear();
+    free_.clear();
+    index_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
+
+ private:
+  static constexpr std::uint32_t kNone = FlatIndex<Key, Hash>::kNone;
+
+  struct Slot {
+    Key key{};
+    Value value{};
+    bool live = false;
+  };
+
+  [[nodiscard]] auto key_of() const {
+    return [this](std::uint32_t i) -> const Key& { return slots_[i].key; };
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  FlatIndex<Key, Hash> index_;
+};
+
+}  // namespace sda::lisp

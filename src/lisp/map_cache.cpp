@@ -13,9 +13,7 @@ MapCache::MapCache(std::size_t capacity) : capacity_(capacity) {
     // entry pointers stable and the steady state allocation-free. +1 because
     // an install at capacity briefly holds the newcomer before evicting.
     slots_.reserve(capacity_ + 1);
-    std::size_t table_size = 16;
-    while ((capacity_ + 1) * 10 > table_size * 7) table_size <<= 1;
-    index_rehash(table_size);
+    index_.reserve(capacity_ + 1, key_of());
   }
 }
 
@@ -29,92 +27,48 @@ std::uint32_t MapCache::new_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void MapCache::index_rehash(std::size_t new_table_size) {
-  const std::vector<std::uint32_t> old = std::move(table_);
-  table_.assign(new_table_size, kNone);
-  table_mask_ = new_table_size - 1;
-  for (const std::uint32_t e : old) {
-    if (e == kNone) continue;
-    std::size_t idx = home_of(slots_[e].eid);
-    while (table_[idx] != kNone) idx = (idx + 1) & table_mask_;
-    table_[idx] = e;
-  }
-}
-
-void MapCache::index_insert(const net::VnEid& eid, std::uint32_t slot) {
-  // Keep the load factor under 70% so probe chains stay short.
-  if ((size_ + 1) * 10 > table_.size() * 7) {
-    index_rehash(std::max<std::size_t>(16, table_.size() * 2));
-  }
-  std::size_t idx = home_of(eid);
-  while (table_[idx] != kNone) idx = (idx + 1) & table_mask_;
-  table_[idx] = slot;
-  ++size_;
-}
-
-void MapCache::index_erase(const net::VnEid& eid) {
-  std::size_t i = home_of(eid);
-  while (true) {
-    const std::uint32_t e = table_[i];
-    if (e == kNone) return;  // not present
-    if (slots_[e].eid == eid) break;
-    i = (i + 1) & table_mask_;
-  }
-  --size_;
-  // Backward-shift deletion: pull cluster members whose home position lies
-  // at or before the hole back over it, instead of leaving a tombstone.
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & table_mask_;
-    const std::uint32_t e = table_[j];
-    if (e == kNone) break;
-    const std::size_t k = home_of(slots_[e].eid);
-    const bool home_between_hole_and_j = (i < j) ? (k > i && k <= j) : (k > i || k <= j);
-    if (!home_between_hole_and_j) {
-      table_[i] = e;
-      i = j;
-    }
-  }
-  table_[i] = kNone;
+void MapCache::fill(std::uint32_t i, std::span<const net::Rloc> rlocs,
+                    std::uint32_t ttl_seconds, net::GroupId group, sim::SimTime now) {
+  MapCacheEntry& entry = slots_[i].entry;
+  entry.rlocs.assign(rlocs.begin(), rlocs.end());
+  entry.inserted_at = now;
+  entry.expires_at = now + std::chrono::seconds{ttl_seconds};
+  entry.group = group;
 }
 
 void MapCache::install(const net::VnEid& eid, const MapReply& reply, sim::SimTime now) {
-  MapCacheEntry entry;
-  entry.rlocs = reply.rlocs;
-  entry.inserted_at = now;
-  entry.expires_at = now + std::chrono::seconds{reply.ttl_seconds};
-  entry.group = net::GroupId{reply.group};
-  ++stats_.installs;
-
-  const std::uint32_t existing = index_find(eid);
-  if (existing != kNone) {
-    Slot& s = slots_[existing];
-    if (!s.entry.negative()) --positive_count_;
-    s.entry = std::move(entry);
-    if (!s.entry.negative()) ++positive_count_;
-    touch(existing);
-    return;
-  }
-  const std::uint32_t i = new_slot();
-  slots_[i].eid = eid;
-  slots_[i].entry = std::move(entry);
-  link_front(i);
-  index_insert(eid, i);
-  if (!slots_[i].entry.negative()) ++positive_count_;
-  evict_if_needed();
+  install_entry(eid, reply.rlocs, reply.ttl_seconds, net::GroupId{reply.group}, now);
 }
 
 void MapCache::install(const net::VnEid& eid, std::vector<net::Rloc> rlocs,
                        std::uint32_t ttl_seconds, sim::SimTime now) {
-  MapReply synthetic;
-  synthetic.eid = eid;
-  synthetic.rlocs = std::move(rlocs);
-  synthetic.ttl_seconds = ttl_seconds;
-  install(eid, synthetic, now);
+  install_entry(eid, rlocs, ttl_seconds, net::GroupId{}, now);
+}
+
+void MapCache::install_entry(const net::VnEid& eid, std::span<const net::Rloc> rlocs,
+                             std::uint32_t ttl_seconds, net::GroupId group, sim::SimTime now) {
+  ++stats_.installs;
+  const std::uint32_t existing = index_.find(eid, key_of());
+  if (existing != kNone) {
+    if (!slots_[existing].entry.negative()) --positive_count_;
+    fill(existing, rlocs, ttl_seconds, group, now);
+    if (!slots_[existing].entry.negative()) ++positive_count_;
+    touch(existing);
+    return;
+  }
+  // At capacity the free list holds the slot the previous install evicted,
+  // so its locator vector's capacity is reused here.
+  const std::uint32_t i = new_slot();
+  slots_[i].eid = eid;
+  fill(i, rlocs, ttl_seconds, group, now);
+  link_front(i);
+  index_.insert(eid, i, key_of());
+  if (!slots_[i].entry.negative()) ++positive_count_;
+  evict_if_needed();
 }
 
 bool MapCache::invalidate(const net::VnEid& eid) {
-  const std::uint32_t i = index_find(eid);
+  const std::uint32_t i = index_.find(eid, key_of());
   if (i == kNone) return false;
   erase_slot(i);
   return true;
@@ -146,8 +100,7 @@ std::size_t MapCache::sweep(sim::SimTime now) {
 void MapCache::clear() {
   slots_.clear();
   free_slots_.clear();
-  table_.assign(table_.size(), kNone);
-  size_ = 0;
+  index_.clear();
   head_ = tail_ = kNone;
   positive_count_ = 0;
   if (capacity_ != 0) slots_.reserve(capacity_ + 1);
@@ -163,13 +116,13 @@ void MapCache::walk(
 void MapCache::erase_slot(std::uint32_t i) {
   if (!slots_[i].entry.negative()) --positive_count_;
   unlink(i);
-  index_erase(slots_[i].eid);
-  slots_[i].entry = MapCacheEntry{};  // release the rloc vector now
+  index_.erase(slots_[i].eid, key_of());
+  slots_[i].entry.rlocs.clear();  // keeps its capacity for the next install
   free_slots_.push_back(i);
 }
 
 void MapCache::evict_if_needed() {
-  while (capacity_ != 0 && size_ > capacity_) {
+  while (capacity_ != 0 && size() > capacity_) {
     erase_slot(tail_);
     ++stats_.evictions;
   }

@@ -8,20 +8,21 @@
 //
 // Layout: entries live in a contiguous slot vector threaded by an intrusive
 // index-linked LRU list (head = most recently used). The key index is a
-// flat open-addressing table (power-of-two, linear probing, backward-shift
-// deletion — no tombstones, so churn never forces a rehash). A hit is one
+// FlatIndex (flat open addressing over slot numbers). A hit is one
 // flat-table probe plus four index writes to relink — no per-entry node
-// allocation and no pointer chasing, unlike the previous std::list +
-// std::unordered_map layout. Erased slots are recycled through a free list,
-// so a cache at steady state (hits, refreshes, installs and evictions at
-// capacity) performs no allocation.
+// allocation and no pointer chasing. Erased slots are recycled through a
+// free list and keep their locator vector's capacity, so a cache at steady
+// state (hits, refreshes, installs and evictions at capacity) performs no
+// allocation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "lisp/flat_index.hpp"
 #include "lisp/messages.hpp"
 #include "net/eid.hpp"
 #include "sim/time.hpp"
@@ -55,7 +56,8 @@ class MapCache {
   /// misses. Hits refresh LRU position. The returned pointer is valid until
   /// the next mutating call (install/invalidate/sweep/clear).
   [[nodiscard]] const MapCacheEntry* lookup(const net::VnEid& eid, sim::SimTime now) {
-    const std::uint32_t i = index_find(eid);
+    const std::uint32_t i =
+        index_.find(eid, [this](std::uint32_t s) -> const net::VnEid& { return slots_[s].eid; });
     if (i == kNone) {
       ++stats_.misses;
       return nullptr;
@@ -91,7 +93,7 @@ class MapCache {
   /// Drops everything (router reboot, §5.2).
   void clear();
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
   /// Number of non-negative (i.e. FIB-occupying) entries.
   [[nodiscard]] std::size_t positive_size() const { return positive_count_; }
@@ -114,7 +116,7 @@ class MapCache {
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
  private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNone = FlatIndex<net::VnEid>::kNone;
 
   struct Slot {
     net::VnEid eid;
@@ -156,29 +158,16 @@ class MapCache {
     link_front(i);
   }
 
-  /// The key's home position in the probe table.
-  [[nodiscard]] std::size_t home_of(const net::VnEid& eid) const {
-    return std::hash<net::VnEid>{}(eid) & table_mask_;
+  /// Reads a slot's key for the index.
+  [[nodiscard]] auto key_of() const {
+    return [this](std::uint32_t i) -> const net::VnEid& { return slots_[i].eid; };
   }
-
-  /// Linear-probes the flat table; returns the slot index or kNone.
-  [[nodiscard]] std::uint32_t index_find(const net::VnEid& eid) const {
-    if (table_.empty()) return kNone;
-    std::size_t idx = home_of(eid);
-    while (true) {
-      const std::uint32_t e = table_[idx];
-      if (e == kNone) return kNone;
-      if (slots_[e].eid == eid) return e;
-      idx = (idx + 1) & table_mask_;
-    }
-  }
-
-  /// Inserts `slot` under `eid`; the key must not already be present.
-  void index_insert(const net::VnEid& eid, std::uint32_t slot);
-  /// Removes `eid` from the table with backward-shift compaction.
-  void index_erase(const net::VnEid& eid);
-  /// Rebuilds the probe table at `new_table_size` (a power of two).
-  void index_rehash(std::size_t new_table_size);
+  /// Writes an entry's fields into slot `i`, reusing its locator capacity.
+  void fill(std::uint32_t i, std::span<const net::Rloc> rlocs, std::uint32_t ttl_seconds,
+            net::GroupId group, sim::SimTime now);
+  /// Installs or replaces the entry for `eid` (both install() overloads).
+  void install_entry(const net::VnEid& eid, std::span<const net::Rloc> rlocs,
+                     std::uint32_t ttl_seconds, net::GroupId group, sim::SimTime now);
   /// Removes the entry in slot `i` entirely and recycles the slot.
   void erase_slot(std::uint32_t i);
   void evict_if_needed();
@@ -187,13 +176,11 @@ class MapCache {
 
   std::size_t capacity_;
   std::size_t positive_count_ = 0;
-  std::size_t size_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t head_ = kNone;  // most recently used
   std::uint32_t tail_ = kNone;  // least recently used
-  std::vector<std::uint32_t> table_;  // slot indices, kNone = empty
-  std::size_t table_mask_ = 0;
+  FlatIndex<net::VnEid> index_;
   Stats stats_;
 };
 

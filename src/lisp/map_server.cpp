@@ -153,12 +153,17 @@ void MapServer::clear() {
 }
 
 std::optional<MappingRecord> MapServer::resolve(const net::VnEid& eid) const {
+  const MappingRecord* record = find_covering(eid);
+  if (record == nullptr) return std::nullopt;
+  return *record;
+}
+
+const MappingRecord* MapServer::find_covering(const net::VnEid& eid) const {
   const auto it = databases_.find(eid.vn);
-  if (it == databases_.end()) return std::nullopt;
+  if (it == databases_.end()) return nullptr;
   const auto& db = it->second.family(eid.eid.family());
   const auto match = db.longest_match(trie::BitKey::from_eid(eid.eid));
-  if (!match) return std::nullopt;
-  return *match->second;
+  return match ? match->second : nullptr;
 }
 
 const MappingRecord* MapServer::find_host(const net::VnEid& eid) const {
@@ -168,21 +173,28 @@ const MappingRecord* MapServer::find_host(const net::VnEid& eid) const {
 }
 
 MapReply MapServer::answer(const MapRequest& request) const {
-  ++stats_.requests;
   MapReply reply;
+  answer(request, reply);
+  return reply;
+}
+
+void MapServer::answer(const MapRequest& request, MapReply& reply) const {
+  ++stats_.requests;
   reply.nonce = request.nonce;
   reply.eid = request.eid;
-  if (const auto record = resolve(request.eid)) {
-    reply.rlocs = record->rlocs;
+  reply.trace = 0;
+  if (const MappingRecord* record = find_covering(request.eid)) {
+    reply.rlocs.assign(record->rlocs.begin(), record->rlocs.end());
     reply.ttl_seconds = record->ttl_seconds;
     reply.group = record->group.value();
     reply.action = MapReplyAction::NoAction;
   } else {
     ++stats_.negative_replies;
+    reply.rlocs.clear();
+    reply.group = 0;
     reply.action = MapReplyAction::NativelyForward;
     reply.ttl_seconds = negative_ttl_seconds_;
   }
-  return reply;
 }
 
 namespace {

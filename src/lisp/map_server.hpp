@@ -102,6 +102,9 @@ class MapServer {
 
   /// Longest-prefix resolution. nullopt = no covering mapping (negative).
   [[nodiscard]] std::optional<MappingRecord> resolve(const net::VnEid& eid) const;
+  /// Longest-prefix resolution in place: the covering record, or nullptr.
+  /// Valid until the next mutation.
+  [[nodiscard]] const MappingRecord* find_covering(const net::VnEid& eid) const;
 
   /// Exact-match host lookup (no prefix fallback).
   [[nodiscard]] const MappingRecord* find_host(const net::VnEid& eid) const;
@@ -109,6 +112,10 @@ class MapServer {
   /// Builds the MapReply for a request (positive, or negative with
   /// NativelyForward so the ITR keeps using the border default).
   [[nodiscard]] MapReply answer(const MapRequest& request) const;
+  /// Same, written over `reply` (every field): the record is read in place
+  /// and `reply.rlocs` keeps its capacity, so answering allocates nothing
+  /// once the reply has held a locator set as large.
+  void answer(const MapRequest& request, MapReply& reply) const;
 
   /// TTL stamped on negative replies (the ITR's negative map-cache window:
   /// how long a miss is remembered before the EID is re-resolved).

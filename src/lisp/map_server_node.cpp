@@ -55,33 +55,53 @@ std::size_t MapServerNode::effective_admission_limit() const {
   return floor + static_cast<std::size_t>(static_cast<double>(limit - floor) * frac);
 }
 
-bool MapServerNode::admission_full(const ShedCallback& on_shed) {
+bool MapServerNode::admission_full() {
   const std::size_t limit = effective_admission_limit();
   if (limit == 0 || in_flight_ < limit) return false;
   ++shed_submissions_;
   if (ramp_active() && in_flight_ < config_.admission_limit) ++ramp_shed_submissions_;
-  if (on_shed) on_shed(config_.shed_retry_after);
   return true;
 }
 
-void MapServerNode::submit_request(const MapRequest& request, RequestCallback callback,
-                                   ShedCallback on_shed) {
+void MapServerNode::set_request_sink(ReplySink on_reply, RequestShedSink on_shed) {
+  reply_sink_ = std::move(on_reply);
+  request_shed_sink_ = std::move(on_shed);
+}
+
+bool MapServerNode::submit_request(const MapRequest& request, std::uint32_t ticket) {
   if (!online_) {
     ++dropped_submissions_;
-    return;
+    return false;
   }
-  if (admission_full(on_shed)) return;
+  if (admission_full()) {
+    if (request_shed_sink_) request_shed_sink_(ticket, config_.shed_retry_after);
+    return false;
+  }
   track_backlog();
-  const sim::SimTime arrival = simulator_.now();
+  if (free_request_jobs_.empty()) {
+    free_request_jobs_.push_back(static_cast<std::uint32_t>(request_jobs_.size()));
+    request_jobs_.emplace_back();
+    free_request_jobs_.reserve(request_jobs_.capacity());  // freeing never allocates
+  }
+  const std::uint32_t slot = free_request_jobs_.back();
+  free_request_jobs_.pop_back();
+  request_jobs_[slot] = RequestJob{request, ticket, simulator_.now()};
   const sim::SimTime done = reserve_worker(jittered(config_.request_service));
-  simulator_.schedule_at(done, [this, request, arrival, cb = std::move(callback)] {
-    --in_flight_;
-    MapReply reply = server_.answer(request);
-    reply.trace = request.trace;  // the reply stays on the requester's span tree
-    const sim::Duration sojourn = simulator_.now() - arrival;
-    request_sojourns_.add(static_cast<double>(sojourn.count()) / 1e9);
-    if (cb) cb(reply, sojourn);
-  });
+  auto complete = [this, slot] { complete_request(slot); };
+  static_assert(sim::InlineAction::fits_inline<decltype(complete)>);
+  simulator_.schedule_at(done, std::move(complete));
+  return true;
+}
+
+void MapServerNode::complete_request(std::uint32_t slot) {
+  const RequestJob job = request_jobs_[slot];
+  free_request_jobs_.push_back(slot);
+  --in_flight_;
+  server_.answer(job.request, reply_);
+  reply_.trace = job.request.trace;  // the reply stays on the requester's span tree
+  const sim::Duration sojourn = simulator_.now() - job.arrival;
+  request_sojourns_.add(static_cast<double>(sojourn.count()) / 1e9);
+  if (reply_sink_) reply_sink_(job.ticket, reply_, sojourn);
 }
 
 void MapServerNode::submit_register(const MapRegister& registration, RegisterCallback callback,
@@ -90,7 +110,10 @@ void MapServerNode::submit_register(const MapRegister& registration, RegisterCal
     ++dropped_submissions_;
     return;
   }
-  if (admission_full(on_shed)) return;
+  if (admission_full()) {
+    if (on_shed) on_shed(config_.shed_retry_after);
+    return;
+  }
   track_backlog();
   assert(!registration.rlocs.empty());
   const sim::SimTime arrival = simulator_.now();

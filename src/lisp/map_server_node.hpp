@@ -34,7 +34,14 @@ struct MapServerNodeConfig {
 
 class MapServerNode {
  public:
-  using RequestCallback = std::function<void(const MapReply&, sim::Duration sojourn)>;
+  /// Where answered Map-Requests go: (ticket, reply, sojourn). `ticket` is
+  /// the handle the submitter passed to submit_request(); `reply` is valid
+  /// only during the call.
+  using ReplySink =
+      std::function<void(std::uint32_t ticket, const MapReply& reply, sim::Duration sojourn)>;
+  /// Where Map-Requests shed by bounded admission go: (ticket, the
+  /// server's retry-after hint).
+  using RequestShedSink = std::function<void(std::uint32_t ticket, sim::Duration retry_after)>;
   using RegisterCallback =
       std::function<void(const RegisterOutcome&, const MapNotify&, sim::Duration sojourn)>;
   /// Fired instead of the completion callback when bounded admission sheds
@@ -48,13 +55,18 @@ class MapServerNode {
   [[nodiscard]] const MapServerNodeConfig& config() const { return config_; }
   [[nodiscard]] net::Ipv4Address rloc() const { return config_.rloc; }
 
-  /// Enqueues a Map-Request; the callback fires when the server answers.
-  /// While the node is offline the submission is silently dropped — exactly
-  /// what a client of a crashed server observes (no error, no answer).
-  /// When bounded admission is configured and the queue is full, `on_shed`
-  /// fires (synchronously) instead and the job is never enqueued.
-  void submit_request(const MapRequest& request, RequestCallback callback,
-                      ShedCallback on_shed = {});
+  /// Sets, once, where every Map-Request this node answers or sheds is
+  /// completed. Either sink may be empty (the outcome is then discarded).
+  void set_request_sink(ReplySink on_reply, RequestShedSink on_shed = {});
+
+  /// Enqueues a Map-Request under the caller's `ticket`. Returns true when
+  /// the job was queued: the reply sink fires with the ticket once the
+  /// server answers. Returns false when the ticket is already finished:
+  /// the node was offline and swallowed it silently — exactly what a
+  /// client of a crashed server observes — or bounded admission shed it,
+  /// and the shed sink has fired (synchronously). Jobs wait in a recycled
+  /// slab, so a node at steady load allocates nothing per request.
+  bool submit_request(const MapRequest& request, std::uint32_t ticket = 0);
 
   /// Enqueues a Map-Register; the callback fires with the outcome and the
   /// acknowledging Map-Notify. Dropped silently while offline; shed like
@@ -103,6 +115,9 @@ class MapServerNode {
 
   /// Sojourn-time samples (seconds) collected since construction.
   [[nodiscard]] const stats::Summary& request_sojourns() const { return request_sojourns_; }
+  /// Sizes the request sample log for `requests` samples in all, so a run
+  /// of known length never regrows it.
+  void reserve_sojourn_samples(std::size_t requests) { request_sojourns_.reserve(requests); }
   [[nodiscard]] const stats::Summary& register_sojourns() const { return register_sojourns_; }
 
   /// Highest backlog observed (requests waiting or in service).
@@ -112,8 +127,17 @@ class MapServerNode {
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
  private:
-  /// True (and counted) when the job must be shed; fires on_shed.
-  bool admission_full(const ShedCallback& on_shed);
+  /// A queued Map-Request: what to answer, for whom, and since when.
+  struct RequestJob {
+    MapRequest request;
+    std::uint32_t ticket = 0;
+    sim::SimTime arrival;
+  };
+
+  /// True (and counted) when the next job must be shed.
+  bool admission_full();
+  /// Answers the job in `slot`, frees the slot and fires the reply sink.
+  void complete_request(std::uint32_t slot);
   /// Reserves the earliest-available worker from `now`, returning the
   /// completion time of a job with the given service time.
   sim::SimTime reserve_worker(sim::Duration service);
@@ -135,6 +159,13 @@ class MapServerNode {
   std::size_t peak_backlog_ = 0;
   stats::Summary request_sojourns_;
   stats::Summary register_sojourns_;
+  ReplySink reply_sink_;
+  RequestShedSink request_shed_sink_;
+  /// Queued Map-Requests (a recycled slab) and its free slots.
+  std::vector<RequestJob> request_jobs_;
+  std::vector<std::uint32_t> free_request_jobs_;
+  /// Reply scratch handed to the sink; keeps its locator capacity.
+  MapReply reply_;
 };
 
 }  // namespace sda::lisp

@@ -34,7 +34,29 @@ std::uint64_t decode_trace(net::ByteReader& r) {
   return trace ? *trace : 0;
 }
 
+// Encoded sizes of the shared fields (see the encoders below).
+constexpr std::size_t kTagBytes = 1;
+constexpr std::size_t kRlocBytes = 6;
+
+std::size_t vn_eid_wire_size(const net::VnEid& eid) {
+  std::size_t address = 6;  // MAC
+  if (eid.eid.family() == net::EidFamily::Ipv4) address = 4;
+  if (eid.eid.family() == net::EidFamily::Ipv6) address = 16;
+  return 3 + 1 + address;  // u24 VN, family byte, address
+}
+
+std::size_t trace_wire_size(std::uint64_t trace) { return trace != 0 ? 8 : 0; }
+
 }  // namespace
+
+std::size_t MapRequest::wire_size() const {
+  return kTagBytes + 8 + vn_eid_wire_size(eid) + 4 + 1 + trace_wire_size(trace);
+}
+
+std::size_t MapReply::wire_size() const {
+  return kTagBytes + 8 + vn_eid_wire_size(eid) + 1 + kRlocBytes * rlocs.size() + 1 + 4 + 2 +
+         trace_wire_size(trace);
+}
 
 void MapRequest::encode(net::ByteWriter& w) const {
   w.write_u64(nonce);

@@ -45,6 +45,8 @@ struct MapRequest {
   /// is off. 0 = untraced.
   std::uint64_t trace = 0;
 
+  /// message_wire_size(Message{*this}), computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapRequest> decode(net::ByteReader& r);
   friend bool operator==(const MapRequest&, const MapRequest&) = default;
@@ -63,6 +65,8 @@ struct MapReply {
 
   [[nodiscard]] bool negative() const { return rlocs.empty(); }
 
+  /// message_wire_size(Message{*this}), computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapReply> decode(net::ByteReader& r);
   friend bool operator==(const MapReply&, const MapReply&) = default;

@@ -54,15 +54,58 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
   ring_.resize(std::max<std::size_t>(1, capacity));
 }
 
-void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string node,
-                            std::string detail) {
-  if (!enabled_) return;
-  FlightEvent& slot = ring_[seq_ % ring_.size()];
+FlightRecorder::Slot& FlightRecorder::next_slot(sim::SimTime at, EventKind kind,
+                                                std::string_view node) {
+  Slot& slot = ring_[seq_ % ring_.size()];
   slot.seq = ++seq_;
   slot.at = at;
   slot.kind = kind;
-  slot.node = std::move(node);
-  slot.detail = std::move(detail);
+  slot.node.assign(node);
+  return slot;
+}
+
+void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view node,
+                            std::string_view detail) {
+  if (!enabled_) return;
+  Slot& slot = next_slot(at, kind, node);
+  slot.form = DetailForm::Text;
+  slot.text.assign(detail);
+}
+
+void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view node,
+                            DetailForm form, const net::VnEid& eid, net::Ipv4Address rloc,
+                            std::uint64_t number) {
+  if (!enabled_) return;
+  Slot& slot = next_slot(at, kind, node);
+  slot.form = form;
+  slot.eid = eid;
+  slot.rloc = rloc;
+  slot.number = number;
+}
+
+FlightEvent FlightRecorder::Slot::render() const {
+  FlightEvent event;
+  event.seq = seq;
+  event.at = at;
+  event.kind = kind;
+  event.node = node;
+  std::string& d = event.detail;
+  switch (form) {
+    case DetailForm::Text: d = text; break;
+    case DetailForm::ForEid: d = "for " + eid.to_string(); break;
+    case DetailForm::ForEidToRloc:
+      d = "for " + eid.to_string() + " -> " + rloc.to_string();
+      break;
+    case DetailForm::NegativeForEid: d = "negative for " + eid.to_string(); break;
+    case DetailForm::RequestForEid: d = "map-request for " + eid.to_string(); break;
+    case DetailForm::RegisterForEid: d = "map-register for " + eid.to_string(); break;
+    case DetailForm::PublishSeq:
+    case DetailForm::WithdrawSeq:
+      d = form == DetailForm::PublishSeq ? "publish " : "withdraw ";
+      d += eid.to_string() + " seq " + std::to_string(number);
+      break;
+  }
+  return event;
 }
 
 std::size_t FlightRecorder::size() const {
@@ -82,15 +125,16 @@ std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
   out.reserve(n);
   // seq_ is the seq of the newest event; walk the last n slots in order.
   for (std::uint64_t s = seq_ - n; s < seq_; ++s) {
-    out.push_back(ring_[s % ring_.size()]);
+    out.push_back(ring_[s % ring_.size()].render());
   }
   return out;
 }
 
 std::vector<FlightEvent> FlightRecorder::for_node(const std::string& node) const {
   std::vector<FlightEvent> out;
-  for (const auto& event : tail(ring_.size())) {
-    if (event.node == node) out.push_back(event);
+  for (std::uint64_t s = seq_ - size(); s < seq_; ++s) {
+    const Slot& slot = ring_[s % ring_.size()];
+    if (slot.node == node) out.push_back(slot.render());
   }
   return out;
 }
@@ -111,7 +155,7 @@ std::string FlightRecorder::dump(std::size_t max_events) const {
 }
 
 void FlightRecorder::clear() {
-  for (auto& slot : ring_) slot = FlightEvent{};
+  for (auto& slot : ring_) slot = Slot{};
   seq_ = 0;
 }
 

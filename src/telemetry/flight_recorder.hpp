@@ -3,17 +3,27 @@
 // Every interesting control-plane transition (Map-Request/Reply/Register/
 // Notify, SMR, pub/sub publish & resync, policy push, group change, fault
 // injections, feed/link state) is recorded with the simulated time, the
-// node it concerns, and a short free-form detail string. The ring is
-// bounded — old events are overwritten, the overwrite count is kept — so
-// it can stay enabled for the lifetime of a large run and still answer
-// "what were the last N control-plane actions before this went wrong".
+// node it concerns, and a short detail. The ring is bounded — old events
+// are overwritten, the overwrite count is kept — so it can stay enabled for
+// the lifetime of a large run and still answer "what were the last N
+// control-plane actions before this went wrong".
+//
+// Busy call sites (the Map-Request / Map-Reply legs of every map-cache
+// miss) record fields — an EID, an RLOC, a number and a DetailForm saying
+// how to phrase them — and the text is rendered only when the ring is
+// read, so recording formats nothing and, once each slot has held its
+// longest node name, allocates nothing. Rare call sites still pass free
+// text through the same record() call.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "net/eid.hpp"
+#include "net/ip_address.hpp"
 #include "sim/time.hpp"
 
 namespace sda::telemetry {
@@ -53,6 +63,20 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* event_kind_name(EventKind kind);
 
+/// How a field-recorded event's detail text reads (`<eid>`, `<rloc>` and
+/// `<n>` are the recorded EID, RLOC and number).
+enum class DetailForm : std::uint8_t {
+  Text,            // the free text passed to record()
+  ForEid,          // "for <eid>"
+  ForEidToRloc,    // "for <eid> -> <rloc>"
+  NegativeForEid,  // "negative for <eid>"
+  RequestForEid,   // "map-request for <eid>"
+  RegisterForEid,  // "map-register for <eid>"
+  PublishSeq,      // "publish <eid> seq <n>"
+  WithdrawSeq,     // "withdraw <eid> seq <n>"
+};
+
+/// A recorded event as read back: the detail rendered to text.
 struct FlightEvent {
   std::uint64_t seq = 0;  // monotonic, starts at 1
   sim::SimTime at;
@@ -70,10 +94,14 @@ class FlightRecorder {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Records one event (no-op while disabled). Callers on busy paths
-  /// should check enabled() first so detail strings are only built when
-  /// they will be kept.
-  void record(sim::SimTime at, EventKind kind, std::string node, std::string detail = {});
+  /// Records one event with a free-text detail (no-op while disabled).
+  /// Callers that build the text should check enabled() first.
+  void record(sim::SimTime at, EventKind kind, std::string_view node,
+              std::string_view detail = {});
+  /// Records one event by its fields; the detail is rendered from `form`
+  /// when the ring is read.
+  void record(sim::SimTime at, EventKind kind, std::string_view node, DetailForm form,
+              const net::VnEid& eid, net::Ipv4Address rloc = {}, std::uint64_t number = 0);
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   /// Events currently held (<= capacity).
@@ -96,7 +124,26 @@ class FlightRecorder {
   void clear();
 
  private:
-  std::vector<FlightEvent> ring_;  // capacity slots; slot = (seq - 1) % capacity
+  /// One ring slot: the event's fields. The strings keep their capacity
+  /// across overwrites.
+  struct Slot {
+    std::uint64_t seq = 0;
+    sim::SimTime at;
+    EventKind kind = EventKind::Custom;
+    DetailForm form = DetailForm::Text;
+    net::VnEid eid;
+    net::Ipv4Address rloc;
+    std::uint64_t number = 0;
+    std::string node;
+    std::string text;  // DetailForm::Text only
+
+    [[nodiscard]] FlightEvent render() const;
+  };
+
+  /// The slot the next event goes to; advances the sequence.
+  Slot& next_slot(sim::SimTime at, EventKind kind, std::string_view node);
+
+  std::vector<Slot> ring_;  // capacity slots; slot = (seq - 1) % capacity
   std::uint64_t seq_ = 0;
   bool enabled_ = true;
 };

@@ -1,7 +1,11 @@
-// Allocation gate for the cached packet path, independent of the machine:
-// once every destination sits in the map-cache, a send -> encap -> underlay
-// -> egress VRF + SGACL -> delivery round makes no heap allocation and
-// costs exactly one simulator event, with telemetry on or off.
+// Allocation gates for the packet path, independent of the machine, with
+// telemetry on or off:
+//  * cached packet: once every destination sits in the map-cache, a send ->
+//    encap -> underlay -> egress VRF + SGACL -> delivery round makes no heap
+//    allocation and costs exactly one simulator event;
+//  * first packet (§3.2.2): a map-cache miss — border hairpin, Map-Request,
+//    map-server job, Map-Reply, and a cache install that evicts — makes no
+//    heap allocation and costs exactly five simulator events.
 //
 // Built as its own executable because it replaces the global operator new
 // with a counting one.
@@ -42,23 +46,18 @@ constexpr std::size_t kEdges = 16;
 constexpr std::size_t kHostsPerEdge = 16;
 constexpr std::size_t kHosts = kEdges * kHostsPerEdge;
 
-struct CachedPathRun {
+struct PathRun {
   std::uint64_t sends = 0;
   std::uint64_t delivered = 0;
   std::uint64_t allocations = 0;
   std::uint64_t events = 0;
   std::size_t frames_in_flight = 0;
+  std::size_t control_in_flight = 0;
 };
 
-// 16 edges on a ring of 4 distribution nodes, 256 hosts; host h sends to
-// the host in the same slot on the next edge. Returns the counts of
-// `rounds` rounds of one cached send per host, each round run to quiesce.
-CachedPathRun run_cached(bool telemetry, int rounds) {
-  sim::Simulator sim;
-  FabricConfig config;
-  config.seed = 11;
-  config.telemetry = telemetry;
-  SdaFabric fabric(sim, config);
+// 16 edges on a ring of 4 distribution nodes, 256 hosts, all onboarded.
+struct Campus {
+  explicit Campus(FabricConfig config) : fabric(sim, config) {
   fabric.add_border("b0");
   for (int d = 0; d < 4; ++d) fabric.add_underlay_node("d" + std::to_string(d));
   for (std::size_t e = 0; e < kEdges; ++e) {
@@ -69,54 +68,135 @@ CachedPathRun run_cached(bool telemetry, int rounds) {
     fabric.link("d" + std::to_string(d), "b0");
     fabric.link("d" + std::to_string(d), "d" + std::to_string((d + 1) % 4));
   }
-  fabric.finalize();
-  fabric.define_vn({kVn, "campus", *net::Ipv4Prefix::parse("10.64.0.0/14")});
-
-  std::vector<net::MacAddress> macs;
-  std::vector<net::Ipv4Address> ips(kHosts);
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    macs.push_back(net::MacAddress::from_u64(0x0200'0000'0000ull + h));
-    const std::string credential = "host" + std::to_string(h);
-    fabric.provision_endpoint({credential, "pw", macs[h], kVn, net::GroupId{10}});
-    fabric.connect_endpoint(credential, "e" + std::to_string(h / kHostsPerEdge), 1,
-                            [&ips, h](const OnboardResult& r) { ips[h] = r.ip; });
-  }
-  sim.run();
-
-  std::uint64_t delivered = 0;
-  fabric.set_delivery_listener(
-      [&delivered](const dataplane::AttachedEndpoint&, const net::OverlayFrame&,
-                   sim::SimTime) { ++delivered; });
-  const auto round = [&] {
+    fabric.finalize();
+    fabric.define_vn({kVn, "campus", *net::Ipv4Prefix::parse("10.64.0.0/14")});
+    ips.resize(kHosts);
     for (std::size_t h = 0; h < kHosts; ++h) {
-      EXPECT_TRUE(fabric.endpoint_send_udp(macs[h], ips[(h + kHostsPerEdge) % kHosts], 5000,
-                                           64));
+      macs.push_back(net::MacAddress::from_u64(0x0200'0000'0000ull + h));
+      const std::string credential = "host" + std::to_string(h);
+      fabric.provision_endpoint({credential, "pw", macs[h], kVn, net::GroupId{10}});
+      fabric.connect_endpoint(credential, "e" + std::to_string(h / kHostsPerEdge), 1,
+                              [this, h](const OnboardResult& r) { ips[h] = r.ip; });
     }
     sim.run();
+    fabric.set_delivery_listener([this](const dataplane::AttachedEndpoint&,
+                                        const net::OverlayFrame&,
+                                        sim::SimTime) { ++delivered; });
+  }
+
+  /// Runs `rounds` calls of `round` after `warmup` unmeasured ones and
+  /// returns the counts of the measured ones.
+  template <typename Round>
+  PathRun measure(int warmup, int rounds, Round round) {
+    for (int i = 0; i < warmup; ++i) round();
+    PathRun run;
+    delivered = 0;
+    const std::uint64_t allocations = g_allocations;
+    const std::uint64_t events = sim.executed_events();
+    for (int i = 0; i < rounds; ++i) run.sends += round();
+    run.allocations = g_allocations - allocations;
+    run.events = sim.executed_events() - events;
+    run.delivered = delivered;
+    if (fabric.config().telemetry) {
+      const auto gauges = fabric.metrics().snapshot().gauges;
+      run.frames_in_flight = static_cast<std::size_t>(gauges.at("fabric.frames_in_flight"));
+      run.control_in_flight = static_cast<std::size_t>(gauges.at("fabric.control_in_flight"));
+    }
+    return run;
+  }
+
+  sim::Simulator sim;
+  SdaFabric fabric;
+  std::vector<net::MacAddress> macs;
+  std::vector<net::Ipv4Address> ips;
+  std::uint64_t delivered = 0;
+};
+
+FabricConfig campus_config(bool telemetry) {
+  FabricConfig config;
+  config.seed = 11;
+  config.telemetry = telemetry;
+  return config;
+}
+
+// Host h sends to the host in the same slot on the next edge. Returns the
+// counts of `rounds` rounds of one cached send per host, each round run to
+// quiesce.
+PathRun run_cached(bool telemetry, int rounds) {
+  Campus campus(campus_config(telemetry));
+  SdaFabric& fabric = campus.fabric;
+  const auto round = [&] {
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[h],
+                                           campus.ips[(h + kHostsPerEdge) % kHosts], 5000, 64));
+    }
+    campus.sim.run();
+    return kHosts;
   };
   // The first round resolves every destination (map-cache misses ride the
   // border); the next ones grow the event heap and the frame slab to the
   // size a round needs.
-  for (int i = 0; i < 3; ++i) round();
+  return campus.measure(3, rounds, round);
+}
 
-  CachedPathRun run;
-  delivered = 0;
-  const std::uint64_t allocations = g_allocations;
-  const std::uint64_t events = sim.executed_events();
-  for (int i = 0; i < rounds; ++i) round();
-  run.allocations = g_allocations - allocations;
-  run.events = sim.executed_events() - events;
-  run.sends = static_cast<std::uint64_t>(rounds) * kHosts;
-  run.delivered = delivered;
-  if (telemetry) {
-    run.frames_in_flight = static_cast<std::size_t>(
-        fabric.metrics().snapshot().gauges.at("fabric.frames_in_flight"));
-  }
+// Every edge's map-cache holds 8 entries. In round r, one host per edge
+// sends to a host on another edge, walking all 240 of them before any
+// repeats, so every send misses, resolves, and evicts the least recently
+// used entry. Returns the counts of `rounds` rounds after `warmup`.
+struct MissRun {
+  PathRun path;
+  std::uint64_t map_requests = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t hairpinned = 0;
+};
+
+MissRun run_misses(bool telemetry, int warmup, int rounds) {
+  FabricConfig config = campus_config(telemetry);
+  config.edge_map_cache_capacity = 8;
+  Campus campus(config);
+  SdaFabric& fabric = campus.fabric;
+  // The sojourn sample logs grow with run length, not with the work done
+  // per request; size them so the measured rounds never regrow them.
+  fabric.map_server_node().reserve_sojourn_samples(
+      static_cast<std::size_t>(warmup + rounds) * kEdges);
+  std::size_t r = 0;
+  const auto round = [&] {
+    for (std::size_t e = 0; e < kEdges; ++e) {
+      const std::size_t step = r + e;
+      const std::size_t to_edge = (e + 1 + step % (kEdges - 1)) % kEdges;
+      const std::size_t to_slot = (step / (kEdges - 1)) % kHostsPerEdge;
+      EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[e * kHostsPerEdge + r % kHostsPerEdge],
+                                           campus.ips[to_edge * kHostsPerEdge + to_slot], 5000,
+                                           64));
+    }
+    campus.sim.run();
+    ++r;
+    return kEdges;
+  };
+  const auto totals = [&] {
+    MissRun t;
+    for (const auto& name : fabric.edge_names()) {
+      t.map_requests += fabric.edge(name).counters().map_requests_sent;
+      t.evictions += fabric.edge(name).map_cache().stats().evictions;
+    }
+    t.hairpinned = fabric.border("b0").counters().hairpinned;
+    return t;
+  };
+  // Warm-up fills every cache to capacity and grows the slabs, the event
+  // heap and the recorder ring's node strings to their steady sizes.
+  for (int i = 0; i < warmup; ++i) round();
+  const MissRun before = totals();
+  MissRun run;
+  run.path = campus.measure(0, rounds, round);
+  const MissRun after = totals();
+  run.map_requests = after.map_requests - before.map_requests;
+  run.evictions = after.evictions - before.evictions;
+  run.hairpinned = after.hairpinned - before.hairpinned;
   return run;
 }
 
 TEST(PacketPathAlloc, CachedSendsAllocateNothingWithTelemetryOn) {
-  const CachedPathRun run = run_cached(/*telemetry=*/true, 40);  // 10,240 sends
+  const PathRun run = run_cached(/*telemetry=*/true, 40);  // 10,240 sends
   EXPECT_EQ(run.delivered, run.sends);
   EXPECT_EQ(run.allocations, 0u);
   EXPECT_EQ(run.events, run.delivered);
@@ -124,10 +204,38 @@ TEST(PacketPathAlloc, CachedSendsAllocateNothingWithTelemetryOn) {
 }
 
 TEST(PacketPathAlloc, CachedSendsAllocateNothingWithTelemetryOff) {
-  const CachedPathRun run = run_cached(/*telemetry=*/false, 40);
+  const PathRun run = run_cached(/*telemetry=*/false, 40);
   EXPECT_EQ(run.delivered, run.sends);
   EXPECT_EQ(run.allocations, 0u);
   EXPECT_EQ(run.events, run.delivered);
+}
+
+// Five events per miss: the frame to the border, the border's hairpin to
+// the destination edge, the Map-Request leg, the map-server job and the
+// Map-Reply leg (the cancelled retransmit timer never runs).
+constexpr std::uint64_t kEventsPerMiss = 5;
+
+void expect_misses_allocate_nothing(const MissRun& run, int rounds) {
+  const std::uint64_t sends = static_cast<std::uint64_t>(rounds) * kEdges;
+  EXPECT_EQ(run.path.sends, sends);
+  EXPECT_EQ(run.path.delivered, sends);
+  EXPECT_EQ(run.map_requests, sends);  // every send missed and resolved
+  EXPECT_EQ(run.evictions, sends);     // every install evicted
+  EXPECT_EQ(run.hairpinned, sends);    // every first packet rode the border
+  EXPECT_EQ(run.path.events, kEventsPerMiss * sends);
+  EXPECT_EQ(run.path.allocations, 0u);
+}
+
+TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOn) {
+  const MissRun run = run_misses(/*telemetry=*/true, 160, 64);  // 1,024 misses
+  expect_misses_allocate_nothing(run, 64);
+  EXPECT_EQ(run.path.frames_in_flight, 0u);
+  EXPECT_EQ(run.path.control_in_flight, 0u);
+}
+
+TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOff) {
+  const MissRun run = run_misses(/*telemetry=*/false, 160, 64);
+  expect_misses_allocate_nothing(run, 64);
 }
 
 }  // namespace

@@ -114,35 +114,6 @@ TEST(ShardPlanTest, EdgeGroupPlanHomesControlToLaneZero) {
   EXPECT_EQ(plan.lookahead, std::chrono::microseconds{30});
 }
 
-TEST(ShardPlanTest, SdaFabricComputesPlanAtFinalize) {
-  sim::Simulator sim;
-  FabricConfig cfg;
-  cfg.sharding.workers = 2;  // lanes defaults to one per worker
-  SdaFabric fabric(sim, cfg);
-  fabric.add_border("b0");
-  for (int i = 0; i < 4; ++i) {
-    fabric.add_edge("e" + std::to_string(i));
-    fabric.link("e" + std::to_string(i), "b0");
-  }
-  fabric.finalize();
-  const ShardPlan& plan = fabric.shard_plan();
-  EXPECT_EQ(plan.shards, 2u);
-  EXPECT_EQ(plan.node_shard.size(), fabric.topology().node_count());
-  // The border (control leg) homes with the first edge group on lane 0,
-  // so only the second group's uplinks cross lanes.
-  EXPECT_GT(plan.cross_links, 0u);
-  EXPECT_GT(plan.lookahead.count(), 0);
-  // Defaults stay trivially single-shard.
-  sim::Simulator sim2;
-  SdaFabric plain(sim2, FabricConfig{});
-  plain.add_border("b0");
-  plain.add_edge("e0");
-  plain.link("e0", "b0");
-  plain.finalize();
-  EXPECT_EQ(plain.shard_plan().shards, 1u);
-  EXPECT_EQ(plain.shard_plan().cross_links, 0u);
-}
-
 TEST(ShardPlanTest, SingleLanePlanIsTrivial) {
   underlay::Topology topo;
   const underlay::NodeId a = topo.add_node("a", net::Ipv4Address{0x0C000001u});

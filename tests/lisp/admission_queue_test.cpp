@@ -40,24 +40,27 @@ struct AdmissionFixture : ::testing::Test {
     return r;
   }
 
+  /// Counts answers and sheds through the node's request sinks.
+  void count_outcomes() {
+    node.set_request_sink([this](std::uint32_t, const MapReply&, sim::Duration) { ++answered; },
+                          [this](std::uint32_t, sim::Duration retry_after) {
+                            ++shed;
+                            hint = retry_after;
+                          });
+  }
+
   sim::Simulator sim;
   MapServer server;
   MapServerNode node;
   std::uint64_t nonce = 1;
-};
-
-TEST_F(AdmissionFixture, BurstBeyondLimitIsShedWithRetryAfter) {
   int answered = 0;
   int shed = 0;
   sim::Duration hint{};
-  for (int i = 0; i < 10; ++i) {
-    node.submit_request(
-        request("10.9.9.9"), [&](const MapReply&, sim::Duration) { ++answered; },
-        [&](sim::Duration retry_after) {
-          ++shed;
-          hint = retry_after;
-        });
-  }
+};
+
+TEST_F(AdmissionFixture, BurstBeyondLimitIsShedWithRetryAfter) {
+  count_outcomes();
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(node.submit_request(request("10.9.9.9")), i < 4);
   sim.run();
   EXPECT_EQ(answered, 4);
   EXPECT_EQ(shed, 6);
@@ -70,7 +73,6 @@ TEST_F(AdmissionFixture, BurstBeyondLimitIsShedWithRetryAfter) {
 
 TEST_F(AdmissionFixture, RegistersShedLikeRequests) {
   int acked = 0;
-  int shed = 0;
   for (int i = 0; i < 8; ++i) {
     MapRegister reg;
     reg.nonce = nonce++;
@@ -87,14 +89,10 @@ TEST_F(AdmissionFixture, RegistersShedLikeRequests) {
 }
 
 TEST_F(AdmissionFixture, SpacedLoadIsNeverShed) {
-  int answered = 0;
-  int shed = 0;
+  count_outcomes();
   for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(sim::SimTime{milliseconds{i}}, [&, i] {
-      node.submit_request(
-          request("10.9.9.9"), [&](const MapReply&, sim::Duration) { ++answered; },
-          [&](sim::Duration) { ++shed; });
-    });
+    sim.schedule_at(sim::SimTime{milliseconds{i}},
+                    [this] { node.submit_request(request("10.9.9.9")); });
   }
   sim.run();
   EXPECT_EQ(answered, 10);
@@ -103,15 +101,10 @@ TEST_F(AdmissionFixture, SpacedLoadIsNeverShed) {
 
 TEST_F(AdmissionFixture, AdmissionDrainsAsWorkCompletes) {
   // Fill the queue, let it drain, then a second burst is admitted again.
-  for (int i = 0; i < 4; ++i) node.submit_request(request("10.9.9.9"), {});
+  for (int i = 0; i < 4; ++i) node.submit_request(request("10.9.9.9"));
   sim.run();
-  int answered = 0;
-  int shed = 0;
-  for (int i = 0; i < 4; ++i) {
-    node.submit_request(
-        request("10.9.9.9"), [&](const MapReply&, sim::Duration) { ++answered; },
-        [&](sim::Duration) { ++shed; });
-  }
+  count_outcomes();
+  for (int i = 0; i < 4; ++i) node.submit_request(request("10.9.9.9"));
   sim.run();
   EXPECT_EQ(answered, 4);
   EXPECT_EQ(shed, 0);
@@ -126,10 +119,11 @@ TEST(AdmissionUnlimited, ZeroLimitNeverSheds) {
   c.jitter_sigma = 0.0;
   MapServerNode node{sim, server, c, 42};
   int shed = 0;
+  node.set_request_sink({}, [&](std::uint32_t, sim::Duration) { ++shed; });
   for (int i = 0; i < 100; ++i) {
     MapRequest r;
     r.eid = eid("10.9.9.9");
-    node.submit_request(r, {}, [&](sim::Duration) { ++shed; });
+    node.submit_request(r);
   }
   sim.run();
   EXPECT_EQ(shed, 0);
@@ -138,10 +132,8 @@ TEST(AdmissionUnlimited, ZeroLimitNeverSheds) {
 
 TEST_F(AdmissionFixture, OfflineDropsStillWinOverShedding) {
   node.set_online(false);
-  int shed = 0;
-  for (int i = 0; i < 10; ++i) {
-    node.submit_request(request("10.9.9.9"), {}, [&](sim::Duration) { ++shed; });
-  }
+  count_outcomes();
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(node.submit_request(request("10.9.9.9")));
   sim.run();
   // A dead server cannot send busy signals: submissions vanish silently.
   EXPECT_EQ(shed, 0);
@@ -189,13 +181,8 @@ TEST_F(AdmissionFixture, RampShedsAreCountedSeparately) {
   node.begin_admission_ramp(milliseconds{1000});
   ASSERT_EQ(node.effective_admission_limit(), 1u);
 
-  int answered = 0;
-  int shed = 0;
-  for (int i = 0; i < 3; ++i) {
-    node.submit_request(
-        request("10.9.9.9"), [&](const MapReply&, sim::Duration) { ++answered; },
-        [&](sim::Duration) { ++shed; });
-  }
+  count_outcomes();
+  for (int i = 0; i < 3; ++i) node.submit_request(request("10.9.9.9"));
   sim.run();
   EXPECT_EQ(answered, 1);
   EXPECT_EQ(shed, 2);

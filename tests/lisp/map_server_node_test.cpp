@@ -57,12 +57,14 @@ TEST_F(NodeFixture, RegisterThenRequestRoundTrip) {
   MapRequest request;
   request.nonce = 99;
   request.eid = eid("10.1.0.5");
-  node.submit_request(request, [&](const MapReply& reply, sim::Duration sojourn) {
+  node.set_request_sink([&](std::uint32_t ticket, const MapReply& reply, sim::Duration sojourn) {
     replied = true;
+    EXPECT_EQ(ticket, 7u);
     EXPECT_EQ(reply.nonce, 99u);
     EXPECT_FALSE(reply.negative());
     EXPECT_EQ(sojourn, std::chrono::microseconds{25});
   });
+  EXPECT_TRUE(node.submit_request(request, 7));
   sim.run();
   EXPECT_TRUE(replied);
 }
@@ -71,10 +73,11 @@ TEST_F(NodeFixture, NegativeReplyForUnknown) {
   bool replied = false;
   MapRequest request;
   request.eid = eid("10.9.9.9");
-  node.submit_request(request, [&](const MapReply& reply, sim::Duration) {
+  node.set_request_sink([&](std::uint32_t, const MapReply& reply, sim::Duration) {
     replied = true;
     EXPECT_TRUE(reply.negative());
   });
+  node.submit_request(request);
   sim.run();
   EXPECT_TRUE(replied);
 }
@@ -83,12 +86,13 @@ TEST_F(NodeFixture, QueueingDelaysExcessLoad) {
   // 2 workers, 25us service: 6 simultaneous requests -> sojourns of
   // 25, 25, 50, 50, 75, 75 us.
   std::vector<std::int64_t> sojourns_us;
+  node.set_request_sink([&](std::uint32_t, const MapReply&, sim::Duration s) {
+    sojourns_us.push_back(s.count() / 1000);
+  });
   for (int i = 0; i < 6; ++i) {
     MapRequest request;
     request.eid = eid("10.9.9.9");
-    node.submit_request(request, [&](const MapReply&, sim::Duration s) {
-      sojourns_us.push_back(s.count() / 1000);
-    });
+    node.submit_request(request);
   }
   sim.run();
   ASSERT_EQ(sojourns_us.size(), 6u);
@@ -98,17 +102,52 @@ TEST_F(NodeFixture, QueueingDelaysExcessLoad) {
 
 TEST_F(NodeFixture, SpacedLoadSeesNoQueueing) {
   std::vector<std::int64_t> sojourns_us;
+  node.set_request_sink([&](std::uint32_t, const MapReply&, sim::Duration s) {
+    sojourns_us.push_back(s.count() / 1000);
+  });
   for (int i = 0; i < 4; ++i) {
     sim.schedule_at(sim::SimTime{std::chrono::milliseconds{i}}, [&] {
       MapRequest request;
       request.eid = eid("10.9.9.9");
-      node.submit_request(request, [&](const MapReply&, sim::Duration s) {
-        sojourns_us.push_back(s.count() / 1000);
-      });
+      node.submit_request(request);
     });
   }
   sim.run();
   for (const auto s : sojourns_us) EXPECT_EQ(s, 25);
+}
+
+TEST_F(NodeFixture, EachReplyCarriesItsTicket) {
+  // Two workers, six queued requests: every ticket comes back once, with
+  // its own request's nonce, in completion order.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> done;
+  node.set_request_sink([&](std::uint32_t ticket, const MapReply& reply, sim::Duration) {
+    done.emplace_back(ticket, reply.nonce);
+  });
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    MapRequest request;
+    request.nonce = 100 + t;
+    request.eid = eid("10.9.9.9");
+    EXPECT_TRUE(node.submit_request(request, 40 + t));
+  }
+  sim.run();
+  ASSERT_EQ(done.size(), 6u);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    EXPECT_EQ(done[t].first, 40 + t);
+    EXPECT_EQ(done[t].second, 100 + t);
+  }
+  EXPECT_EQ(node.in_flight(), 0u);
+}
+
+TEST_F(NodeFixture, OfflineSubmissionReturnsFalse) {
+  int replies = 0;
+  node.set_request_sink([&](std::uint32_t, const MapReply&, sim::Duration) { ++replies; });
+  node.set_online(false);
+  MapRequest request;
+  request.eid = eid("10.9.9.9");
+  EXPECT_FALSE(node.submit_request(request, 1));
+  sim.run();
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(node.dropped_submissions(), 1u);
 }
 
 TEST_F(NodeFixture, ZeroTtlRegisterWithdraws) {
@@ -140,7 +179,7 @@ TEST_F(NodeFixture, SojournSamplesCollected) {
   for (int i = 0; i < 10; ++i) {
     MapRequest request;
     request.eid = eid("10.9.9.9");
-    node.submit_request(request, {});
+    node.submit_request(request);
   }
   node.submit_register(make_register("10.1.0.5", "10.0.0.2"), {});
   sim.run();

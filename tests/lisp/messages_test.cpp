@@ -219,6 +219,28 @@ TEST(Messages, ZeroTraceKeepsPreTraceWireFormat) {
   EXPECT_EQ(message_wire_size(Message{m}), traced.size());
 }
 
+TEST(Messages, RequestAndReplyWireSizeMatchesEncoding) {
+  // The fabric charges each Map-Request / Map-Reply leg wire_size() bytes
+  // instead of encoding it: every EID family, locator count and trace
+  // shape must agree with the encoder.
+  const VnEid eids[] = {sample_eid(),
+                        VnEid{VnId{7}, Eid{*net::Ipv6Address::parse("2001:db8::5")}},
+                        VnEid{VnId{9}, Eid{net::MacAddress::from_u64(0x020000000042ull)}}};
+  for (const VnEid& eid : eids) {
+    for (const std::uint64_t trace : {std::uint64_t{0}, std::uint64_t{77}}) {
+      const MapRequest request{5, eid, Ipv4Address{10, 0, 0, 5}, true, trace};
+      EXPECT_EQ(request.wire_size(), encode_message(Message{request}).size());
+      MapReply reply;
+      reply.eid = eid;
+      reply.trace = trace;
+      for (std::size_t n = 0; n < 3; ++n) {
+        EXPECT_EQ(reply.wire_size(), encode_message(Message{reply}).size());
+        reply.rlocs.push_back(Rloc{Ipv4Address{10, 0, 0, static_cast<std::uint8_t>(n + 2)}});
+      }
+    }
+  }
+}
+
 TEST(Messages, TypeNames) {
   EXPECT_EQ(message_type_name(Message{MapRequest{}}), "map-request");
   EXPECT_EQ(message_type_name(Message{MapReply{}}), "map-reply");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sda::telemetry {
 namespace {
 
@@ -154,6 +156,82 @@ TEST(FlightRecorder, DeposedLeaderEventsStayAttributedThroughChurn) {
   for (const auto& e : recorder.for_node("routing_server[0]")) {
     EXPECT_EQ(e.detail, "epoch 3");
   }
+}
+
+// Field-recorded events render to the same text the call sites used to
+// format eagerly. These goldens pin that text for the first packet's
+// events, on a fresh ring and after it has wrapped.
+void record_first_packet_events(FlightRecorder& recorder, int base_ms) {
+  const net::VnEid host{net::VnId{100}, net::Eid{net::Ipv4Address{10, 100, 0, 7}}};
+  const net::VnEid mac{net::VnId{100}, net::Eid{net::MacAddress::from_u64(0x020000000042ull)}};
+  const net::Ipv4Address server{10, 0, 0, 1};
+  recorder.record(at_ms(base_ms + 1), EventKind::MapRequest, "edge-3", DetailForm::ForEidToRloc,
+                  host, server);
+  recorder.record(at_ms(base_ms + 2), EventKind::MapReply, "edge-3", DetailForm::ForEid, host);
+  recorder.record(at_ms(base_ms + 3), EventKind::MapReply, "edge-3", DetailForm::NegativeForEid,
+                  mac);
+  recorder.record(at_ms(base_ms + 4), EventKind::Shed, "edge-4", DetailForm::RequestForEid, host);
+  recorder.record(at_ms(base_ms + 5), EventKind::Shed, "edge-4", DetailForm::RegisterForEid,
+                  host);
+  recorder.record(at_ms(base_ms + 6), EventKind::Publish, "map_server", DetailForm::PublishSeq,
+                  host, {}, 41);
+  recorder.record(at_ms(base_ms + 7), EventKind::Publish, "routing_server[1]",
+                  DetailForm::WithdrawSeq, host, {}, 42);
+  recorder.record(at_ms(base_ms + 8), EventKind::MapRegister, "edge-3", DetailForm::ForEid, mac);
+}
+
+const char* const kFirstPacketGolden[] = {
+    "[0:00:00.001] map-request edge-3: for vn:100/10.100.0.7 -> 10.0.0.1",
+    "[0:00:00.002] map-reply edge-3: for vn:100/10.100.0.7",
+    "[0:00:00.003] map-reply edge-3: negative for vn:100/02:00:00:00:00:42",
+    "[0:00:00.004] shed edge-4: map-request for vn:100/10.100.0.7",
+    "[0:00:00.005] shed edge-4: map-register for vn:100/10.100.0.7",
+    "[0:00:00.006] publish map_server: publish vn:100/10.100.0.7 seq 41",
+    "[0:00:00.007] publish routing_server[1]: withdraw vn:100/10.100.0.7 seq 42",
+    "[0:00:00.008] map-register edge-3: for vn:100/02:00:00:00:00:42",
+};
+
+TEST(FlightRecorder, FieldEventsRenderGoldenText) {
+  FlightRecorder recorder{16};
+  record_first_packet_events(recorder, 0);
+  const auto events = recorder.events();
+  ASSERT_EQ(events.size(), 8u);
+  std::string expected_dump;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].to_string(), kFirstPacketGolden[i]);
+    expected_dump += kFirstPacketGolden[i];
+    expected_dump += "\n";
+  }
+  EXPECT_EQ(events[0].detail, "for vn:100/10.100.0.7 -> 10.0.0.1");
+  EXPECT_EQ(recorder.dump(), expected_dump);
+  const auto edge = recorder.for_node("edge-3");
+  ASSERT_EQ(edge.size(), 4u);
+  EXPECT_EQ(edge[3].to_string(), kFirstPacketGolden[7]);
+}
+
+TEST(FlightRecorder, FieldEventsRenderGoldenTextAfterWraparound) {
+  // Free-text events fill and wrap a ring of 8 first; the field events
+  // then overwrite those slots and must render exactly as on a fresh ring
+  // (no stale text or fields leak from the slot's previous occupant).
+  FlightRecorder recorder{8};
+  for (int i = 0; i < 13; ++i) {
+    recorder.record(at_ms(0), EventKind::Custom, "a-much-longer-node-name-" + std::to_string(i),
+                    "free text that is longer than any rendered detail " + std::to_string(i));
+  }
+  record_first_packet_events(recorder, 0);
+  EXPECT_EQ(recorder.overwritten(), 13u);
+  const auto tail = recorder.tail(8);
+  ASSERT_EQ(tail.size(), 8u);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].to_string(), kFirstPacketGolden[i]);
+    EXPECT_EQ(tail[i].seq, 14 + i);
+  }
+  EXPECT_EQ(recorder.dump(2), "(13 earlier events overwritten)\n" +
+                                  std::string{kFirstPacketGolden[6]} + "\n" +
+                                  kFirstPacketGolden[7] + "\n");
+  // Free text through the same call still wins over the slot's old fields.
+  recorder.record(at_ms(9), EventKind::MapRequest, "edge-3", "for 10.1.0.5");
+  EXPECT_EQ(recorder.tail(1).front().to_string(), "[0:00:00.009] map-request edge-3: for 10.1.0.5");
 }
 
 TEST(FlightRecorder, ZeroCapacityClampsToOne) {
