@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "fabric/lanes.hpp"
 #include "faults/fault_plane.hpp"
 #include "stats/table.hpp"
 #include "telemetry_sink.hpp"
@@ -1170,59 +1169,6 @@ void print_catchup_drill_line(const char* arm, const CatchupDrillResult& r) {
       static_cast<unsigned long long>(r.catchup_n), r.converged ? 1 : 0);
 }
 
-// --- Sharded chaos drill --------------------------------------------------
-// The parallel-core counterpart of the fault-storm runs above: a 4-lane
-// LaneFabric with in-transit drops, executed at 1, 2 and 4 workers. Every
-// arm must produce the same flight-log digest, the same drop count, and
-// zero late cross-shard posts — the determinism contract under both
-// concurrency and faults. This is also the workload the TSan leg of
-// scripts/check_sanitized.sh runs, so the drill doubles as the race
-// detector's target.
-struct ShardedDrillResult {
-  std::size_t workers = 0;
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t cross = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t late = 0;
-  std::uint64_t digest = 0;
-};
-
-ShardedDrillResult run_sharded_drill(std::size_t workers) {
-  fabric::LaneFabricConfig cfg;
-  cfg.lanes = 4;
-  cfg.workers = workers;
-  cfg.edges_per_lane = 64;
-  cfg.hops_per_packet = 64;
-  cfg.packets_per_edge = 1;
-  cfg.cross_lane_fraction = 0.25;
-  cfg.fault_drop_per_million = 20'000;  // 2% of hops dropped in transit
-  cfg.seed = kSeed;
-  fabric::LaneFabric lane_fabric(cfg);
-  lane_fabric.run();
-  ShardedDrillResult r;
-  r.workers = workers;
-  r.events = lane_fabric.events_executed();
-  r.delivered = lane_fabric.hops_delivered();
-  r.cross = lane_fabric.cross_lane_posts();
-  r.drops = lane_fabric.fault_drops();
-  r.late = lane_fabric.late_posts();
-  r.digest = lane_fabric.log_digest();
-  return r;
-}
-
-void print_sharded_drill_line(const ShardedDrillResult& r, bool deterministic) {
-  std::printf(
-      "sharded-drill workers=%zu events=%llu delivered=%llu cross=%llu drops=%llu "
-      "late=%llu digest=%016llx deterministic=%d\n",
-      r.workers, static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.delivered),
-      static_cast<unsigned long long>(r.cross),
-      static_cast<unsigned long long>(r.drops),
-      static_cast<unsigned long long>(r.late),
-      static_cast<unsigned long long>(r.digest), deterministic ? 1 : 0);
-}
-
 void print_stampede_drill_line(const StampedeDrillResult& r) {
   std::printf(
       "sdrill ramp_sheds=%llu sheds=%llu peak=%llu limit=%llu onboards=%d asked=%d "
@@ -1247,20 +1193,6 @@ int main(int argc, char** argv) {
     print_assure_lines("normal", run_assurance_drill(false));
     print_assure_lines("breach", run_assurance_drill(true));
     return 0;
-  }
-  const bool sharded_only = argc > 1 && std::strcmp(argv[1], "--sharded-drill") == 0;
-  if (sharded_only) {
-    // Machine-parseable mode for the TSan leg of scripts/check_sanitized.sh:
-    // the sharded fault drill at each worker count, with a digest-equality
-    // verdict on every line.
-    const ShardedDrillResult w1 = run_sharded_drill(1);
-    const ShardedDrillResult w2 = run_sharded_drill(2);
-    const ShardedDrillResult w4 = run_sharded_drill(4);
-    const bool deterministic = w1.digest == w2.digest && w1.digest == w4.digest;
-    print_sharded_drill_line(w1, deterministic);
-    print_sharded_drill_line(w2, deterministic);
-    print_sharded_drill_line(w4, deterministic);
-    return deterministic && w1.late == 0 && w2.late == 0 && w4.late == 0 ? 0 : 1;
   }
   const bool drill_only = argc > 1 && std::strcmp(argv[1], "--drill") == 0;
   if (drill_only) {

@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 // Sanitized builds run the same probes but the numbers are meaningless for
@@ -49,7 +48,6 @@
 #include "bgp/rib.hpp"
 #include "dataplane/sgacl.hpp"
 #include "fabric/fabric.hpp"
-#include "fabric/lanes.hpp"
 #include "l2/slaac.hpp"
 #include "lisp/map_cache.hpp"
 #include "lisp/map_server.hpp"
@@ -677,71 +675,6 @@ double probe_first_packet_p50_us() {
   return it->second.quantile(0.5);
 }
 
-/// Multi-shard scaling probe: a 10k-edge LaneFabric partitioned into four
-/// event lanes, driven at 1, 2 and 4 workers. Wall-clock events/s per arm
-/// feeds the scaling gate; the workers=1 arm doubles as a throughput metric
-/// under the ordinary 25% regression loop. Digest equality between the
-/// workers=1 and workers=4 arms re-checks the determinism contract on the
-/// exact fabric the perf numbers are quoted from.
-struct ShardedScalingResult {
-  std::size_t lanes = 0;
-  unsigned hardware_threads = 0;
-  double events_per_sec_w1 = 0;
-  double events_per_sec_w2 = 0;
-  double events_per_sec_w4 = 0;
-  double speedup4 = 0;
-  bool deterministic = false;
-  std::uint64_t late_posts = 0;
-  ProbeResult lane_events;  // workers=1 arm in ProbeResult shape
-};
-
-ShardedScalingResult probe_sharded_scaling() {
-  constexpr std::size_t kLanes = 4;
-  struct Arm {
-    double events_per_sec = 0;
-    std::uint64_t digest = 0;
-    std::uint64_t late = 0;
-  };
-  const auto run_arm = [](std::size_t workers) {
-    fabric::LaneFabricConfig cfg;
-    cfg.lanes = kLanes;
-    cfg.workers = workers;
-    cfg.edges_per_lane = 2500;  // 10k edges total
-    cfg.hops_per_packet = 64;
-    cfg.packets_per_edge = 1;
-    cfg.cross_lane_fraction = 0.25;
-    cfg.seed = 0x5DA;
-    fabric::LaneFabric lane_fabric(cfg);
-    const auto begin = std::chrono::steady_clock::now();
-    lane_fabric.run();
-    const auto end = std::chrono::steady_clock::now();
-    Arm arm;
-    const double secs = std::chrono::duration<double>(end - begin).count();
-    arm.events_per_sec =
-        static_cast<double>(lane_fabric.events_executed()) / (secs > 0 ? secs : 1e-9);
-    arm.digest = lane_fabric.log_digest();
-    arm.late = lane_fabric.late_posts();
-    return arm;
-  };
-  const Arm w1 = run_arm(1);
-  const Arm w2 = run_arm(2);
-  const Arm w4 = run_arm(4);
-  ShardedScalingResult result;
-  result.lanes = kLanes;
-  result.hardware_threads = std::thread::hardware_concurrency();
-  result.events_per_sec_w1 = w1.events_per_sec;
-  result.events_per_sec_w2 = w2.events_per_sec;
-  result.events_per_sec_w4 = w4.events_per_sec;
-  result.speedup4 = w4.events_per_sec / (w1.events_per_sec > 0 ? w1.events_per_sec : 1e-9);
-  result.deterministic = (w1.digest == w2.digest) && (w1.digest == w4.digest);
-  result.late_posts = w1.late + w2.late + w4.late;
-  result.lane_events.ops_per_sec = w1.events_per_sec;
-  const double ns_per_event = 1e9 / (w1.events_per_sec > 0 ? w1.events_per_sec : 1e-9);
-  result.lane_events.p50_ns = ns_per_event;  // single-run arm: mean stands in
-  result.lane_events.p99_ns = ns_per_event;
-  return result;
-}
-
 /// Runs every perf probe and writes the gate JSON to $SDA_BENCH_JSON.
 /// No-op when the variable is unset.
 void export_perf_probe() {
@@ -760,7 +693,6 @@ void export_perf_probe() {
   const std::uint64_t allocs = probe_dispatch_steady_state_allocs();
   const std::uint64_t tracing_allocs = probe_tracing_disabled_allocs();
   const double first_packet_us = probe_first_packet_p50_us();
-  const ShardedScalingResult sharded = probe_sharded_scaling();
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf probe: cannot open %s for writing\n", path);
@@ -778,18 +710,7 @@ void export_perf_probe() {
   metric("schedule_dispatch", schedule, ",");
   metric("map_cache_hit", cache_hit, ",");
   metric("sgacl_verdict", sgacl, ",");
-  metric("causal_idle", causal_idle, ",");
-  metric("sharded_lane_events", sharded.lane_events, "");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"sharded_scaling\": {\n");
-  std::fprintf(f, "    \"lanes\": %zu,\n", sharded.lanes);
-  std::fprintf(f, "    \"hardware_threads\": %u,\n", sharded.hardware_threads);
-  std::fprintf(f, "    \"events_per_sec\": {\"workers1\": %.1f, \"workers2\": %.1f, \"workers4\": %.1f},\n",
-               sharded.events_per_sec_w1, sharded.events_per_sec_w2, sharded.events_per_sec_w4);
-  std::fprintf(f, "    \"speedup4\": %.3f,\n", sharded.speedup4);
-  std::fprintf(f, "    \"deterministic\": %s,\n", sharded.deterministic ? "true" : "false");
-  std::fprintf(f, "    \"late_posts\": %llu\n",
-               static_cast<unsigned long long>(sharded.late_posts));
+  metric("causal_idle", causal_idle, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fabric_first_packet_us_p50\": %.2f,\n", first_packet_us);
   std::fprintf(f, "  \"dispatch_steady_state_allocs\": %llu,\n",

@@ -1,42 +1,23 @@
 #!/usr/bin/env bash
 # Build and run the test suite under sanitizers.
 #
-#   scripts/check_sanitized.sh [--drill] [--tsan] [extra ctest args...]
+#   scripts/check_sanitized.sh [--drill] [extra ctest args...]
 #
-# Default: AddressSanitizer + UBSan over the full suite in a separate
-# build tree (build-asan/) so the regular build stays untouched. Any
-# sanitizer report fails the run (halt_on_error).
+# AddressSanitizer + UBSan over the full suite in a separate build tree
+# (build-asan/) so the regular build stays untouched. Any sanitizer report
+# fails the run (halt_on_error).
 #
 # With --drill, additionally runs the chaos bench's failover/election/
 # quorum/catch-up/stampede drill suite under the sanitizers — the drills
 # exercise partition, reboot, and shed paths the unit tests cannot reach
 # at scale.
-#
-# With --tsan, instead builds with ThreadSanitizer (build-tsan/) and runs
-# the concurrency-bearing tests (SPSC ring, sharded simulator, lane
-# fabric) plus the sharded chaos drill at 1/2/4 workers — the only code
-# in the tree where threads share state, and therefore the only code TSan
-# can say anything about.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_DRILL=0
-RUN_TSAN=0
-while [[ "${1:-}" == "--drill" || "${1:-}" == "--tsan" ]]; do
-  if [[ "$1" == "--drill" ]]; then RUN_DRILL=1; else RUN_TSAN=1; fi
+if [[ "${1:-}" == "--drill" ]]; then
+  RUN_DRILL=1
   shift
-done
-
-if [[ "$RUN_TSAN" == 1 ]]; then
-  cmake -B build-tsan -G Ninja -DSDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  # Only the targets the leg runs: the test binary and the drill bench.
-  cmake --build build-tsan --target sda_tests bench_chaos_convergence
-  export TSAN_OPTIONS="halt_on_error=1"
-  ctest --test-dir build-tsan --output-on-failure -R '(Spsc|Sharded|LaneFabric)' "$@"
-  echo "check_sanitized: running sharded chaos drill under TSan"
-  build-tsan/bench/bench_chaos_convergence --sharded-drill
-  echo "check_sanitized: TSan leg clean"
-  exit 0
 fi
 
 cmake -B build-asan -G Ninja -DSDA_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -130,10 +130,10 @@ struct Snapshot {
   /// reset subsystem never underflows); gauges keep their current value.
   [[nodiscard]] Snapshot delta(const Snapshot& earlier) const;
 
-  /// Cross-node/cross-shard fold: counters and gauges sum, histograms merge
-  /// bucket-wise (skipped when specs mismatch — the local histogram wins),
-  /// names union. Per-shard registries with identical schemas fold into one
-  /// fabric-wide snapshot.
+  /// Cross-node fold: counters and gauges sum, histograms merge bucket-wise
+  /// (skipped when specs mismatch — the local histogram wins), names union.
+  /// Per-node registries with identical schemas fold into one fabric-wide
+  /// snapshot.
   void merge(const Snapshot& other);
 
   [[nodiscard]] bool empty() const {

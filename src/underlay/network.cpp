@@ -1,7 +1,6 @@
 #include "underlay/network.hpp"
 
 #include <cassert>
-#include "sim/sharded.hpp"
 #include "telemetry/metrics.hpp"
 
 
@@ -39,10 +38,10 @@ std::optional<UnderlayNetwork::ResolvedRoute> UnderlayNetwork::resolve_route(
     NodeId from, net::Ipv4Address to_rloc) {
   const auto dest = topology_.node_by_loopback(to_rloc);
   if (!dest) return std::nullopt;
-  if (*dest == from) return ResolvedRoute{true, nullptr, *dest};
+  if (*dest == from) return ResolvedRoute{true, nullptr};
   const SpfRoute* route = table(from).route(*dest);
   if (!route) return std::nullopt;
-  return ResolvedRoute{false, route, *dest};
+  return ResolvedRoute{false, route};
 }
 
 sim::Duration UnderlayNetwork::modeled_delay(const ResolvedRoute& resolved,
@@ -94,29 +93,8 @@ bool UnderlayNetwork::deliver(NodeId from, net::Ipv4Address to_rloc, std::uint64
     }
     jitter = decision.extra_delay;
   }
-  if (shard_core_) {
-    const std::uint32_t to_shard = (*node_shard_)[resolved->dest];
-    if (to_shard != shard_self_) {
-      // The arrival executes on the destination's shard; the path crossed a
-      // shard boundary, so delay >= the core's lookahead and the post lands
-      // at or beyond the next window barrier.
-      ++remote_posts_;
-      shard_core_->post(shard_self_, to_shard, simulator_.now() + delay + jitter,
-                        std::move(on_arrival));
-      return true;
-    }
-  }
   simulator_.schedule_after(delay + jitter, std::move(on_arrival));
   return true;
-}
-
-void UnderlayNetwork::bind_shard(sim::ShardedSimulator& core, std::uint32_t self_shard,
-                                 const std::vector<std::uint32_t>& node_shard) {
-  assert(&core.shard(self_shard) == &simulator_ &&
-         "an underlay view must be bound to the shard that owns its simulator");
-  shard_core_ = &core;
-  shard_self_ = self_shard;
-  node_shard_ = &node_shard;
 }
 
 void UnderlayNetwork::watch(NodeId node, WatchCallback callback) {
@@ -160,8 +138,6 @@ void UnderlayNetwork::register_metrics(telemetry::MetricsRegistry& registry,
                             [this] { return unreachable_drops_; });
   registry.register_counter(telemetry::join(prefix, "fault_drops"),
                             [this] { return fault_drops_; });
-  registry.register_counter(telemetry::join(prefix, "remote_posts"),
-                            [this] { return remote_posts_; });
 }
 
 }  // namespace sda::underlay

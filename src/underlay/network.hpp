@@ -27,10 +27,6 @@ namespace sda::telemetry {
 class MetricsRegistry;
 }
 
-namespace sda::sim {
-class ShardedSimulator;
-}
-
 namespace sda::underlay {
 
 struct UnderlayConfig {
@@ -94,20 +90,6 @@ class UnderlayNetwork {
   /// Installs (or clears, with nullptr) the fault interposer.
   void set_fault_injector(FaultInjector injector) { fault_injector_ = std::move(injector); }
 
-  /// Homes this underlay view onto shard `self_shard` of a sharded core:
-  /// deliver() arrivals whose destination node lives on another shard (per
-  /// `node_shard`, indexed by NodeId — must outlive this object and cover
-  /// every node) are posted through the core's cross-shard rings instead of
-  /// the local simulator. Unbound instances behave exactly as before (one
-  /// predictable branch on the delivery path). SPF state stays per-instance,
-  /// so each shard binds its own UnderlayNetwork over the shared Topology
-  /// and computes/caches its own tables — no cross-shard table sharing.
-  void bind_shard(sim::ShardedSimulator& core, std::uint32_t self_shard,
-                  const std::vector<std::uint32_t>& node_shard);
-
-  /// Deliveries re-homed to a remote shard via the sharded core.
-  [[nodiscard]] std::uint64_t remote_posts() const { return remote_posts_; }
-
   /// Registers `node` as watching underlay reachability; `callback` fires
   /// (after IGP convergence) once per RLOC whose reachability flipped.
   void watch(NodeId node, WatchCallback callback);
@@ -139,7 +121,6 @@ class UnderlayNetwork {
   struct ResolvedRoute {
     bool self = false;
     const SpfRoute* route = nullptr;
-    NodeId dest = 0;
   };
   [[nodiscard]] std::optional<ResolvedRoute> resolve_route(NodeId from,
                                                            net::Ipv4Address to_rloc);
@@ -159,11 +140,6 @@ class UnderlayNetwork {
   std::uint64_t unreachable_drops_ = 0;
   std::uint64_t fault_drops_ = 0;
   bool notify_pending_ = false;
-  // Shard homing (nullptr = single-shard / unbound).
-  sim::ShardedSimulator* shard_core_ = nullptr;
-  std::uint32_t shard_self_ = 0;
-  const std::vector<std::uint32_t>* node_shard_ = nullptr;
-  std::uint64_t remote_posts_ = 0;
 };
 
 }  // namespace sda::underlay

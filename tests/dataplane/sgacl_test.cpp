@@ -89,6 +89,12 @@ struct SgaclMatrixCase {
   double deny_probability;
 };
 
+// Test names carry this printout; gtest's default dumps the raw bytes,
+// padding included, which differ from one test discovery to the next.
+void PrintTo(const SgaclMatrixCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_groups" << c.groups;
+}
+
 class SgaclMatrixEquivalence : public ::testing::TestWithParam<SgaclMatrixCase> {};
 
 TEST_P(SgaclMatrixEquivalence, MatchesMatrixVerdicts) {

@@ -76,6 +76,12 @@ struct CacheFuzzCase {
   int operations;
 };
 
+// Test names carry this printout; gtest's default dumps the raw bytes,
+// padding included, which differ from one test discovery to the next.
+void PrintTo(const CacheFuzzCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_capacity" << c.capacity << "_ops" << c.operations;
+}
+
 class MapCacheProperty : public ::testing::TestWithParam<CacheFuzzCase> {};
 
 TEST_P(MapCacheProperty, AgreesWithReferenceModel) {

@@ -10,13 +10,15 @@
 namespace sda::lisp {
 namespace {
 
-// No padding: the test names carry this struct's raw bytes, so a padding
-// hole would put uninitialised stack bytes into them.
 struct FuzzCase {
   std::uint64_t seed;
   std::int64_t iterations;
 };
-static_assert(sizeof(FuzzCase) == 2 * sizeof(std::uint64_t));
+
+// Test names carry this printout instead of the struct's raw bytes.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_iters" << c.iterations;
+}
 
 class MessageFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

@@ -154,6 +154,12 @@ struct TrieFuzzCase {
   int operations;
 };
 
+// Test names carry this printout; gtest's default dumps the raw bytes,
+// padding included, which differ from one test discovery to the next.
+void PrintTo(const TrieFuzzCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_ops" << c.operations;
+}
+
 class PatriciaFuzz : public ::testing::TestWithParam<TrieFuzzCase> {};
 
 TEST_P(PatriciaFuzz, AgreesWithReferenceModel) {

@@ -18,6 +18,12 @@ struct GraphCase {
   bool with_failures;
 };
 
+// Test names carry this printout; gtest's default dumps the raw bytes,
+// padding included, which differ from one test discovery to the next.
+void PrintTo(const GraphCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_nodes" << c.nodes << (c.with_failures ? "_failures" : "");
+}
+
 class SpfProperty : public ::testing::TestWithParam<GraphCase> {};
 
 TEST_P(SpfProperty, MatchesFloydWarshallReference) {
