@@ -1046,10 +1046,9 @@ AssureDrillResult run_assurance_drill(bool breach) {
   };
   for (int i = 0; i < 6; ++i) flow(i, (i + 1) % 6, sim::Duration{0});
 
-  // Roams bracket the outage (clean SMR timing on both sides of the kill —
-  // the old edge re-solicits once more ~1s after the roam, and that second
-  // SMR must also resolve before/after the kill window, not inside it):
-  // h1's peer h0 holds a stale cache entry each time and must be SMR'd.
+  // Roams bracket the outage (clean SMR timing on both sides of the kill):
+  // each roamer's peer holds a stale cache entry and is SMR'd once the old
+  // edge has applied the Map-Notify (Fig. 6), well clear of the kill window.
   sim.schedule_at(t0 + milliseconds{500}, [&] { fabric.roam_endpoint(mac(1), edges[4], 3); });
   sim.schedule_at(t0 + milliseconds{6500}, [&] { fabric.roam_endpoint(mac(3), edges[5], 3); });
 

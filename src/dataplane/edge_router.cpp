@@ -28,26 +28,28 @@ EdgeRouter::EdgeRouter(sim::Simulator& simulator, EdgeRouterConfig config)
 // Endpoint lifecycle
 // ---------------------------------------------------------------------------
 
+template <typename F>
+void EdgeRouter::for_each_identity(const AttachedEndpoint& endpoint, F visit) {
+  visit(net::VnEid{endpoint.vn, net::Eid{endpoint.ip}});
+  if (endpoint.ipv6) visit(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}});
+  if (endpoint.register_mac) visit(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}});
+}
+
 void EdgeRouter::attach_endpoint(const AttachedEndpoint& endpoint) {
   assert(!endpoint.ip.is_unspecified());
   // Replace any stale attachment of the same MAC.
   detach_endpoint(endpoint.mac, /*deregister=*/false);
 
   endpoints_[endpoint.mac] = endpoint;
-  const net::VnEid ip_eid{endpoint.vn, net::Eid{endpoint.ip}};
-  eid_to_mac_[ip_eid] = endpoint.mac;
-  local_.install(ip_eid, LocalEntry{endpoint.port, endpoint.group, endpoint.mac});
-
-  if (endpoint.ipv6) {
-    const net::VnEid v6_eid{endpoint.vn, net::Eid{*endpoint.ipv6}};
-    eid_to_mac_[v6_eid] = endpoint.mac;
-    local_.install(v6_eid, LocalEntry{endpoint.port, endpoint.group, endpoint.mac});
-  }
-  if (endpoint.register_mac) {
-    const net::VnEid mac_eid{endpoint.vn, net::Eid{endpoint.mac}};
-    eid_to_mac_[mac_eid] = endpoint.mac;
-    local_.install(mac_eid, LocalEntry{endpoint.port, endpoint.group, endpoint.mac});
-  }
+  for_each_identity(endpoint, [&](const net::VnEid& eid) {
+    eid_to_mac_[eid] = endpoint.mac;
+    local_.install(eid, LocalEntry{endpoint.port, endpoint.group, endpoint.mac});
+    // A mapping cached while the EID lived elsewhere would outlive its next
+    // departure and point at an older edge (Fig. 6 would then stale-forward
+    // there and solicit before the Map-Notify); it is ours now.
+    cache_.invalidate(eid);
+    mobility_.erase(eid);
+  });
 
   // Download the SGACL rules where this endpoint's group is the destination
   // (Fig. 3 step 2; egress enforcement needs only these, §5.3).
@@ -57,13 +59,7 @@ void EdgeRouter::attach_endpoint(const AttachedEndpoint& endpoint) {
 
   // Publish the endpoint's location (Fig. 3 step 4) — one route per
   // identity (IPv4, IPv6, MAC): the paper's "3 routes per endpoint" (§4.1).
-  register_eid(ip_eid, endpoint.group);
-  if (endpoint.ipv6) {
-    register_eid(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}}, endpoint.group);
-  }
-  if (endpoint.register_mac) {
-    register_eid(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}}, endpoint.group);
-  }
+  for_each_identity(endpoint, [&](const net::VnEid& eid) { register_eid(eid, endpoint.group); });
   maybe_schedule_register_refresh();
 }
 
@@ -75,13 +71,8 @@ void EdgeRouter::maybe_schedule_register_refresh() {
     register_refresh_armed_ = false;
     // Soft-state refresh: re-register every identity of every endpoint.
     for (const auto& [mac, endpoint] : endpoints_) {
-      register_eid(net::VnEid{endpoint.vn, net::Eid{endpoint.ip}}, endpoint.group);
-      if (endpoint.ipv6) {
-        register_eid(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}}, endpoint.group);
-      }
-      if (endpoint.register_mac) {
-        register_eid(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}}, endpoint.group);
-      }
+      for_each_identity(endpoint,
+                        [&](const net::VnEid& eid) { register_eid(eid, endpoint.group); });
     }
     maybe_schedule_register_refresh();
   });
@@ -93,19 +84,10 @@ void EdgeRouter::detach_endpoint(const net::MacAddress& mac, bool deregister) {
   const AttachedEndpoint endpoint = it->second;
   endpoints_.erase(it);
 
-  const net::VnEid ip_eid{endpoint.vn, net::Eid{endpoint.ip}};
-  eid_to_mac_.erase(ip_eid);
-  local_.remove(ip_eid);
-  if (endpoint.ipv6) {
-    const net::VnEid v6_eid{endpoint.vn, net::Eid{*endpoint.ipv6}};
-    eid_to_mac_.erase(v6_eid);
-    local_.remove(v6_eid);
-  }
-  if (endpoint.register_mac) {
-    const net::VnEid mac_eid{endpoint.vn, net::Eid{endpoint.mac}};
-    eid_to_mac_.erase(mac_eid);
-    local_.remove(mac_eid);
-  }
+  for_each_identity(endpoint, [&](const net::VnEid& eid) {
+    eid_to_mac_.erase(eid);
+    local_.remove(eid);
+  });
 
   const auto ref = group_refcounts_.find(group_key(endpoint.vn, endpoint.group));
   if (ref != group_refcounts_.end() && --ref->second == 0) {
@@ -117,25 +99,23 @@ void EdgeRouter::detach_endpoint(const net::MacAddress& mac, bool deregister) {
 
   // Any in-flight registration retransmit for a departed identity must die
   // with it: a stale resend could overwrite the EID's new home.
-  abandon_pending_register(ip_eid);
-  if (endpoint.ipv6) abandon_pending_register(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}});
-  if (endpoint.register_mac) {
-    abandon_pending_register(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}});
-  }
+  for_each_identity(endpoint, [&](const net::VnEid& eid) { abandon_pending_register(eid); });
 
-  if (deregister && send_map_register_) {
+  if (deregister) {
     // Withdrawal is modeled as a zero-TTL register; roaming departures
     // skip this (the new edge overwrites the mapping). Every registered
     // identity (IPv4/IPv6/MAC) is withdrawn.
-    send_register(ip_eid, net::GroupId::unknown(), 0);
-    if (endpoint.ipv6) {
-      send_register(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}}, net::GroupId::unknown(),
-                    0);
-    }
-    if (endpoint.register_mac) {
-      send_register(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}}, net::GroupId::unknown(), 0);
-    }
+    for_each_identity(endpoint, [&](const net::VnEid& eid) {
+      send_register(eid, net::GroupId::unknown(), 0);
+    });
+    return;
   }
+  // A roam: senders re-resolving now would still get this edge back, so
+  // SMRs for the EID wait for the Map-Notify of its new location (Fig. 6).
+  const sim::SimTime hold_until = simulator_.now() + config_.smr_min_interval;
+  for_each_identity(endpoint, [&](const net::VnEid& eid) {
+    mobility_record(eid).hold_until = hold_until;
+  });
 }
 
 bool EdgeRouter::retag_endpoint(const net::MacAddress& mac, net::GroupId new_group) {
@@ -338,8 +318,8 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   }
 
   // Not local: the endpoint roamed away (or never was here). Tell the
-  // sender to refresh (Fig. 6 step 2) and forward the traffic onward so it
-  // is not lost (step 3).
+  // sender to refresh (Fig. 6 step 2, once the new location is known) and
+  // forward the traffic onward so it is not lost (step 3).
   solicit(destination, frame.outer_source);
 
   net::OverlayFrame inner = frame.inner;
@@ -524,12 +504,32 @@ void EdgeRouter::drop_parked(const net::VnEid& eid) {
 void EdgeRouter::solicit(const net::VnEid& eid, net::Ipv4Address sender_rloc) {
   if (!send_smr_ || sender_rloc == config_.rloc) return;
   const sim::SimTime now = simulator_.now();
-  auto& per_sender = last_smr_[eid];
-  const auto it = per_sender.find(sender_rloc);
-  if (it != per_sender.end() && now - it->second < config_.smr_min_interval) return;
-  per_sender[sender_rloc] = now;
+  MobilityRecord& record = mobility_record(eid);
+  if (now < record.hold_until) return;  // the Map-Notify is not in yet
+  auto& throttles = record.smr_until;
+  auto it = std::find_if(throttles.begin(), throttles.end(),
+                         [sender_rloc](const auto& t) { return t.first == sender_rloc; });
+  if (it == throttles.end()) it = throttles.emplace(it, sender_rloc, sim::SimTime{});
+  if (now < it->second) return;
+  it->second = now + config_.smr_min_interval;
   ++counters_.smr_sent;
   send_smr_(sender_rloc, lisp::SolicitMapRequest{eid, config_.rloc});
+}
+
+EdgeRouter::MobilityRecord& EdgeRouter::mobility_record(const net::VnEid& eid) {
+  if (MobilityRecord* record = mobility_.find(eid)) return *record;
+  if (!mobility_.has_free_slot()) {
+    // Sweep settled records before growing the table, so it stays the size
+    // of the EIDs still in motion.
+    const sim::SimTime now = simulator_.now();
+    mobility_.erase_if([now](const net::VnEid&, const MobilityRecord& record) {
+      return record.settled(now);
+    });
+  }
+  MobilityRecord& record = mobility_.insert_reused(eid);
+  record.hold_until = sim::SimTime{};
+  record.smr_until.clear();
+  return record;
 }
 
 void EdgeRouter::register_eid(const net::VnEid& eid, net::GroupId group) {
@@ -758,7 +758,10 @@ bool EdgeRouter::receive_map_notify(const lisp::MapNotify& notify) {
   if (local_.lookup(notify.eid) != nullptr) return true;
 
   // Fig. 5 steps 2-3: the mapping moved; cache the new location so in-flight
-  // traffic for the roamed endpoint is forwarded to its new edge.
+  // traffic for the roamed endpoint is forwarded to its new edge. The new
+  // location is what the senders will now resolve, so SMRs flow again and
+  // any throttle left from an older location is void (Fig. 6).
+  mobility_.erase(notify.eid);
   if (notify.rlocs.empty()) {
     cache_.invalidate(notify.eid);
     return true;
@@ -880,7 +883,7 @@ void EdgeRouter::reboot() {
   pending_requests_.clear();
   for (auto& [eid, pending] : pending_registers_) simulator_.cancel(pending.timer);
   pending_registers_.clear();
-  last_smr_.clear();
+  mobility_.clear();
   pending_l2_.clear();
   pending_l3_.clear();
   pending_rule_downloads_.clear();

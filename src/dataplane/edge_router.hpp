@@ -13,6 +13,7 @@
 // it to the simulator, the underlay, and the control-plane nodes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -311,6 +312,8 @@ class EdgeRouter {
   [[nodiscard]] std::size_t pending_request_count() const { return pending_requests_.size(); }
   /// Registrations still awaiting their Map-Notify ack.
   [[nodiscard]] std::size_t pending_register_count() const { return pending_registers_.size(); }
+  /// EIDs not attached here with mobility state kept (SMR hold or throttle).
+  [[nodiscard]] std::size_t mobility_record_count() const { return mobility_.size(); }
   /// Causal trace id riding the in-flight resolution for `eid` (0 if none).
   /// Lets the fabric tell whether an SMR's trace was adopted by the target.
   [[nodiscard]] std::uint64_t pending_request_trace(const net::VnEid& eid) const {
@@ -319,6 +322,25 @@ class EdgeRouter {
   }
 
  private:
+  /// Mobility state of an EID that is not attached here (Fig. 6). An EID
+  /// that left for a roam holds its SMRs until the Map-Notify brings the new
+  /// location (at most smr_min_interval, in case the notify is lost); after
+  /// that every stale sender is solicited, each at most once per
+  /// smr_min_interval. The record settles once both have passed: settled
+  /// records are swept before the table grows, and a Map-Notify, a
+  /// re-attach or a reboot erases the record outright.
+  struct MobilityRecord {
+    sim::SimTime hold_until;  // SMRs wait for the Map-Notify until then
+    /// (sender RLOC, no new SMR to it before this time).
+    std::vector<std::pair<net::Ipv4Address, sim::SimTime>> smr_until;
+
+    [[nodiscard]] bool settled(sim::SimTime now) const {
+      return now >= hold_until &&
+             std::all_of(smr_until.begin(), smr_until.end(),
+                         [now](const auto& sender) { return now >= sender.second; });
+    }
+  };
+
   /// Egress pipeline stage 1+2 for a frame that is local here.
   void egress_deliver(const net::VnEid& destination, net::GroupId source_group,
                       bool policy_already_applied, const net::OverlayFrame& frame);
@@ -336,8 +358,16 @@ class EdgeRouter {
   /// the retransmission timer.
   void transmit_map_request(const net::VnEid& eid);
 
-  /// Data-triggered SMR to a sender holding a stale mapping (rate-limited).
+  /// Data-triggered SMR to a sender holding a stale mapping: held while a
+  /// roamed-away EID awaits its Map-Notify, then rate-limited per sender.
   void solicit(const net::VnEid& eid, net::Ipv4Address sender_rloc);
+
+  /// The mobility record for `eid`, reset for reuse if it was absent.
+  MobilityRecord& mobility_record(const net::VnEid& eid);
+
+  /// The endpoint's identities (IPv4, and IPv6 and MAC when present).
+  template <typename F>
+  static void for_each_identity(const AttachedEndpoint& endpoint, F visit);
 
   /// (Re)arms the RLOC-probe timer if probing is enabled and the cache
   /// holds positive entries; self-disarms when the cache empties.
@@ -434,9 +464,8 @@ class EdgeRouter {
     sim::EventHandle timer;
   };
   std::unordered_map<net::VnEid, PendingRegister> pending_registers_;
-  /// SMR rate limiting per (EID, soliciting sender): every stale sender
-  /// must be refreshed, but each at most once per interval.
-  std::unordered_map<net::VnEid, std::unordered_map<net::Ipv4Address, sim::SimTime>> last_smr_;
+  /// Flat and recycled: a warm edge records roams without allocating.
+  lisp::FlatMap<net::VnEid, MobilityRecord> mobility_;
   /// Frames parked while a MAC EID resolves (bounded per EID).
   std::unordered_map<net::VnEid, std::vector<std::pair<net::MacAddress, net::OverlayFrame>>>
       pending_l2_;

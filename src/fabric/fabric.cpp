@@ -294,14 +294,19 @@ void SdaFabric::finalize() {
       if (telemetry_.recorder.enabled()) {
         record_event(telemetry::EventKind::MapNotify,
                      srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
-                     "move of " + eid.to_string() + ", notify old edge " + edge_name);
+                     telemetry::DetailForm::MoveNotify, eid, {}, 0, edge_name);
       }
       const std::uint64_t mv_span = telemetry_.causal.span_begin(
           notify.trace, 0, "mobility-notify", edge_name, simulator_.now());
       control_send(server_nodes_[srv]->rloc(), previous,
                    lisp::message_wire_size(lisp::Message{notify}),
                    [this, old = *old_edge, notify, mv_span] {
-                     const bool applied = edges_[old]->receive_map_notify(notify);
+                     dataplane::EdgeRouter& notified = *edges_[old];
+                     const bool applied = notified.receive_map_notify(notify);
+                     if (applied && peer_sync_listener_ &&
+                         notified.find_endpoint(notify.eid) == nullptr) {
+                       peer_sync_listener_(notified.name(), notify.eid);
+                     }
                      // The old edge applying the mobility notify is the
                      // paper's move-convergence endpoint (Fig. 5 step 2).
                      if (applied && notify.trace != 0) {
@@ -568,8 +573,9 @@ void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
 
 void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
                              telemetry::DetailForm form, const net::VnEid& eid,
-                             net::Ipv4Address rloc, std::uint64_t number) {
-  telemetry_.recorder.record(simulator_.now(), kind, node, form, eid, rloc, number);
+                             net::Ipv4Address rloc, std::uint64_t number,
+                             std::string_view name) {
+  telemetry_.recorder.record(simulator_.now(), kind, node, form, eid, rloc, number, name);
 }
 
 std::uint64_t SdaFabric::trace_flow(const net::VnEid& source, const net::VnEid& destination) {
@@ -726,10 +732,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                           smr.eid.to_string() + "->" + target,
                                           simulator_.now());
     }
-    if (telemetry_.recorder.enabled()) {
-      record_event(telemetry::EventKind::Smr, edge.name(),
-                   "for " + smr.eid.to_string() + " -> " + target);
-    }
+    record_event(telemetry::EventKind::Smr, edge.name(), telemetry::DetailForm::ForEidToName,
+                 smr.eid, {}, 0, target);
     const std::uint64_t smr_span =
         smr.trace == 0 ? 0
                        : telemetry_.causal.span_begin(smr.trace, 0, "smr", target,
@@ -1033,14 +1037,11 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
             if (hist) {
               hist->observe(std::chrono::duration<double, std::milli>(elapsed).count());
             }
-            if (telemetry_.recorder.enabled()) {
-              std::string detail = def.credential;
-              detail += fast_reauth ? " roamed to " : " onboarded at ";
-              detail += edge_name;
-              record_event(
-                  fast_reauth ? telemetry::EventKind::Roam : telemetry::EventKind::Onboard,
-                  edge_name, detail);
-            }
+            record_event(
+                fast_reauth ? telemetry::EventKind::Roam : telemetry::EventKind::Onboard,
+                edge_name,
+                fast_reauth ? telemetry::DetailForm::RoamedTo : telemetry::DetailForm::OnboardedAt,
+                net::VnEid{policy->vn, net::Eid{ip}}, {}, 0, def.credential);
             if (!callback) return;
             OnboardResult result;
             result.success = true;
@@ -1558,8 +1559,12 @@ void SdaFabric::on_map_reply_arrival(std::uint32_t slot) {
   std::swap(arrived_reply_, c.reply);
   const std::uint32_t edge = c.edge;
   const std::uint64_t span = c.span;
+  const bool smr_invoked = c.request.smr_invoked;
   release_control(slot);
   edges_[edge]->receive_map_reply(arrived_reply_);
+  if (smr_invoked && peer_sync_listener_ && !arrived_reply_.negative()) {
+    peer_sync_listener_(edges_[edge]->name(), arrived_reply_.eid);
+  }
   // An SMR-invoked resolution landing at the stale sender closes the SMR
   // fan-out operation.
   if (arrived_reply_.trace != 0) {

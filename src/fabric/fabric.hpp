@@ -68,6 +68,10 @@ class SdaFabric {
   using BorderSyncListener =
       std::function<void(const std::string& border, const net::VnEid&,
                          const lisp::MappingRecord*)>;
+  /// (edge, eid) — an edge took up a moved EID's new location: the old edge
+  /// applied the mobility Map-Notify (Fig. 5), or a solicited sender's
+  /// re-resolution landed (Fig. 6). Timestamps when the peers converged.
+  using PeerSyncListener = std::function<void(const std::string& edge, const net::VnEid&)>;
 
   explicit SdaFabric(sim::Simulator& simulator, FabricConfig config = {});
   ~SdaFabric();
@@ -245,6 +249,9 @@ class SdaFabric {
   void set_border_sync_listener(BorderSyncListener listener) {
     border_sync_listener_ = std::move(listener);
   }
+  void set_peer_sync_listener(PeerSyncListener listener) {
+    peer_sync_listener_ = std::move(listener);
+  }
 
   [[nodiscard]] const FabricConfig& config() const { return config_; }
 
@@ -311,7 +318,8 @@ class SdaFabric {
   /// Same, by fields: nothing is formatted until the recorder is read.
   void record_event(telemetry::EventKind kind, std::string_view node,
                     telemetry::DetailForm form, const net::VnEid& eid,
-                    net::Ipv4Address rloc = {}, std::uint64_t number = 0);
+                    net::Ipv4Address rloc = {}, std::uint64_t number = 0,
+                    std::string_view name = {});
 
   /// Underlay control-plane delivery: edge/border RLOC -> action at dest.
   /// Returns false when the underlay dropped the message at send time
@@ -478,6 +486,7 @@ class SdaFabric {
 
   DeliveryListener delivery_listener_;
   BorderSyncListener border_sync_listener_;
+  PeerSyncListener peer_sync_listener_;
 };
 
 }  // namespace sda::fabric

@@ -8,7 +8,7 @@
 // inserts and erases allocate nothing until the table must grow. The
 // map-cache indexes its LRU slots with it; FlatMap below pairs it with a
 // recycled slot vector for plain key -> value tables (the edge's pending
-// Map-Requests).
+// Map-Requests and per-EID mobility records).
 #pragma once
 
 #include <algorithm>
@@ -138,6 +138,15 @@ class FlatMap {
 
   /// Adds `key` (which must be absent) and returns its value.
   Value& insert(const Key& key, Value value) {
+    Value& slot = insert_reused(key);
+    slot = std::move(value);
+    return slot;
+  }
+
+  /// Adds `key` (which must be absent) and returns its value as the slot
+  /// last left it: a recycled slot hands back its old value, so containers
+  /// inside keep their capacity. The caller resets what it needs.
+  Value& insert_reused(const Key& key) {
     std::uint32_t i;
     if (free_.empty()) {
       i = static_cast<std::uint32_t>(slots_.size());
@@ -147,9 +156,26 @@ class FlatMap {
       i = free_.back();
       free_.pop_back();
     }
-    slots_[i] = Slot{key, std::move(value), true};
+    slots_[i].key = key;
+    slots_[i].live = true;
     index_.insert(key, i, key_of());
     return slots_[i].value;
+  }
+
+  /// Whether the next insert reuses an erased slot rather than growing.
+  [[nodiscard]] bool has_free_slot() const { return !free_.empty(); }
+
+  /// Removes every entry for which `drop(key, value)` holds. Erased values
+  /// stay in their slots for insert_reused().
+  template <typename Pred>
+  void erase_if(Pred drop) {
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+      Slot& slot = slots_[i];
+      if (!slot.live || !drop(slot.key, slot.value)) continue;
+      index_.erase(slot.key, key_of());
+      slot.live = false;
+      free_.push_back(i);
+    }
   }
 
   /// Removes `key`; returns whether it was present.

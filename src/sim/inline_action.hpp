@@ -6,7 +6,10 @@
 // embeds captures up to kInlineSize bytes directly in the object (enough for
 // the `[this, eid, nonce]`-shaped timers the hot paths schedule) and only
 // falls back to the heap for oversized or throwing-move captures, so the
-// steady-state dispatch loop allocates nothing.
+// steady-state dispatch loop allocates nothing. An inline capture that is
+// trivially copyable (the common `[this, eid, nonce]` shape) moves as a
+// plain byte copy and needs no destructor call, so the schedule -> slot ->
+// dispatch hand-offs of such an event make one indirect call, the invoke.
 //
 // Call sites that must never spill (audited per-packet paths) guard
 // themselves with `static_assert(sda::sim::InlineAction::fits_inline<F>)`.
@@ -14,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -43,6 +47,7 @@ class InlineAction {
     if constexpr (fits_inline<F>) {
       ::new (static_cast<void*>(storage_.inline_bytes)) D(std::forward<F>(f));
       manager_ = &manage_inline<D>;
+      trivial_ = std::is_trivially_copyable_v<D>;
     } else {
       storage_.heap = new D(std::forward<F>(f));
       manager_ = &manage_heap<D>;
@@ -76,7 +81,7 @@ class InlineAction {
   /// Destroys the held callable; the action becomes empty.
   void reset() noexcept {
     if (manager_ != nullptr) {
-      manager_(Op::Destroy, this, nullptr);
+      if (!trivial_) manager_(Op::Destroy, this, nullptr);
       manager_ = nullptr;
     }
   }
@@ -132,8 +137,13 @@ class InlineAction {
 
   void move_from(InlineAction& other) noexcept {
     if (other.manager_ != nullptr) {
-      other.manager_(Op::MoveTo, &other, this);  // destroys/steals other's callable
+      if (other.trivial_) {
+        std::memcpy(&storage_, &other.storage_, sizeof(storage_));
+      } else {
+        other.manager_(Op::MoveTo, &other, this);  // destroys/steals other's callable
+      }
       manager_ = other.manager_;
+      trivial_ = other.trivial_;
       other.manager_ = nullptr;
     }
   }
@@ -146,6 +156,7 @@ class InlineAction {
 
   Storage storage_;
   Manager manager_ = nullptr;
+  bool trivial_ = false;  // inline and trivially copyable: no MoveTo/Destroy calls
 };
 
 }  // namespace sda::sim

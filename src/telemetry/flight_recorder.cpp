@@ -74,13 +74,18 @@ void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view no
 
 void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view node,
                             DetailForm form, const net::VnEid& eid, net::Ipv4Address rloc,
-                            std::uint64_t number) {
+                            std::uint64_t number, std::string_view name) {
   if (!enabled_) return;
   Slot& slot = next_slot(at, kind, node);
   slot.form = form;
   slot.eid = eid;
   slot.rloc = rloc;
   slot.number = number;
+  if (name.empty()) {
+    slot.text.clear();  // the busy first-packet forms quote no name
+  } else {
+    slot.text.assign(name);
+  }
 }
 
 FlightEvent FlightRecorder::Slot::render() const {
@@ -96,6 +101,7 @@ FlightEvent FlightRecorder::Slot::render() const {
     case DetailForm::ForEidToRloc:
       d = "for " + eid.to_string() + " -> " + rloc.to_string();
       break;
+    case DetailForm::ForEidToName: d = "for " + eid.to_string() + " -> " + text; break;
     case DetailForm::NegativeForEid: d = "negative for " + eid.to_string(); break;
     case DetailForm::RequestForEid: d = "map-request for " + eid.to_string(); break;
     case DetailForm::RegisterForEid: d = "map-register for " + eid.to_string(); break;
@@ -104,6 +110,11 @@ FlightEvent FlightRecorder::Slot::render() const {
       d = form == DetailForm::PublishSeq ? "publish " : "withdraw ";
       d += eid.to_string() + " seq " + std::to_string(number);
       break;
+    case DetailForm::MoveNotify:
+      d = "move of " + eid.to_string() + ", notify old edge " + text;
+      break;
+    case DetailForm::RoamedTo: d = text + " roamed to " + node; break;
+    case DetailForm::OnboardedAt: d = text + " onboarded at " + node; break;
   }
   return event;
 }

@@ -9,11 +9,12 @@
 // control-plane actions before this went wrong".
 //
 // Busy call sites (the Map-Request / Map-Reply legs of every map-cache
-// miss) record fields — an EID, an RLOC, a number and a DetailForm saying
-// how to phrase them — and the text is rendered only when the ring is
-// read, so recording formats nothing and, once each slot has held its
-// longest node name, allocates nothing. Rare call sites still pass free
-// text through the same record() call.
+// miss, and the Map-Notify, SMR and completion of every roam) record
+// fields — an EID, an RLOC, a number, a name and a DetailForm saying how
+// to phrase them — and the text is rendered only when the ring is read,
+// so recording formats nothing and, once each slot has held its longest
+// node name and quoted name, allocates nothing. Rare call sites still pass
+// free text through the same record() call.
 #pragma once
 
 #include <cstddef>
@@ -63,17 +64,22 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* event_kind_name(EventKind kind);
 
-/// How a field-recorded event's detail text reads (`<eid>`, `<rloc>` and
-/// `<n>` are the recorded EID, RLOC and number).
+/// How a field-recorded event's detail text reads (`<eid>`, `<rloc>`, `<n>`
+/// and `<name>` are the recorded EID, RLOC, number and name; `<node>` is
+/// the event's node).
 enum class DetailForm : std::uint8_t {
   Text,            // the free text passed to record()
   ForEid,          // "for <eid>"
   ForEidToRloc,    // "for <eid> -> <rloc>"
+  ForEidToName,    // "for <eid> -> <name>"
   NegativeForEid,  // "negative for <eid>"
   RequestForEid,   // "map-request for <eid>"
   RegisterForEid,  // "map-register for <eid>"
   PublishSeq,      // "publish <eid> seq <n>"
   WithdrawSeq,     // "withdraw <eid> seq <n>"
+  MoveNotify,      // "move of <eid>, notify old edge <name>"
+  RoamedTo,        // "<name> roamed to <node>"
+  OnboardedAt,     // "<name> onboarded at <node>"
 };
 
 /// A recorded event as read back: the detail rendered to text.
@@ -101,7 +107,8 @@ class FlightRecorder {
   /// Records one event by its fields; the detail is rendered from `form`
   /// when the ring is read.
   void record(sim::SimTime at, EventKind kind, std::string_view node, DetailForm form,
-              const net::VnEid& eid, net::Ipv4Address rloc = {}, std::uint64_t number = 0);
+              const net::VnEid& eid, net::Ipv4Address rloc = {}, std::uint64_t number = 0,
+              std::string_view name = {});
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   /// Events currently held (<= capacity).
@@ -135,7 +142,7 @@ class FlightRecorder {
     net::Ipv4Address rloc;
     std::uint64_t number = 0;
     std::string node;
-    std::string text;  // DetailForm::Text only
+    std::string text;  // the free text, or the <name> a form quotes
 
     [[nodiscard]] FlightEvent render() const;
   };

@@ -17,17 +17,24 @@ struct PendingMove {
   sim::SimTime detach;
   std::optional<sim::SimTime> attach_done;
   std::optional<sim::SimTime> border_done;
+  /// When the last edge took up the new location (old edge, solicited peers).
+  std::optional<sim::SimTime> peers_done;
+  bool counted = false;  // handover sampled; peers may still converge
 
   [[nodiscard]] bool complete() const { return attach_done && border_done; }
+  [[nodiscard]] sim::SimTime restored() const { return std::max(*attach_done, *border_done); }
   [[nodiscard]] double handover_seconds() const {
-    const sim::SimTime restored = std::max(*attach_done, *border_done);
-    return static_cast<double>((restored - detach).count()) / 1e9;
+    return static_cast<double>((restored() - detach).count()) / 1e9;
+  }
+  [[nodiscard]] double peers_converged_seconds() const {
+    return static_cast<double>((std::max(restored(), *peers_done) - detach).count()) / 1e9;
   }
 };
 
 }  // namespace
 
-stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out) {
+stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out,
+                                               stats::Summary* peers_out) {
   sim::Simulator sim;
   sim::Rng rng{spec_.seed};
 
@@ -88,18 +95,24 @@ stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out) {
   // Move tracking: the border-sync listener stamps convergence. A robot
   // stays `moving` until its move fully completes (attach + border sync),
   // so overlapping moves of one host can never cross-contaminate samples.
+  // A completed move stays on record until the robot moves again, so the
+  // peer-sync listener can still stamp edges that converge after it.
   std::unordered_map<net::VnEid, PendingMove> pending;
   std::unordered_map<net::VnEid, std::size_t> robot_of;
   stats::Summary handovers;
+  stats::Summary peers_converged;
   std::size_t completed = 0;
 
   auto maybe_finish = [&](const net::VnEid& eid) {
     const auto it = pending.find(eid);
-    if (it == pending.end() || !it->second.complete()) return;
+    if (it == pending.end() || it->second.counted || !it->second.complete()) return;
     handovers.add(it->second.handover_seconds());
     ++completed;
-    pending.erase(it);
+    it->second.counted = true;
     robots[robot_of.at(eid)].moving = false;
+  };
+  auto close_move = [&](const PendingMove& move) {
+    if (move.counted && move.peers_done) peers_converged.add(move.peers_converged_seconds());
   };
 
   fabric.set_border_sync_listener([&](const std::string&, const net::VnEid& eid,
@@ -109,6 +122,10 @@ stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out) {
     if (it == pending.end() || it->second.border_done) return;
     it->second.border_done = sim.now();
     maybe_finish(eid);
+  });
+  fabric.set_peer_sync_listener([&](const std::string&, const net::VnEid& eid) {
+    const auto it = pending.find(eid);
+    if (it != pending.end()) it->second.peers_done = sim.now();
   });
 
   // Mobility phase: Poisson moves between the two physical edges.
@@ -129,7 +146,8 @@ stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out) {
         robot.moving = true;
         robot.edge = 1 - robot.edge;
         const net::VnEid eid{kRobotVn, net::Eid{robot.ip}};
-        pending[eid] = PendingMove{sim.now(), std::nullopt, std::nullopt};
+        if (const auto last = pending.find(eid); last != pending.end()) close_move(last->second);
+        pending[eid] = PendingMove{sim.now()};
         robot_of[eid] = idx;
         fabric.roam_endpoint(robot.mac, "edge-" + std::to_string(robot.edge), 1,
                              [&, eid, idx](const fabric::OnboardResult& r) {
@@ -150,8 +168,10 @@ stats::Summary WarehouseWorkload::run_reactive(std::size_t* moves_out) {
   sim.schedule_at(t0, schedule_next_move);
 
   sim.run_until(t_end + seconds_d(2.0));  // drain in-flight moves
+  for (const auto& [eid, move] : pending) close_move(move);
 
   if (moves_out) *moves_out = completed;
+  if (peers_out) *peers_out = std::move(peers_converged);
   if (spec_.inspect_reactive) spec_.inspect_reactive(fabric);
   return handovers;
 }
@@ -237,7 +257,7 @@ stats::Summary WarehouseWorkload::run_proactive(std::size_t* moves_out) {
 
 WarehouseResult WarehouseWorkload::run() {
   WarehouseResult result;
-  result.lisp_handover_s = run_reactive(&result.lisp_moves);
+  result.lisp_handover_s = run_reactive(&result.lisp_moves, &result.lisp_peers_converged_s);
   result.bgp_handover_s = run_proactive(&result.bgp_moves);
   result.peak_registers_per_second = spec_.moves_per_second;  // by construction
   return result;

@@ -8,7 +8,10 @@
 // Handover delay is measured per move as
 //     max(attach-complete, convergence-at-the-border) - detach,
 // i.e. when the host can transmit again AND the rest of the fabric can
-// reach it. Two control planes are compared on identical topology/timing:
+// reach it. The reactive run also reports when the peers converged: the
+// same, extended to the last edge that took up the new location (the old
+// edge's Map-Notify, each solicited sender's re-resolution).
+// Two control planes are compared on identical topology/timing:
 //   * reactive (LISP): Map-Register + pub/sub to the border, Map-Notify to
 //     the previous edge; only routers that need the update hear about it.
 //   * proactive (BGP): the new edge announces to a route reflector that
@@ -54,6 +57,7 @@ struct WarehouseSpec {
 
 struct WarehouseResult {
   stats::Summary lisp_handover_s;  // per-move handover delay, seconds
+  stats::Summary lisp_peers_converged_s;  // per-move, until the peers converged
   stats::Summary bgp_handover_s;
   std::size_t lisp_moves = 0;
   std::size_t bgp_moves = 0;
@@ -65,8 +69,10 @@ class WarehouseWorkload {
  public:
   explicit WarehouseWorkload(WarehouseSpec spec) : spec_(std::move(spec)) {}
 
-  /// Runs the reactive (LISP/SDA) configuration.
-  [[nodiscard]] stats::Summary run_reactive(std::size_t* moves_out = nullptr);
+  /// Runs the reactive (LISP/SDA) configuration; returns the handovers and
+  /// fills `peers_out` with the per-move peers-converged times.
+  [[nodiscard]] stats::Summary run_reactive(std::size_t* moves_out = nullptr,
+                                            stats::Summary* peers_out = nullptr);
 
   /// Runs the proactive (BGP route-reflector) configuration.
   [[nodiscard]] stats::Summary run_proactive(std::size_t* moves_out = nullptr);

@@ -267,6 +267,110 @@ TEST_F(EdgeFixture, SmrIsRateLimitedPerEid) {
   EXPECT_EQ(router.counters().smr_sent, 1u);
 }
 
+// Fig. 6 order: an EID that left for a roam is not solicited until the
+// Map-Notify says where it went; a sender re-resolving earlier would get
+// this edge back.
+TEST_F(EdgeFixture, RoamedAwayEidHoldsSmrUntilMapNotify) {
+  const auto e = make_endpoint(1, "10.1.0.5", 20);
+  router.attach_endpoint(e);
+  router.detach_endpoint(e.mac, /*deregister=*/false);
+
+  net::FabricFrame frame;
+  frame.outer_source = *Ipv4Address::parse("10.0.0.40");
+  frame.outer_destination = router.rloc();
+  frame.vn = kVn;
+  frame.inner = udp_to(make_endpoint(9, "10.1.9.9", 10), "10.1.0.5");
+  router.receive_fabric_frame(frame);
+  EXPECT_TRUE(smrs.empty());
+  ASSERT_EQ(sent.size(), 1u);  // default-routed meanwhile
+  EXPECT_EQ(sent[0].outer_destination, *Ipv4Address::parse("10.0.0.1"));
+  EXPECT_EQ(router.mobility_record_count(), 1u);
+
+  lisp::MapNotify notify;
+  notify.eid = VnEid{kVn, Eid{e.ip}};
+  notify.rlocs = {net::Rloc{*Ipv4Address::parse("10.0.0.30")}};
+  router.receive_map_notify(notify);
+  EXPECT_EQ(router.mobility_record_count(), 0u);
+  router.receive_fabric_frame(frame);
+  ASSERT_EQ(smrs.size(), 1u);
+  EXPECT_EQ(smrs[0].first, *Ipv4Address::parse("10.0.0.40"));
+  EXPECT_EQ(sent.back().outer_destination, *Ipv4Address::parse("10.0.0.30"));
+}
+
+// A lost Map-Notify must not leave the senders stale for good: the hold
+// lapses after smr_min_interval and data-triggered SMRs resume.
+TEST_F(EdgeFixture, SmrHoldLapsesWhenNoMapNotifyArrives) {
+  const auto e = make_endpoint(1, "10.1.0.5", 20);
+  router.attach_endpoint(e);
+  router.detach_endpoint(e.mac, /*deregister=*/false);
+  net::FabricFrame frame;
+  frame.outer_source = *Ipv4Address::parse("10.0.0.40");
+  frame.outer_destination = router.rloc();
+  frame.vn = kVn;
+  frame.inner = udp_to(make_endpoint(9, "10.1.9.9", 10), "10.1.0.5");
+  router.receive_fabric_frame(frame);
+  EXPECT_TRUE(smrs.empty());
+  sim.run_until(sim.now() + router.config().smr_min_interval);
+  router.receive_fabric_frame(frame);
+  EXPECT_EQ(smrs.size(), 1u);
+}
+
+// A mapping cached while the EID lived elsewhere dies when the EID attaches
+// here; otherwise its next departure would stale-forward to the older edge.
+TEST_F(EdgeFixture, AttachInvalidatesCachedRemoteMapping) {
+  install_remote("10.1.0.5", "10.0.0.20");
+  const VnEid eid{kVn, Eid{*Ipv4Address::parse("10.1.0.5")}};
+  ASSERT_NE(router.map_cache().lookup(eid, sim.now()), nullptr);
+  router.attach_endpoint(make_endpoint(1, "10.1.0.5", 20));
+  EXPECT_EQ(router.map_cache().lookup(eid, sim.now()), nullptr);
+  EXPECT_EQ(router.fib_size(), 0u);
+}
+
+// The SMR throttle is about one location: a Map-Notify with a newer one
+// lets the next stale frame solicit at once.
+TEST_F(EdgeFixture, MapNotifyResetsSmrThrottle) {
+  lisp::MapNotify notify;
+  notify.eid = VnEid{kVn, Eid{*Ipv4Address::parse("10.1.0.5")}};
+  notify.rlocs = {net::Rloc{*Ipv4Address::parse("10.0.0.30")}};
+  router.receive_map_notify(notify);
+
+  net::FabricFrame frame;
+  frame.outer_source = *Ipv4Address::parse("10.0.0.40");
+  frame.outer_destination = router.rloc();
+  frame.vn = kVn;
+  frame.inner = udp_to(make_endpoint(9, "10.1.9.9", 10), "10.1.0.5");
+  router.receive_fabric_frame(frame);
+  router.receive_fabric_frame(frame);
+  ASSERT_EQ(smrs.size(), 1u);  // throttled
+
+  notify.rlocs = {net::Rloc{*Ipv4Address::parse("10.0.0.31")}};
+  router.receive_map_notify(notify);
+  router.receive_fabric_frame(frame);
+  EXPECT_EQ(smrs.size(), 2u);
+  EXPECT_EQ(sent.back().outer_destination, *Ipv4Address::parse("10.0.0.31"));
+}
+
+// Settled records (notify applied, throttle expired) are swept before the
+// table grows, so it holds only EIDs still in motion.
+TEST_F(EdgeFixture, SettledMobilityRecordsAreSwept) {
+  net::FabricFrame frame;
+  frame.outer_source = *Ipv4Address::parse("10.0.0.40");
+  frame.outer_destination = router.rloc();
+  frame.vn = kVn;
+  frame.inner = udp_to(make_endpoint(9, "10.1.9.9", 10), "10.1.7.7");
+  router.receive_fabric_frame(frame);  // never hosted here: solicited at once
+  ASSERT_EQ(smrs.size(), 1u);
+  EXPECT_EQ(router.mobility_record_count(), 1u);  // its throttle
+
+  sim.run_until(sim.now() + router.config().smr_min_interval);
+  const auto e = make_endpoint(1, "10.1.0.5", 20);
+  router.attach_endpoint(e);
+  router.detach_endpoint(e.mac, /*deregister=*/false);
+  EXPECT_EQ(router.mobility_record_count(), 1u);  // the hold; the throttle swept
+  router.reboot();
+  EXPECT_EQ(router.mobility_record_count(), 0u);
+}
+
 TEST_F(EdgeFixture, UnknownTrafficFromBorderIsDroppedNotBounced) {
   net::FabricFrame frame;
   frame.outer_source = *Ipv4Address::parse("10.0.0.1");  // the border

@@ -5,7 +5,10 @@
 //    allocation and costs exactly one simulator event;
 //  * first packet (§3.2.2): a map-cache miss — border hairpin, Map-Request,
 //    map-server job, Map-Reply, and a cache install that evicts — makes no
-//    heap allocation and costs exactly five simulator events.
+//    heap allocation and costs exactly five simulator events;
+//  * roam (Figs. 5 and 6): re-authentication, Map-Register, Map-Notify, one
+//    stale forward, one SMR and the sender's re-resolution cost exactly
+//    thirteen events, under an allocation ceiling that only comes down.
 //
 // Built as its own executable because it replaces the global operator new
 // with a counting one.
@@ -236,6 +239,106 @@ TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOn) {
 TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOff) {
   const MissRun run = run_misses(/*telemetry=*/false, 160, 64);
   expect_misses_allocate_nothing(run, 64);
+}
+
+// Roams. The slot-0 host of every edge is a roamer; the slot-1 host on the
+// edge halfway round the ring sends to it and never moves. A round moves
+// one roamer to the next edge (skipping its sender's) and runs the fabric
+// to quiesce: re-authentication, Map-Register, the border publish and the
+// old edge's Map-Notify. Its sender then sends one frame, which still goes
+// to the old edge: one stale forward, one SMR, and the sender's
+// re-resolution.
+struct RoamRun {
+  PathRun path;
+  std::uint64_t roams = 0;
+  std::uint64_t stale_forwards = 0;
+  std::uint64_t smr_sent = 0;
+  std::uint64_t smr_invoked_requests = 0;
+};
+
+RoamRun run_roams(bool telemetry, int warmup, int rounds) {
+  Campus campus(campus_config(telemetry));
+  SdaFabric& fabric = campus.fabric;
+  fabric.map_server_node().reserve_sojourn_samples(
+      static_cast<std::size_t>(warmup + rounds) * 2 + kHosts);
+  const auto roamer = [](std::size_t k) { return k * kHostsPerEdge; };
+  const auto sender = [](std::size_t k) {
+    return ((k + kEdges / 2) % kEdges) * kHostsPerEdge + 1;
+  };
+  std::vector<std::size_t> at(kEdges);
+  for (std::size_t k = 0; k < kEdges; ++k) {
+    at[k] = k;
+    EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[sender(k)], campus.ips[roamer(k)], 5000, 64));
+  }
+  campus.sim.run();
+  std::size_t r = 0;
+  const auto round = [&] {
+    const std::size_t k = r++ % kEdges;
+    const std::size_t sender_edge = sender(k) / kHostsPerEdge;
+    at[k] = (at[k] + 1) % kEdges;
+    if (at[k] == sender_edge) at[k] = (at[k] + 1) % kEdges;
+    fabric.roam_endpoint(campus.macs[roamer(k)], "e" + std::to_string(at[k]), 1);
+    campus.sim.run();
+    EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[sender(k)], campus.ips[roamer(k)], 5000, 64));
+    campus.sim.run();
+    return std::uint64_t{1};
+  };
+  const auto totals = [&] {
+    RoamRun t;
+    for (const auto& name : fabric.edge_names()) {
+      t.stale_forwards += fabric.edge(name).counters().stale_forwards;
+      t.smr_sent += fabric.edge(name).counters().smr_sent;
+      t.smr_invoked_requests += fabric.edge(name).counters().smr_received;
+    }
+    return t;
+  };
+  // Warm-up takes every roamer round the ring a few times, so every edge
+  // has hosted it, notified for it and solicited for it.
+  for (int i = 0; i < warmup; ++i) round();
+  const RoamRun before = totals();
+  RoamRun run;
+  run.path = campus.measure(0, rounds, round);
+  const RoamRun after = totals();
+  run.roams = run.path.sends;
+  run.stale_forwards = after.stale_forwards - before.stale_forwards;
+  run.smr_sent = after.smr_sent - before.smr_sent;
+  run.smr_invoked_requests = after.smr_invoked_requests - before.smr_invoked_requests;
+  return run;
+}
+
+// Thirteen events per roam: two onboarding steps (authentication; rules and
+// address), the Map-Register leg, the map-server job, the border publish,
+// the old edge's Map-Notify, the new edge's ack; then the sender's frame to
+// the old edge, its stale forward to the new edge, the SMR, and the
+// sender's Map-Request leg, server job and Map-Reply leg.
+constexpr std::uint64_t kEventsPerRoam = 13;
+// Allocations per roam, a ceiling at today's count (40.3). Onboarding
+// closures, the Map-Notify's locator vector and the access request's
+// strings still allocate; the ceiling only comes down.
+constexpr double kAllocsPerRoamCeiling = 40.4;
+
+void expect_roams_pinned(const RoamRun& run, int rounds) {
+  const auto roams = static_cast<std::uint64_t>(rounds);
+  EXPECT_EQ(run.roams, roams);
+  EXPECT_EQ(run.path.events, kEventsPerRoam * roams);
+  EXPECT_LE(static_cast<double>(run.path.allocations),
+            kAllocsPerRoamCeiling * static_cast<double>(roams));
+  EXPECT_EQ(run.path.delivered, roams);  // the stale-forwarded frame arrives
+  EXPECT_EQ(run.stale_forwards, roams);
+  EXPECT_EQ(run.smr_sent, roams);
+  EXPECT_EQ(run.smr_invoked_requests, roams);
+}
+
+TEST(PacketPathAlloc, RoamsWithTelemetryOn) {
+  const RoamRun run = run_roams(/*telemetry=*/true, 16 * kEdges, 8 * kEdges);
+  expect_roams_pinned(run, 8 * kEdges);
+  EXPECT_EQ(run.path.frames_in_flight, 0u);
+  EXPECT_EQ(run.path.control_in_flight, 0u);
+}
+
+TEST(PacketPathAlloc, RoamsWithTelemetryOff) {
+  const RoamRun run = run_roams(/*telemetry=*/false, 16 * kEdges, 8 * kEdges);
+  expect_roams_pinned(run, 8 * kEdges);
 }
 
 }  // namespace

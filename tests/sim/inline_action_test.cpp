@@ -106,5 +106,27 @@ TEST(InlineAction, MovedThroughChainInvokesOnce) {
   EXPECT_EQ(hits, 1);
 }
 
+// A trivially copyable capture moves as a byte copy: every byte of a
+// budget-sized capture must survive a chain of moves, and a trivial action
+// moved over a non-trivial one must still destroy the one it replaces.
+TEST(InlineAction, TriviallyCopyableCaptureSurvivesMoves) {
+  const std::array<std::uint64_t, 5> words{1, 2, 3, 4, 5};
+  std::uint64_t sum = 0;
+  std::uint64_t* out = &sum;
+  auto add = [words, out] {
+    for (const std::uint64_t w : words) *out += w;
+  };
+  static_assert(sizeof(add) == InlineAction::kInlineSize);
+  InlineAction a{add};
+  InlineAction b{std::move(a)};
+  const auto tracker = std::make_shared<int>(0);
+  InlineAction c{[tracker] { (void)tracker; }};
+  c = std::move(b);
+  EXPECT_EQ(tracker.use_count(), 1);
+  EXPECT_FALSE(c.heap_allocated());
+  c();
+  EXPECT_EQ(sum, 15u);
+}
+
 }  // namespace
 }  // namespace sda::sim

@@ -234,6 +234,61 @@ TEST(FlightRecorder, FieldEventsRenderGoldenTextAfterWraparound) {
   EXPECT_EQ(recorder.tail(1).front().to_string(), "[0:00:00.009] map-request edge-3: for 10.1.0.5");
 }
 
+// The same for a roam's events: the mobility Map-Notify, the SMR and the
+// Roam / Onboard completion.
+void record_roam_events(FlightRecorder& recorder) {
+  const net::VnEid host{net::VnId{100}, net::Eid{net::Ipv4Address{10, 100, 0, 7}}};
+  recorder.record(at_ms(1), EventKind::MapNotify, "map_server", DetailForm::MoveNotify, host, {},
+                  0, "edge-3");
+  recorder.record(at_ms(2), EventKind::MapNotify, "routing_server[1]", DetailForm::MoveNotify,
+                  host, {}, 0, "edge-12");
+  recorder.record(at_ms(3), EventKind::Smr, "edge-3", DetailForm::ForEidToName, host, {}, 0,
+                  "edge-5");
+  recorder.record(at_ms(4), EventKind::Roam, "edge-4", DetailForm::RoamedTo, host, {}, 0,
+                  "host-7");
+  recorder.record(at_ms(5), EventKind::Onboard, "edge-0", DetailForm::OnboardedAt, host, {}, 0,
+                  "host-123");
+}
+
+const char* const kRoamGolden[] = {
+    "[0:00:00.001] map-notify map_server: move of vn:100/10.100.0.7, notify old edge edge-3",
+    "[0:00:00.002] map-notify routing_server[1]: move of vn:100/10.100.0.7, notify old edge "
+    "edge-12",
+    "[0:00:00.003] smr edge-3: for vn:100/10.100.0.7 -> edge-5",
+    "[0:00:00.004] roam edge-4: host-7 roamed to edge-4",
+    "[0:00:00.005] onboard edge-0: host-123 onboarded at edge-0",
+};
+
+TEST(FlightRecorder, RoamEventsRenderGoldenText) {
+  FlightRecorder recorder{16};
+  record_roam_events(recorder);
+  const auto events = recorder.events();
+  ASSERT_EQ(events.size(), 5u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].to_string(), kRoamGolden[i]);
+  }
+  EXPECT_EQ(events[3].detail, "host-7 roamed to edge-4");
+}
+
+TEST(FlightRecorder, RoamEventsRenderGoldenTextAfterWraparound) {
+  // Longer free text and node names held the slots first; the quoted names
+  // must replace them whole.
+  FlightRecorder recorder{5};
+  for (int i = 0; i < 7; ++i) {
+    recorder.record(at_ms(0), EventKind::Custom, "a-much-longer-node-name-" + std::to_string(i),
+                    "free text that is longer than any rendered detail " + std::to_string(i));
+  }
+  record_roam_events(recorder);
+  const auto tail = recorder.tail(5);
+  ASSERT_EQ(tail.size(), 5u);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].to_string(), kRoamGolden[i]);
+  }
+  // A free-text event after them renders its own text, not the old name.
+  recorder.record(at_ms(6), EventKind::Roam, "edge-1", "x");
+  EXPECT_EQ(recorder.tail(1).front().to_string(), "[0:00:00.006] roam edge-1: x");
+}
+
 TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   FlightRecorder recorder{0};
   recorder.record(at_ms(1), EventKind::Custom, "a");

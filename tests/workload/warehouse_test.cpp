@@ -26,6 +26,19 @@ TEST(WarehouseWorkload, ReactiveRunProducesHandovers) {
   EXPECT_LT(handovers.percentile(99), 0.5);
 }
 
+// The old edge applies each move's Map-Notify after the border synced, so
+// every move has a peers-converged time, never before its handover.
+TEST(WarehouseWorkload, ReactiveRunReportsPeersConverged) {
+  WarehouseWorkload warehouse{tiny_spec()};
+  std::size_t moves = 0;
+  stats::Summary peers;
+  const stats::Summary handovers = warehouse.run_reactive(&moves, &peers);
+  EXPECT_EQ(peers.count(), moves);
+  EXPECT_GE(peers.min(), handovers.min());
+  EXPECT_GE(peers.median(), handovers.median());
+  EXPECT_LT(peers.percentile(99), 0.5);
+}
+
 TEST(WarehouseWorkload, ProactiveRunProducesHandovers) {
   WarehouseWorkload warehouse{tiny_spec()};
   std::size_t moves = 0;
