@@ -28,22 +28,13 @@ EdgeRouter::EdgeRouter(sim::Simulator& simulator, EdgeRouterConfig config)
 // Endpoint lifecycle
 // ---------------------------------------------------------------------------
 
-template <typename F>
-void EdgeRouter::for_each_identity(const AttachedEndpoint& endpoint, F visit) {
-  visit(net::VnEid{endpoint.vn, net::Eid{endpoint.ip}});
-  if (endpoint.ipv6) visit(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}});
-  if (endpoint.register_mac) visit(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}});
-}
-
-void EdgeRouter::attach_endpoint(const AttachedEndpoint& endpoint) {
+VrfSet::Slot EdgeRouter::attach_endpoint(const AttachedEndpoint& endpoint) {
   assert(!endpoint.ip.is_unspecified());
   // Replace any stale attachment of the same MAC.
   detach_endpoint(endpoint.mac, /*deregister=*/false);
 
-  endpoints_[endpoint.mac] = endpoint;
+  const VrfSet::Slot slot = local_.install(endpoint);
   for_each_identity(endpoint, [&](const net::VnEid& eid) {
-    eid_to_mac_[eid] = endpoint.mac;
-    local_.install(eid, LocalEntry{endpoint.port, endpoint.group, endpoint.mac});
     // A mapping cached while the EID lived elsewhere would outlive its next
     // departure and point at an older edge (Fig. 6 would then stale-forward
     // there and solicit before the Map-Notify); it is ours now.
@@ -61,33 +52,28 @@ void EdgeRouter::attach_endpoint(const AttachedEndpoint& endpoint) {
   // identity (IPv4, IPv6, MAC): the paper's "3 routes per endpoint" (§4.1).
   for_each_identity(endpoint, [&](const net::VnEid& eid) { register_eid(eid, endpoint.group); });
   maybe_schedule_register_refresh();
+  return slot;
 }
 
 void EdgeRouter::maybe_schedule_register_refresh() {
   if (config_.register_refresh_interval.count() == 0 || register_refresh_armed_) return;
-  if (endpoints_.empty()) return;
+  if (local_.endpoint_count() == 0) return;
   register_refresh_armed_ = true;
   simulator_.schedule_after(config_.register_refresh_interval, [this] {
     register_refresh_armed_ = false;
     // Soft-state refresh: re-register every identity of every endpoint.
-    for (const auto& [mac, endpoint] : endpoints_) {
+    local_.for_each([this](const AttachedEndpoint& endpoint) {
       for_each_identity(endpoint,
                         [&](const net::VnEid& eid) { register_eid(eid, endpoint.group); });
-    }
+    });
     maybe_schedule_register_refresh();
   });
 }
 
 void EdgeRouter::detach_endpoint(const net::MacAddress& mac, bool deregister) {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end()) return;
-  const AttachedEndpoint endpoint = it->second;
-  endpoints_.erase(it);
-
-  for_each_identity(endpoint, [&](const net::VnEid& eid) {
-    eid_to_mac_.erase(eid);
-    local_.remove(eid);
-  });
+  const AttachedEndpoint* removed = local_.remove(mac);
+  if (removed == nullptr) return;
+  const AttachedEndpoint endpoint = *removed;
 
   const auto ref = group_refcounts_.find(group_key(endpoint.vn, endpoint.group));
   if (ref != group_refcounts_.end() && --ref->second == 0) {
@@ -119,9 +105,9 @@ void EdgeRouter::detach_endpoint(const net::MacAddress& mac, bool deregister) {
 }
 
 bool EdgeRouter::retag_endpoint(const net::MacAddress& mac, net::GroupId new_group) {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end()) return false;
-  AttachedEndpoint& endpoint = it->second;
+  const AttachedEndpoint* found = local_.find(mac);
+  if (found == nullptr) return false;
+  const AttachedEndpoint& endpoint = *found;
   if (endpoint.group == new_group) return true;
 
   const auto old_key = group_key(endpoint.vn, endpoint.group);
@@ -133,20 +119,12 @@ bool EdgeRouter::retag_endpoint(const net::MacAddress& mac, net::GroupId new_gro
     if (release_group_) release_group_(endpoint.vn, endpoint.group);
   }
 
-  endpoint.group = new_group;
-  const net::VnEid ip_eid{endpoint.vn, net::Eid{endpoint.ip}};
-  local_.retag(ip_eid, new_group);
-  if (endpoint.ipv6) {
-    local_.retag(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}}, new_group);
-  }
-  if (endpoint.register_mac) {
-    local_.retag(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}}, new_group);
-  }
-
+  local_.retag(mac, new_group);
   if (++group_refcounts_[group_key(endpoint.vn, new_group)] == 1 && download_rules_) {
     try_download_rules(endpoint.vn, new_group);
   }
-  register_eid(ip_eid, new_group);  // refresh the mapping's group tag
+  // Refresh the mapping's group tag.
+  register_eid(net::VnEid{endpoint.vn, net::Eid{endpoint.ip}}, new_group);
   return true;
 }
 
@@ -183,34 +161,28 @@ void EdgeRouter::maybe_schedule_rule_retry() {
   });
 }
 
-const AttachedEndpoint* EdgeRouter::find_endpoint(const net::MacAddress& mac) const {
-  const auto it = endpoints_.find(mac);
-  return it == endpoints_.end() ? nullptr : &it->second;
-}
-
-const AttachedEndpoint* EdgeRouter::find_endpoint(const net::VnEid& eid) const {
-  const auto it = eid_to_mac_.find(eid);
-  if (it == eid_to_mac_.end()) return nullptr;
-  return find_endpoint(it->second);
-}
-
 // ---------------------------------------------------------------------------
 // Ingress pipeline
 // ---------------------------------------------------------------------------
 
 void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
-                                   const net::OverlayFrame& tagged_frame) {
-  ++counters_.frames_from_endpoints;
-  const AttachedEndpoint* source = find_endpoint(source_mac);
-  if (!source) {
-    ++counters_.no_route_drops;  // unauthenticated port: drop
+                                   const net::OverlayFrame& frame) {
+  if (const AttachedEndpoint* source = local_.find(source_mac)) {
+    endpoint_transmit(*source, frame);
     return;
   }
+  ++counters_.frames_from_endpoints;
+  ++counters_.no_route_drops;  // unauthenticated port: drop
+}
+
+void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
+                                   const net::OverlayFrame& tagged_frame) {
+  ++counters_.frames_from_endpoints;
 
   // Access-VLAN check (§3.5 element i): the frame's tag must match the
   // port's VLAN (both absent counts as matching). The tag is then stripped
   // — VLANs are local to edge ports and never enter the overlay.
-  if (tagged_frame.vlan_id != source->vlan) {
+  if (tagged_frame.vlan_id != source.vlan) {
     ++counters_.vlan_drops;
     return;
   }
@@ -220,25 +192,25 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
   // Broadcast traffic is absorbed by the L2 gateway (§3.5): it never floods
   // the fabric.
   if (frame.destination_mac.is_broadcast()) {
-    if (broadcast_handler_) broadcast_handler_(*this, *source, frame);
+    if (broadcast_handler_) broadcast_handler_(*this, source, frame);
     return;
   }
 
   // Unicast ARP (gateway-converted requests, and replies) rides the L2
   // MAC-keyed pipeline.
   if (frame.is_arp()) {
-    forward_by_mac(*source, frame);
+    forward_by_mac(source, frame);
     return;
   }
 
-  const net::VnEid destination{source->vn, frame.destination_eid()};
-  if (tracing()) tracer_->ingress(source->vn, frame, config_.name, simulator_.now());
+  const net::VnEid destination{source.vn, frame.destination_eid()};
+  if (tracing()) tracer_->ingress(source.vn, frame, config_.name, simulator_.now());
 
   // Same-edge destination: run the egress pipeline directly.
-  if (local_.lookup(destination) != nullptr) {
+  if (const AttachedEndpoint* local = local_.lookup(destination)) {
     ++counters_.locally_switched;
-    trace_hop(source->vn, frame, telemetry::HopKind::LocalSwitch);
-    egress_deliver(destination, source->group, false, frame);
+    trace_hop(source.vn, frame, telemetry::HopKind::LocalSwitch);
+    egress_deliver(*local, source.group, false, frame);
     return;
   }
 
@@ -247,22 +219,22 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
     // Mapping points at an RLOC the IGP says is gone (§5.1): bypass it and
     // ride the border default until the endpoint re-registers elsewhere.
     ++counters_.default_routed;
-    trace_hop(source->vn, frame, telemetry::HopKind::DefaultRoute, "rloc-fallback");
-    encap_to(config_.border_rloc, destination, source->group, false, frame);
+    trace_hop(source.vn, frame, telemetry::HopKind::DefaultRoute, "rloc-fallback");
+    encap_to(config_.border_rloc, destination, source.group, false, frame);
     return;
   }
   if (entry != nullptr && !entry->negative()) {
     if (config_.enforce_on_ingress) {
       // §5.3 ablation: enforce here using the (possibly stale) cached group.
-      if (sgacl_.evaluate(source->vn, source->group, entry->group) == policy::Action::Deny) {
+      if (sgacl_.evaluate(source.vn, source.group, entry->group) == policy::Action::Deny) {
         ++counters_.policy_drops;
-        trace_hop(source->vn, frame, telemetry::HopKind::SgaclDeny, "ingress");
+        trace_hop(source.vn, frame, telemetry::HopKind::SgaclDeny, "ingress");
         return;
       }
-      encap_to(entry->primary_rloc(), destination, source->group, true, frame);
+      encap_to(entry->primary_rloc(), destination, source.group, true, frame);
       return;
     }
-    encap_to(entry->primary_rloc(), destination, source->group, false, frame);
+    encap_to(entry->primary_rloc(), destination, source.group, false, frame);
     return;
   }
 
@@ -276,19 +248,19 @@ void EdgeRouter::endpoint_transmit(const net::MacAddress& source_mac,
       auto& queue = pending_l3_[destination];
       if (queue.size() < config_.pending_packet_limit) {
         ++counters_.packets_parked;
-        queue.emplace_back(source->group, frame);
+        queue.emplace_back(source.group, frame);
         return;
       }
     }
     ++counters_.resolution_drops;
-    trace_hop(source->vn, frame, telemetry::HopKind::Drop, "resolution-pending");
+    trace_hop(source.vn, frame, telemetry::HopKind::Drop, "resolution-pending");
     return;
   }
   // Miss (or negative): default route to the border while resolution runs.
   ++counters_.default_routed;
-  trace_hop(source->vn, frame, telemetry::HopKind::DefaultRoute,
+  trace_hop(source.vn, frame, telemetry::HopKind::DefaultRoute,
             entry == nullptr ? "cache-miss" : "negative-entry");
-  encap_to(config_.border_rloc, destination, source->group, false, frame);
+  encap_to(config_.border_rloc, destination, source.group, false, frame);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +273,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   if (frame.inner.is_arp()) {
     // Unicast-converted ARP from an L2 gateway: deliver to the target MAC.
     const net::VnEid mac_eid{frame.vn, net::Eid{frame.inner.destination_mac}};
-    if (const AttachedEndpoint* target = find_endpoint(mac_eid)) {
+    if (const AttachedEndpoint* target = local_.lookup(mac_eid)) {
       ++counters_.frames_delivered;
       if (deliver_local_) deliver_local_(*target, frame.inner);
     } else {
@@ -312,8 +284,9 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
 
   const net::VnEid destination{frame.vn, frame.inner.destination_eid()};
 
-  if (local_.lookup(destination) != nullptr) {
-    egress_deliver(destination, frame.source_group, frame.policy_applied, frame.inner);
+  // Stage 1: VRF lookup -> the attached endpoint's (port, GroupId).
+  if (const AttachedEndpoint* local = local_.lookup(destination)) {
+    egress_deliver(*local, frame.source_group, frame.policy_applied, frame.inner);
     return;
   }
 
@@ -350,15 +323,11 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   encap_to(config_.border_rloc, destination, frame.source_group, frame.policy_applied, inner);
 }
 
-void EdgeRouter::egress_deliver(const net::VnEid& destination, net::GroupId source_group,
+void EdgeRouter::egress_deliver(const AttachedEndpoint& destination, net::GroupId source_group,
                                 bool policy_already_applied, const net::OverlayFrame& frame) {
-  // Stage 1: VRF lookup -> (port, destination GroupId).
-  const LocalEntry* entry = local_.lookup(destination);
-  assert(entry != nullptr);
-
   // Stage 2: exact-match group ACL, unless already enforced upstream.
   if (!policy_already_applied &&
-      sgacl_.evaluate(destination.vn, source_group, entry->group) == policy::Action::Deny) {
+      sgacl_.evaluate(destination.vn, source_group, destination.group) == policy::Action::Deny) {
     ++counters_.policy_drops;
     trace_hop(destination.vn, frame, telemetry::HopKind::SgaclDeny, "stage2");
     return;
@@ -366,18 +335,16 @@ void EdgeRouter::egress_deliver(const net::VnEid& destination, net::GroupId sour
   trace_hop(destination.vn, frame, telemetry::HopKind::SgaclPermit,
             policy_already_applied ? "policy-bit" : "stage2");
 
-  const AttachedEndpoint* endpoint = find_endpoint(destination);
-  assert(endpoint != nullptr);
   ++counters_.frames_delivered;
   trace_hop(destination.vn, frame, telemetry::HopKind::Deliver);
   if (deliver_local_) {
-    if (endpoint->vlan) {
+    if (destination.vlan) {
       // Re-apply the destination port's access VLAN (§3.5 element i).
       net::OverlayFrame tagged = frame;
-      tagged.vlan_id = endpoint->vlan;
-      deliver_local_(*endpoint, tagged);
+      tagged.vlan_id = destination.vlan;
+      deliver_local_(destination, tagged);
     } else {
-      deliver_local_(*endpoint, frame);
+      deliver_local_(destination, frame);
     }
   }
 }
@@ -474,17 +441,17 @@ void EdgeRouter::receive_map_request_busy(const net::VnEid& eid, sim::Duration r
 }
 
 void EdgeRouter::receive_map_register_busy(const net::VnEid& eid, sim::Duration retry_after) {
-  const auto it = pending_registers_.find(eid);
-  if (it == pending_registers_.end()) return;  // acked or abandoned meanwhile
+  PendingRegister* pending = pending_registers_.find(eid);
+  if (pending == nullptr) return;  // acked or abandoned meanwhile
   ++counters_.server_busy;
-  simulator_.cancel(it->second.timer);
-  if (it->second.retries_left == 0) {
-    pending_registers_.erase(it);
+  simulator_.cancel(pending->timer);
+  if (pending->retries_left == 0) {
+    pending_registers_.erase(eid);
     return;
   }
-  --it->second.retries_left;
-  it->second.timer = simulator_.schedule_after(jittered_retry_after(retry_after),
-                                               [this, eid] { transmit_map_register(eid); });
+  --pending->retries_left;
+  pending->timer = simulator_.schedule_after(jittered_retry_after(retry_after),
+                                             [this, eid] { transmit_map_register(eid); });
 }
 
 sim::Duration EdgeRouter::jittered_retry_after(sim::Duration retry_after) {
@@ -556,55 +523,60 @@ void EdgeRouter::send_register(const net::VnEid& eid, net::GroupId group,
   // Reliable registration: book (or replace) the pending entry and
   // retransmit until the Map-Notify ack comes back. A fresh registration
   // for an EID supersedes any pending one (latest intent wins).
-  auto [it, inserted] = pending_registers_.try_emplace(eid);
-  PendingRegister& pending = it->second;
-  if (!inserted) simulator_.cancel(pending.timer);
-  pending.nonce = next_nonce_++;
-  pending.group = group;
-  pending.ttl_seconds = ttl_seconds;
-  pending.retries_left = config_.map_register_retries;
-  pending.timeout = config_.map_register_timeout;
+  PendingRegister* pending = pending_registers_.find(eid);
+  if (pending != nullptr) {
+    simulator_.cancel(pending->timer);
+  } else {
+    pending = &pending_registers_.insert(eid, PendingRegister{});
+  }
+  pending->nonce = next_nonce_++;
+  pending->group = group;
+  pending->ttl_seconds = ttl_seconds;
+  pending->retries_left = config_.map_register_retries;
+  pending->timeout = config_.map_register_timeout;
   transmit_map_register(eid);
 }
 
 void EdgeRouter::transmit_map_register(const net::VnEid& eid) {
-  const auto it = pending_registers_.find(eid);
-  if (it == pending_registers_.end()) return;
-  PendingRegister& pending = it->second;
+  const PendingRegister* pending = pending_registers_.find(eid);
+  if (pending == nullptr) return;
 
   lisp::MapRegister reg;
-  reg.nonce = pending.nonce;  // same nonce on every retransmit: acks match any copy
+  reg.nonce = pending->nonce;  // same nonce on every retransmit: acks match any copy
   reg.eid = eid;
   reg.rlocs = {net::Rloc{config_.rloc}};
-  reg.ttl_seconds = pending.ttl_seconds;
-  if (pending.ttl_seconds != 0) reg.group = pending.group.value();
+  reg.ttl_seconds = pending->ttl_seconds;
+  if (pending->ttl_seconds != 0) reg.group = pending->group.value();
+  const sim::Duration timeout = pending->timeout;
   send_map_register_(reg);
 
   auto retransmit = [this, eid] {
-    const auto entry = pending_registers_.find(eid);
-    if (entry == pending_registers_.end()) return;
-    if (entry->second.retries_left == 0) {
+    PendingRegister* entry = pending_registers_.find(eid);
+    if (entry == nullptr) return;
+    if (entry->retries_left == 0) {
       // Out of retries. Keep nothing: the soft-state refresh timer (or the
       // next attach) re-registers the EID.
-      pending_registers_.erase(entry);
+      pending_registers_.erase(eid);
       return;
     }
-    --entry->second.retries_left;
-    entry->second.timeout = next_backoff(entry->second.timeout, config_.map_register_timeout,
-                                         config_.map_register_timeout_cap);
+    --entry->retries_left;
+    entry->timeout = next_backoff(entry->timeout, config_.map_register_timeout,
+                                  config_.map_register_timeout_cap);
     ++counters_.map_register_retries;
     transmit_map_register(eid);
   };
   static_assert(sim::InlineAction::fits_inline<decltype(retransmit)>,
                 "map-register retransmit timer must not heap-allocate");
-  pending.timer = simulator_.schedule_after(pending.timeout, std::move(retransmit));
+  const sim::EventHandle timer = simulator_.schedule_after(timeout, std::move(retransmit));
+  // The send hook may have consumed the entry (a synchronous ack).
+  if (PendingRegister* armed = pending_registers_.find(eid)) armed->timer = timer;
 }
 
 void EdgeRouter::abandon_pending_register(const net::VnEid& eid) {
-  const auto it = pending_registers_.find(eid);
-  if (it == pending_registers_.end()) return;
-  simulator_.cancel(it->second.timer);
-  pending_registers_.erase(it);
+  const PendingRegister* pending = pending_registers_.find(eid);
+  if (pending == nullptr) return;
+  simulator_.cancel(pending->timer);
+  pending_registers_.erase(eid);
 }
 
 sim::Duration EdgeRouter::next_backoff(sim::Duration current, sim::Duration initial,
@@ -693,17 +665,15 @@ void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
 void EdgeRouter::forward_by_mac(const AttachedEndpoint& source, const net::OverlayFrame& frame) {
   const net::VnEid destination{source.vn, net::Eid{frame.destination_mac}};
 
-  if (const LocalEntry* entry = local_.lookup(destination)) {
+  if (const AttachedEndpoint* target = local_.lookup(destination)) {
     // Local L2 delivery still passes micro-segmentation.
-    if (sgacl_.evaluate(source.vn, source.group, entry->group) == policy::Action::Deny) {
+    if (sgacl_.evaluate(source.vn, source.group, target->group) == policy::Action::Deny) {
       ++counters_.policy_drops;
       return;
     }
-    if (const AttachedEndpoint* target = find_endpoint(destination)) {
-      ++counters_.frames_delivered;
-      ++counters_.locally_switched;
-      if (deliver_local_) deliver_local_(*target, frame);
-    }
+    ++counters_.frames_delivered;
+    ++counters_.locally_switched;
+    if (deliver_local_) deliver_local_(*target, frame);
     return;
   }
 
@@ -745,10 +715,10 @@ bool EdgeRouter::receive_map_notify(const lisp::MapNotify& notify) {
   }
   // Reliable-registration ack: a notify whose nonce matches a pending
   // register acknowledges it — consume it, never install it as a mapping.
-  const auto pending = pending_registers_.find(notify.eid);
-  if (pending != pending_registers_.end() && pending->second.nonce == notify.nonce) {
-    simulator_.cancel(pending->second.timer);
-    pending_registers_.erase(pending);
+  const PendingRegister* pending = pending_registers_.find(notify.eid);
+  if (pending != nullptr && pending->nonce == notify.nonce) {
+    simulator_.cancel(pending->timer);
+    pending_registers_.erase(notify.eid);
     ++counters_.registers_acked;
     return true;
   }
@@ -866,7 +836,7 @@ void EdgeRouter::register_metrics(telemetry::MetricsRegistry& registry,
   registry.register_gauge(telemetry::join(prefix, "fib_size"),
                           [this] { return static_cast<double>(fib_size()); });
   registry.register_gauge(telemetry::join(prefix, "endpoints"),
-                          [this] { return static_cast<double>(endpoints_.size()); });
+                          [this] { return static_cast<double>(endpoint_count()); });
   cache_.register_metrics(registry, telemetry::join(prefix, "map_cache"));
   sgacl_.register_metrics(registry, telemetry::join(prefix, "sgacl"));
 }
@@ -875,13 +845,12 @@ void EdgeRouter::reboot() {
   cache_.clear();
   local_.clear();
   sgacl_.clear();
-  endpoints_.clear();
-  eid_to_mac_.clear();
   group_refcounts_.clear();
   pending_requests_.for_each(
       [this](const net::VnEid&, PendingRequest& pending) { simulator_.cancel(pending.timer); });
   pending_requests_.clear();
-  for (auto& [eid, pending] : pending_registers_) simulator_.cancel(pending.timer);
+  pending_registers_.for_each(
+      [this](const net::VnEid&, PendingRegister& pending) { simulator_.cancel(pending.timer); });
   pending_registers_.clear();
   mobility_.clear();
   pending_l2_.clear();

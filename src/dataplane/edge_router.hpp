@@ -104,22 +104,6 @@ struct EdgeRouterConfig {
   sim::Duration rule_retry_interval = std::chrono::seconds{1};
 };
 
-/// A fully onboarded endpoint as the edge sees it.
-struct AttachedEndpoint {
-  net::MacAddress mac;
-  net::Ipv4Address ip;
-  std::optional<net::Ipv6Address> ipv6;  // SLAAC identity, when the VN has one
-  net::VnId vn;
-  net::GroupId group;
-  PortId port = 0;
-  std::string credential;
-  bool register_mac = false;  // also index by MAC for L2 services (§3.5)
-  /// Access VLAN on the edge port, if the port is tagged. VLANs never
-  /// stretch across the fabric (§3.5 element i): the tag is validated and
-  /// stripped at ingress and re-applied at egress.
-  std::optional<std::uint16_t> vlan;
-};
-
 class EdgeRouter {
  public:
   // --- Environment hooks (wired by the fabric layer or by tests) ---------
@@ -178,7 +162,8 @@ class EdgeRouter {
 
   /// Installs a fully authenticated endpoint: VRF entry, SGACL destination
   /// rules, and a Map-Register for its IP (and MAC if register_mac).
-  void attach_endpoint(const AttachedEndpoint& endpoint);
+  /// Returns its slot, which vrf().at() resolves without a probe.
+  VrfSet::Slot attach_endpoint(const AttachedEndpoint& endpoint);
 
   /// Removes an endpoint. `deregister` withdraws its mapping from the
   /// routing server (clean departure); roaming leaves the registration to
@@ -189,13 +174,20 @@ class EdgeRouter {
   /// (egress enforcement keeps the (IP, GroupId) pair fresh, §5.3).
   bool retag_endpoint(const net::MacAddress& mac, net::GroupId new_group);
 
-  [[nodiscard]] const AttachedEndpoint* find_endpoint(const net::MacAddress& mac) const;
-  [[nodiscard]] const AttachedEndpoint* find_endpoint(const net::VnEid& eid) const;
-  [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
+  [[nodiscard]] const AttachedEndpoint* find_endpoint(const net::MacAddress& mac) const {
+    return local_.find(mac);
+  }
+  [[nodiscard]] const AttachedEndpoint* find_endpoint(const net::VnEid& eid) const {
+    return local_.lookup(eid);
+  }
+  [[nodiscard]] std::size_t endpoint_count() const { return local_.endpoint_count(); }
 
   // --- Data plane entry points -------------------------------------------
 
   /// A locally attached endpoint transmits a frame (ingress pipeline).
+  /// `source` is this edge's record of the sender.
+  void endpoint_transmit(const AttachedEndpoint& source, const net::OverlayFrame& frame);
+  /// Same, for a sender known by MAC only; an unknown MAC is dropped.
   void endpoint_transmit(const net::MacAddress& source_mac, const net::OverlayFrame& frame);
 
   /// An encapsulated frame arrives from the underlay (egress pipeline).
@@ -251,7 +243,7 @@ class EdgeRouter {
   [[nodiscard]] std::size_t fib_size() const { return cache_.positive_size(); }
   [[nodiscard]] lisp::MapCache& map_cache() { return cache_; }
   [[nodiscard]] const lisp::MapCache& map_cache() const { return cache_; }
-  [[nodiscard]] VrfSet& vrf() { return local_; }
+  [[nodiscard]] const VrfSet& vrf() const { return local_; }
   [[nodiscard]] Sgacl& sgacl() { return sgacl_; }
   [[nodiscard]] const Sgacl& sgacl() const { return sgacl_; }
 
@@ -341,8 +333,9 @@ class EdgeRouter {
     }
   };
 
-  /// Egress pipeline stage 1+2 for a frame that is local here.
-  void egress_deliver(const net::VnEid& destination, net::GroupId source_group,
+  /// Egress pipeline stage 2 for a frame whose stage-1 VRF lookup found
+  /// `destination` here.
+  void egress_deliver(const AttachedEndpoint& destination, net::GroupId source_group,
                       bool policy_already_applied, const net::OverlayFrame& frame);
 
   /// Encapsulates towards `rloc` and transmits.
@@ -364,10 +357,6 @@ class EdgeRouter {
 
   /// The mobility record for `eid`, reset for reuse if it was absent.
   MobilityRecord& mobility_record(const net::VnEid& eid);
-
-  /// The endpoint's identities (IPv4, and IPv6 and MAC when present).
-  template <typename F>
-  static void for_each_identity(const AttachedEndpoint& endpoint, F visit);
 
   /// (Re)arms the RLOC-probe timer if probing is enabled and the cache
   /// holds positive entries; self-disarms when the cache empties.
@@ -425,7 +414,7 @@ class EdgeRouter {
   EdgeRouterConfig config_;
   sim::Rng rng_;
 
-  VrfSet local_;
+  VrfSet local_;  // the attached endpoints, by identity and by MAC
   lisp::MapCache cache_;
   Sgacl sgacl_;
 
@@ -435,12 +424,10 @@ class EdgeRouter {
     return !down_rlocs_.contains(rloc);
   }
 
-  std::unordered_map<net::MacAddress, AttachedEndpoint> endpoints_;
   std::unordered_set<net::Ipv4Address> down_rlocs_;
   /// Ordered default-route candidates (front = primary); empty when the
   /// edge was wired with a single static border_rloc only.
   std::vector<net::Ipv4Address> border_rlocs_;
-  std::unordered_map<net::VnEid, net::MacAddress> eid_to_mac_;
   // (vn, group) -> number of attached endpoints with that group.
   std::unordered_map<std::uint64_t, std::size_t> group_refcounts_;
   struct PendingRequest {
@@ -463,7 +450,7 @@ class EdgeRouter {
     sim::Duration timeout{0};
     sim::EventHandle timer;
   };
-  std::unordered_map<net::VnEid, PendingRegister> pending_registers_;
+  lisp::FlatMap<net::VnEid, PendingRegister> pending_registers_;
   /// Flat and recycled: a warm edge records roams without allocating.
   lisp::FlatMap<net::VnEid, MobilityRecord> mobility_;
   /// Frames parked while a MAC EID resolves (bounded per EID).

@@ -1,123 +1,58 @@
 #include "dataplane/vrf.hpp"
 
-#include <algorithm>
-
 namespace sda::dataplane {
 
-namespace {
-
-constexpr std::size_t kMinCapacity = 16;
-
-std::size_t probe_start(const net::VnEid& eid, std::size_t capacity) {
-  return std::hash<net::VnEid>{}(eid) & (capacity - 1);
-}
-
-}  // namespace
-
-std::size_t VrfSet::find_slot(const net::VnEid& eid) const {
-  if (slots_.empty()) return SIZE_MAX;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = probe_start(eid, slots_.size());
-  while (true) {
-    const Slot& s = slots_[i];
-    if (s.state == SlotState::Empty) return SIZE_MAX;
-    if (s.state == SlotState::Occupied && s.key == eid) return i;
-    i = (i + 1) & mask;  // tombstones keep the chain alive
+VrfSet::Slot VrfSet::install(const AttachedEndpoint& endpoint) {
+  remove(endpoint.mac);
+  Slot slot;
+  if (free_.empty()) {
+    slot = static_cast<Slot>(records_.size());
+    records_.emplace_back();
+    free_.reserve(records_.capacity());  // remove() never allocates
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-}
-
-void VrfSet::rehash(std::size_t min_capacity) {
-  std::size_t capacity = kMinCapacity;
-  while (capacity < min_capacity) capacity <<= 1;
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(capacity, Slot{});
-  tombstones_ = 0;
-  const std::size_t mask = capacity - 1;
-  for (Slot& s : old) {
-    if (s.state != SlotState::Occupied) continue;
-    std::size_t i = probe_start(s.key, capacity);
-    while (slots_[i].state == SlotState::Occupied) i = (i + 1) & mask;
-    slots_[i] = std::move(s);
-  }
-}
-
-void VrfSet::install(const net::VnEid& eid, const LocalEntry& entry) {
-  // Keep the table at most ~70% full (occupied + tombstones) so probe
-  // chains stay short; 2x headroom over live entries after a rehash.
-  if (slots_.empty() || (size_ + tombstones_ + 1) * 10 > slots_.size() * 7) {
-    rehash(std::max<std::size_t>(kMinCapacity, (size_ + 1) * 2));
-  }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = probe_start(eid, slots_.size());
-  std::size_t first_tombstone = SIZE_MAX;
-  while (true) {
-    Slot& s = slots_[i];
-    if (s.state == SlotState::Occupied && s.key == eid) {
-      s.value = entry;  // replace in place
-      return;
-    }
-    if (s.state == SlotState::Tombstone && first_tombstone == SIZE_MAX) first_tombstone = i;
-    if (s.state == SlotState::Empty) break;
-    i = (i + 1) & mask;
-  }
-  if (first_tombstone != SIZE_MAX) {
-    i = first_tombstone;
-    --tombstones_;
-  }
-  slots_[i] = Slot{eid, entry, SlotState::Occupied};
-  ++size_;
-}
-
-bool VrfSet::remove(const net::VnEid& eid) {
-  const std::size_t i = find_slot(eid);
-  if (i == SIZE_MAX) return false;
-  slots_[i] = Slot{};
-  slots_[i].state = SlotState::Tombstone;
-  --size_;
-  ++tombstones_;
-  return true;
-}
-
-const LocalEntry* VrfSet::lookup(const net::VnEid& eid) const {
-  const std::size_t i = find_slot(eid);
-  return i == SIZE_MAX ? nullptr : &slots_[i].value;
-}
-
-bool VrfSet::retag(const net::VnEid& eid, net::GroupId group) {
-  const std::size_t i = find_slot(eid);
-  if (i == SIZE_MAX) return false;
-  slots_[i].value.group = group;
-  return true;
-}
-
-std::size_t VrfSet::size(net::VnId vn) const {
-  std::size_t n = 0;
-  for (const Slot& s : slots_) {
-    if (s.state == SlotState::Occupied && s.key.vn == vn) ++n;
-  }
-  return n;
-}
-
-void VrfSet::walk(
-    const std::function<void(const net::VnEid&, const LocalEntry&)>& visit) const {
-  std::vector<const Slot*> ordered;
-  ordered.reserve(size_);
-  for (const Slot& s : slots_) {
-    if (s.state == SlotState::Occupied) ordered.push_back(&s);
-  }
-  // Deterministic walk order regardless of hash layout: VN, then EID
-  // (families group together because Eid orders by family first).
-  std::sort(ordered.begin(), ordered.end(), [](const Slot* a, const Slot* b) {
-    if (a->key.vn != b->key.vn) return a->key.vn < b->key.vn;
-    return a->key.eid < b->key.eid;
+  Record& record = records_[slot];
+  record.endpoint = endpoint;
+  record.live = true;
+  record.identity_count = 0;
+  for_each_identity(endpoint, [&](const net::VnEid& eid) {
+    by_eid_.erase(eid, eid_of());  // the latest attachment owns the identity
+    const std::uint32_t k = record.identity_count++;
+    record.identities[k] = eid;
+    by_eid_.insert(eid, slot * kMaxIdentities + k, eid_of());
   });
-  for (const Slot* s : ordered) visit(s->key, s->value);
+  by_mac_.insert(endpoint.mac, slot, mac_of());
+  return slot;
+}
+
+const AttachedEndpoint* VrfSet::remove(const net::MacAddress& mac) {
+  const Slot slot = by_mac_.erase(mac, mac_of());
+  if (slot == kNoSlot) return nullptr;
+  Record& record = records_[slot];
+  for (std::uint32_t k = 0; k < record.identity_count; ++k) {
+    // Unindex only what is still ours: a later attachment may hold it.
+    const net::VnEid& eid = record.identities[k];
+    if (by_eid_.find(eid, eid_of()) == slot * kMaxIdentities + k) by_eid_.erase(eid, eid_of());
+  }
+  record.live = false;
+  free_.push_back(slot);
+  return &record.endpoint;
+}
+
+bool VrfSet::retag(const net::MacAddress& mac, net::GroupId group) {
+  const Slot slot = by_mac_.find(mac, mac_of());
+  if (slot == kNoSlot) return false;
+  records_[slot].endpoint.group = group;
+  return true;
 }
 
 void VrfSet::clear() {
-  slots_.clear();
-  size_ = 0;
-  tombstones_ = 0;
+  records_.clear();
+  free_.clear();
+  by_eid_.clear();
+  by_mac_.clear();
 }
 
 }  // namespace sda::dataplane

@@ -1,23 +1,27 @@
-// Per-VN virtual routing and forwarding table for locally attached
-// endpoints.
+// The endpoints attached to one edge router, and its per-VN VRFs over them.
 //
-// Each entry maps an overlay EID to the switch port it lives behind plus
-// the endpoint's GroupId — the (Overlay IP, GroupId) association the egress
-// pipeline's first stage resolves (paper Fig. 4). Entries are created by
-// host onboarding and removed on detach, which is what keeps the GroupId
-// fresh under egress enforcement (§5.3).
-//
-// Lookups are exact host matches, so the table is a single open-addressed
-// flat hash probed once on the combined (VN, EID) key — the previous
-// std::map<VnId, three Patricia tries> layout cost a red-black descent plus
-// a bit-trie walk per packet. Linear probing over a power-of-two slot
-// vector keeps the probe sequence in one or two cache lines.
+// Each attached endpoint is one record in a recycled slab with dense u32
+// slots, in the flat preallocated per-port state idiom of software NFs: no
+// node per endpoint, and a steady population attaches and detaches without
+// allocating. Two lisp::FlatIndex views key into the slab:
+//   * every identity of an endpoint (IPv4, IPv6 and MAC EID, within its
+//     VN) -> slot. This is the VRF of paper Fig. 4: an exact host match on
+//     the combined (VN, EID) key yields the record, whose (port, GroupId)
+//     feed the egress pipeline's SGACL stage (§5.3). VN isolation is part
+//     of the key, not a table of tables;
+//   * MAC -> slot, for the access port's side of the edge.
+// Both views delete by backward shift, so roaming churn leaves no
+// tombstones for later probes to walk past. A slot handed out by install()
+// lets a caller that already knows the endpoint reach it without a probe.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "lisp/flat_index.hpp"
 #include "net/eid.hpp"
 #include "net/types.hpp"
 
@@ -25,57 +29,113 @@ namespace sda::dataplane {
 
 using PortId = std::uint16_t;
 
-struct LocalEntry {
-  PortId port = 0;
+/// A fully onboarded endpoint as the edge sees it.
+struct AttachedEndpoint {
+  net::MacAddress mac;
+  net::Ipv4Address ip;
+  std::optional<net::Ipv6Address> ipv6;  // SLAAC identity, when the VN has one
+  net::VnId vn;
   net::GroupId group;
-  net::MacAddress mac;  // for L2 delivery / ARP answers
-  friend bool operator==(const LocalEntry&, const LocalEntry&) = default;
+  PortId port = 0;
+  std::string credential;
+  bool register_mac = false;  // also index by MAC for L2 services (§3.5)
+  /// Access VLAN on the edge port, if the port is tagged. VLANs never
+  /// stretch across the fabric (§3.5 element i): the tag is validated and
+  /// stripped at ingress and re-applied at egress.
+  std::optional<std::uint16_t> vlan;
 };
 
-/// All VRFs of one router, keyed by (VN, EID). IPv4/IPv6/MAC EIDs share a
-/// VRF; VN isolation is part of the key, not a table-of-tables.
+/// Visits the endpoint's identities: IPv4, then IPv6 and MAC when present.
+template <typename F>
+void for_each_identity(const AttachedEndpoint& endpoint, F visit) {
+  visit(net::VnEid{endpoint.vn, net::Eid{endpoint.ip}});
+  if (endpoint.ipv6) visit(net::VnEid{endpoint.vn, net::Eid{*endpoint.ipv6}});
+  if (endpoint.register_mac) visit(net::VnEid{endpoint.vn, net::Eid{endpoint.mac}});
+}
+
+/// All VRFs of one router over its attached endpoints. Returned pointers
+/// stay valid until the next install() or remove().
 class VrfSet {
  public:
-  /// Installs (or replaces) a local endpoint entry.
-  void install(const net::VnEid& eid, const LocalEntry& entry);
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = lisp::FlatIndex<net::MacAddress>::kNone;
 
-  /// Removes an entry; true if present.
-  bool remove(const net::VnEid& eid);
+  /// Attaches `endpoint`, replacing any endpoint with its MAC, and indexes
+  /// it under each of its identities (an identity another endpoint held
+  /// moves to this one). Returns the endpoint's slot.
+  Slot install(const AttachedEndpoint& endpoint);
 
-  /// Exact host lookup within the VN. The returned pointer is valid until
-  /// the next install/remove/clear.
-  [[nodiscard]] const LocalEntry* lookup(const net::VnEid& eid) const;
+  /// Removes the endpoint with `mac`. Returns its record, readable until
+  /// the next install(), or nullptr if no such endpoint is attached.
+  const AttachedEndpoint* remove(const net::MacAddress& mac);
 
-  /// Updates just the GroupId of an existing entry (re-authentication after
-  /// a policy change); true if the entry exists.
-  bool retag(const net::VnEid& eid, net::GroupId group);
+  /// VRF lookup: exact host match on any identity within the VN.
+  [[nodiscard]] const AttachedEndpoint* lookup(const net::VnEid& eid) const;
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t size(net::VnId vn) const;
+  /// The endpoint attached with `mac`.
+  [[nodiscard]] const AttachedEndpoint* find(const net::MacAddress& mac) const;
 
-  /// Visits every entry in deterministic (VN, family, EID) order.
-  void walk(const std::function<void(const net::VnEid&, const LocalEntry&)>& visit) const;
+  /// The endpoint in `slot`, if that slot still holds `mac`: no probe.
+  [[nodiscard]] const AttachedEndpoint* at(Slot slot, const net::MacAddress& mac) const {
+    if (slot >= records_.size()) return nullptr;
+    const Record& record = records_[slot];
+    return record.live && record.endpoint.mac == mac ? &record.endpoint : nullptr;
+  }
+
+  /// Updates the GroupId of the endpoint with `mac` (re-authentication
+  /// after a policy change); true if it is attached.
+  bool retag(const net::MacAddress& mac, net::GroupId group);
+
+  /// Identities indexed, across every VN.
+  [[nodiscard]] std::size_t size() const { return by_eid_.size(); }
+  [[nodiscard]] std::size_t endpoint_count() const { return by_mac_.size(); }
+
+  /// Visits every attached endpoint in slot order.
+  template <typename F>
+  void for_each(F visit) const {
+    for (const Record& record : records_) {
+      if (record.live) visit(record.endpoint);
+    }
+  }
 
   void clear();
 
  private:
-  enum class SlotState : std::uint8_t { Empty, Occupied, Tombstone };
+  /// IPv4, IPv6 and MAC. An identity's index entry is
+  /// slot * kMaxIdentities + its position in the record.
+  static constexpr std::uint32_t kMaxIdentities = 3;
 
-  struct Slot {
-    net::VnEid key;
-    LocalEntry value;
-    SlotState state = SlotState::Empty;
+  struct Record {
+    std::array<net::VnEid, kMaxIdentities> identities;  // the keys by_eid_ reads
+    std::uint32_t identity_count = 0;
+    bool live = false;
+    AttachedEndpoint endpoint;
   };
 
-  /// Probe for `eid`: index of its occupied slot, or SIZE_MAX.
-  [[nodiscard]] std::size_t find_slot(const net::VnEid& eid) const;
+  [[nodiscard]] auto eid_of() const {
+    return [this](std::uint32_t e) -> const net::VnEid& {
+      return records_[e / kMaxIdentities].identities[e % kMaxIdentities];
+    };
+  }
+  [[nodiscard]] auto mac_of() const {
+    return [this](Slot slot) -> const net::MacAddress& { return records_[slot].endpoint.mac; };
+  }
 
-  /// Grows (or compacts tombstones) to keep the probe chains short.
-  void rehash(std::size_t min_capacity);
-
-  std::vector<Slot> slots_;       // power-of-two length, empty until first insert
-  std::size_t size_ = 0;          // occupied
-  std::size_t tombstones_ = 0;    // deleted-but-not-reclaimed
+  std::vector<Record> records_;
+  std::vector<Slot> free_;
+  lisp::FlatIndex<net::VnEid> by_eid_;
+  lisp::FlatIndex<net::MacAddress> by_mac_;
 };
+
+// Inline: both run on every packet.
+inline const AttachedEndpoint* VrfSet::lookup(const net::VnEid& eid) const {
+  const std::uint32_t e = by_eid_.find(eid, eid_of());
+  return e == kNoSlot ? nullptr : &records_[e / kMaxIdentities].endpoint;
+}
+
+inline const AttachedEndpoint* VrfSet::find(const net::MacAddress& mac) const {
+  const Slot slot = by_mac_.find(mac, mac_of());
+  return slot == kNoSlot ? nullptr : &records_[slot].endpoint;
+}
 
 }  // namespace sda::dataplane

@@ -1055,7 +1055,7 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
             result.elapsed = simulator_.now() - started;
             callback(result);
           });
-      edge.attach_endpoint(attached);
+      state.slot = edge.attach_endpoint(attached);
     });
   });
 }
@@ -1069,7 +1069,7 @@ std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> SdaFabric:
   const auto it = endpoints_.find(mac);
   if (it == endpoints_.end() || it->second.edge == kDetached) return {nullptr, nullptr};
   dataplane::EdgeRouter* edge = edges_[it->second.edge].get();
-  return {edge, edge->find_endpoint(mac)};
+  return {edge, edge->vrf().at(it->second.slot, mac)};
 }
 
 bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address destination,
@@ -1096,7 +1096,7 @@ bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address d
                          net::VnEid{attached->vn, net::Eid{destination}}};
     if (traced_flows_.insert(flow).second) telemetry_.tracer.arm(flow.first, flow.second);
   }
-  edge->endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(*attached, frame);
   return true;
 }
 
@@ -1118,7 +1118,7 @@ bool SdaFabric::endpoint_send_udp6(const net::MacAddress& mac,
   dgram.destination_port = dport;
   dgram.payload_size = payload_bytes;
   frame.l3 = dgram;
-  edge->endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(*attached, frame);
   return true;
 }
 
@@ -1148,7 +1148,7 @@ bool SdaFabric::endpoint_send_arp(const net::MacAddress& mac, net::Ipv4Address t
   arp.target_mac = net::MacAddress{};
   arp.target_ip = target;
   frame.l3 = arp;
-  edge->endpoint_transmit(mac, frame);
+  edge->endpoint_transmit(*attached, frame);
   return true;
 }
 

@@ -280,6 +280,7 @@ class SdaFabric {
   struct EndpointState {
     EndpointDefinition definition;
     std::uint32_t edge = kDetached;  // index into edges_
+    dataplane::VrfSet::Slot slot = 0;  // the edge's record of it, while attached
     dataplane::PortId port = 0;
     bool onboarding = false;
   };
@@ -294,9 +295,9 @@ class SdaFabric {
   /// The edge whose RLOC is `rloc`, if it is an edge's.
   [[nodiscard]] std::optional<std::uint32_t> edge_at(net::Ipv4Address rloc) const;
 
-  /// The edge hosting `mac` and its attachment there; the attachment is
-  /// nullptr when the MAC is unknown or attached nowhere (the send calls'
-  /// shared preamble).
+  /// The edge hosting `mac` and its attachment there, reached through the
+  /// recorded slot; the attachment is nullptr when the MAC is unknown or
+  /// attached nowhere (the send calls' shared preamble).
   [[nodiscard]] std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> sender_of(
       const net::MacAddress& mac);
 
