@@ -275,7 +275,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
     const net::VnEid mac_eid{frame.vn, net::Eid{frame.inner.destination_mac}};
     if (const AttachedEndpoint* target = local_.lookup(mac_eid)) {
       ++counters_.frames_delivered;
-      if (deliver_local_) deliver_local_(*target, frame.inner);
+      hand_to_port(*target, frame.inner);
     } else {
       ++counters_.no_route_drops;
     }
@@ -337,15 +337,19 @@ void EdgeRouter::egress_deliver(const AttachedEndpoint& destination, net::GroupI
 
   ++counters_.frames_delivered;
   trace_hop(destination.vn, frame, telemetry::HopKind::Deliver);
-  if (deliver_local_) {
-    if (destination.vlan) {
-      // Re-apply the destination port's access VLAN (§3.5 element i).
-      net::OverlayFrame tagged = frame;
-      tagged.vlan_id = destination.vlan;
-      deliver_local_(destination, tagged);
-    } else {
-      deliver_local_(destination, frame);
-    }
+  hand_to_port(destination, frame);
+}
+
+void EdgeRouter::hand_to_port(const AttachedEndpoint& destination,
+                              const net::OverlayFrame& frame) {
+  if (!deliver_local_) return;
+  if (destination.vlan) {
+    // Re-apply the destination port's access VLAN (§3.5 element i).
+    net::OverlayFrame tagged = frame;
+    tagged.vlan_id = destination.vlan;
+    deliver_local_(destination, tagged);
+  } else {
+    deliver_local_(destination, frame);
   }
 }
 
@@ -673,7 +677,7 @@ void EdgeRouter::forward_by_mac(const AttachedEndpoint& source, const net::Overl
     }
     ++counters_.frames_delivered;
     ++counters_.locally_switched;
-    if (deliver_local_) deliver_local_(*target, frame);
+    hand_to_port(*target, frame);
     return;
   }
 

@@ -337,6 +337,9 @@ class EdgeRouter {
   /// `destination` here.
   void egress_deliver(const AttachedEndpoint& destination, net::GroupId source_group,
                       bool policy_already_applied, const net::OverlayFrame& frame);
+  /// Hands an untagged overlay frame to `destination`'s port, tagged with
+  /// the port's access VLAN if it has one.
+  void hand_to_port(const AttachedEndpoint& destination, const net::OverlayFrame& frame);
 
   /// Encapsulates towards `rloc` and transmits.
   void encap_to(net::Ipv4Address rloc, const net::VnEid& destination, net::GroupId source_group,

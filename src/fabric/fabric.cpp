@@ -20,13 +20,6 @@ std::vector<std::string> names_of(const std::vector<std::unique_ptr<Router>>& ro
   return names;
 }
 
-std::uint64_t frame_flow_hash(const net::FabricFrame& frame) {
-  std::size_t h = std::hash<net::MacAddress>{}(frame.inner.source_mac);
-  h ^= std::hash<net::MacAddress>{}(frame.inner.destination_mac) << 1;
-  h ^= std::hash<net::VnId>{}(frame.vn) << 2;
-  return h;
-}
-
 }  // namespace
 
 SdaFabric::SdaFabric(sim::Simulator& simulator, FabricConfig config)
@@ -56,38 +49,47 @@ SdaFabric::~SdaFabric() = default;
 // Topology construction
 // ---------------------------------------------------------------------------
 
-net::Ipv4Address SdaFabric::next_rloc() {
-  const std::uint32_t suffix = next_rloc_suffix_++;
-  return net::Ipv4Address{(10u << 24) | (suffix & 0xFFFF)};
+SdaFabric::RlocOwner SdaFabric::add_fabric_node(const std::string& name, RlocOwner owner) {
+  assert(!finalized_);
+  const std::uint32_t suffix = next_rloc_suffix_++ & 0xFFFF;
+  owner.rloc = net::Ipv4Address{(10u << 24) | suffix};
+  owner.node = topology_.add_node(name, owner.rloc);
+  nodes_by_name_[name] = owner.node;
+  if (rloc_owner_.size() <= suffix) rloc_owner_.resize(suffix + 1);
+  rloc_owner_[suffix] = owner;
+  return owner;
+}
+
+const SdaFabric::RlocOwner* SdaFabric::owner_of(net::Ipv4Address rloc) const {
+  const std::uint32_t suffix = rloc.value() & 0xFFFF;
+  if (suffix >= rloc_owner_.size()) return nullptr;
+  const RlocOwner& owner = rloc_owner_[suffix];
+  // Suffix 0 is never handed out; its entry's RLOC is the unset 0.0.0.0.
+  if (owner.rloc != rloc || owner.node == underlay::kInvalidNode) return nullptr;
+  return &owner;
 }
 
 void SdaFabric::add_border(const std::string& name) {
-  assert(!finalized_);
-  const net::Ipv4Address rloc = next_rloc();
-  const underlay::NodeId node = topology_.add_node(name, rloc);
-  nodes_by_name_[name] = node;
+  const auto index = static_cast<std::uint32_t>(borders_.size());
+  const RlocOwner owner = add_fabric_node(name, {.border = true, .index = index});
 
   dataplane::BorderRouterConfig cfg;
   cfg.name = name;
-  cfg.rloc = rloc;
-  cfg.node = node;
+  cfg.rloc = owner.rloc;
+  cfg.node = owner.node;
   cfg.default_action = config_.default_action;
-  const auto index = static_cast<std::uint32_t>(borders_.size());
   borders_.push_back(std::make_unique<dataplane::BorderRouter>(simulator_, cfg));
   border_index_[name] = index;
-  rloc_owner_[rloc] = RlocOwner{true, index, node};
 }
 
 void SdaFabric::add_edge(const std::string& name) {
-  assert(!finalized_);
-  const net::Ipv4Address rloc = next_rloc();
-  const underlay::NodeId node = topology_.add_node(name, rloc);
-  nodes_by_name_[name] = node;
+  const auto index = static_cast<std::uint32_t>(edges_.size());
+  const RlocOwner owner = add_fabric_node(name, {.index = index});
 
   dataplane::EdgeRouterConfig cfg;
   cfg.name = name;
-  cfg.rloc = rloc;
-  cfg.node = node;
+  cfg.rloc = owner.rloc;
+  cfg.node = owner.node;
   cfg.map_cache_capacity = config_.edge_map_cache_capacity;
   cfg.register_ttl_seconds = config_.register_ttl_seconds;
   cfg.register_refresh_interval = config_.register_refresh_interval;
@@ -105,16 +107,11 @@ void SdaFabric::add_edge(const std::string& name) {
   cfg.rule_retry_interval = config_.rule_retry_interval;
   cfg.seed = config_.seed;  // mixed with the RLOC inside the router
   // border_rloc is filled in finalize() once the borders exist.
-  const auto index = static_cast<std::uint32_t>(edges_.size());
   edges_.push_back(std::make_unique<dataplane::EdgeRouter>(simulator_, cfg));
   edge_index_[name] = index;
-  rloc_owner_[rloc] = RlocOwner{false, index, node};
 }
 
-void SdaFabric::add_underlay_node(const std::string& name) {
-  assert(!finalized_);
-  nodes_by_name_[name] = topology_.add_node(name, next_rloc());
-}
+void SdaFabric::add_underlay_node(const std::string& name) { add_fabric_node(name, {}); }
 
 void SdaFabric::link(const std::string& a, const std::string& b, sim::Duration latency,
                      std::uint32_t cost) {
@@ -443,6 +440,13 @@ void SdaFabric::register_telemetry() {
                      [this] { return static_cast<double>(frames_in_flight()); });
   reg.register_gauge("fabric.control_in_flight",
                      [this] { return static_cast<double>(control_in_flight()); });
+  // The event loop: work done, work pending, and the queue holding it
+  // (pending events plus not yet swept tombstones of cancelled ones).
+  reg.register_counter("sim.events_executed", [this] { return simulator_.executed_events(); });
+  reg.register_gauge("sim.pending_events",
+                     [this] { return static_cast<double>(simulator_.pending_events()); });
+  reg.register_gauge("sim.queued_entries",
+                     [this] { return static_cast<double>(simulator_.queued_entries()); });
   onboard_ms_ = &reg.histogram("fabric.onboard_ms", {0.0, 500.0, 50});
   roam_ms_ = &reg.histogram("fabric.roam_ms", {0.0, 500.0, 50});
   first_packet_us_ = &reg.histogram("fabric.first_packet_us", {0.0, 20'000.0, 50});
@@ -1404,7 +1408,11 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
   const std::uint32_t slot = free_frames_.back();
   free_frames_.pop_back();
   frames_[slot] = frame;
-  auto arrive = [this, slot] {
+  // The receiving router, resolved once here rather than again on arrival.
+  const RlocOwner* to = owner_of(frame.outer_destination);
+  const bool border = to != nullptr && to->border;
+  const std::uint32_t index = to != nullptr ? to->index : kDetached;
+  auto arrive = [this, slot, border, index] {
     // Move the frame out first: receiving it can dispatch again and grow
     // the slab.
     const net::FabricFrame arrived = release_frame(slot);
@@ -1414,16 +1422,18 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
                              arrived.outer_source.to_string() + " -> " +
                                  arrived.outer_destination.to_string());
     }
-    const auto to = rloc_owner_.find(arrived.outer_destination);
-    if (to != rloc_owner_.end() && to->second.border) {
-      borders_[to->second.index]->receive_fabric_frame(arrived);
-    } else if (to != rloc_owner_.end()) {
-      edges_[to->second.index]->receive_fabric_frame(arrived);
+    if (border) {
+      borders_[index]->receive_fabric_frame(arrived);
+    } else if (index != kDetached) {
+      edges_[index]->receive_fabric_frame(arrived);
     }
   };
   static_assert(sim::InlineAction::fits_inline<decltype(arrive)>);
-  if (underlay_->deliver(node_of_rloc(frame.outer_source), frame.outer_destination,
-                         frame_flow_hash(frame), frame.wire_size(), std::move(arrive))) {
+  const underlay::NodeId from = node_of_rloc(frame.outer_source);
+  assert(from != underlay::kInvalidNode);
+  // A foreign destination (kInvalidNode) is dropped as unreachable.
+  if (underlay_->deliver(from, to != nullptr ? to->node : underlay::kInvalidNode,
+                         frame.wire_size(), std::move(arrive))) {
     return;
   }
   (void)release_frame(slot);
@@ -1444,8 +1454,10 @@ bool SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::si
     simulator_.schedule_after(sim::Duration{0}, std::move(action));
     return true;
   }
-  return underlay_->deliver(node_of_rloc(from), to, std::hash<std::uint32_t>{}(from.value()),
-                            bytes, std::move(action), underlay::TrafficClass::Control);
+  const underlay::NodeId from_node = node_of_rloc(from);
+  assert(from_node != underlay::kInvalidNode);
+  return underlay_->deliver(from_node, node_of_rloc(to), bytes, std::move(action),
+                            underlay::TrafficClass::Control);
 }
 
 // ---------------------------------------------------------------------------
@@ -1574,15 +1586,14 @@ void SdaFabric::on_map_reply_arrival(std::uint32_t slot) {
 }
 
 underlay::NodeId SdaFabric::node_of_rloc(net::Ipv4Address rloc) const {
-  const auto owner = rloc_owner_.find(rloc);
-  assert(owner != rloc_owner_.end());
-  return owner->second.node;
+  const RlocOwner* owner = owner_of(rloc);
+  return owner != nullptr ? owner->node : underlay::kInvalidNode;
 }
 
 std::optional<std::uint32_t> SdaFabric::edge_at(net::Ipv4Address rloc) const {
-  const auto owner = rloc_owner_.find(rloc);
-  if (owner == rloc_owner_.end() || owner->second.border) return std::nullopt;
-  return owner->second.index;
+  const RlocOwner* owner = owner_of(rloc);
+  if (owner == nullptr || owner->border || owner->index == kDetached) return std::nullopt;
+  return owner->index;
 }
 
 dataplane::EdgeRouter& SdaFabric::edge(const std::string& name) {

@@ -285,12 +285,20 @@ class SdaFabric {
     bool onboarding = false;
   };
 
-  /// The router behind an edge or border RLOC, and its underlay node.
+  /// The node behind an RLOC the fabric handed out: its underlay node and,
+  /// for an edge or border, the router (index kDetached for a plain
+  /// underlay node).
   struct RlocOwner {
+    net::Ipv4Address rloc;
     bool border = false;
-    std::uint32_t index = 0;  // into borders_ or edges_
-    underlay::NodeId node = 0;
+    std::uint32_t index = kDetached;  // into borders_ or edges_
+    underlay::NodeId node = underlay::kInvalidNode;
   };
+  /// Adds `name` to the underlay at a fresh RLOC owned as `owner` says.
+  RlocOwner add_fabric_node(const std::string& name, RlocOwner owner);
+  /// The owner of `rloc`, or nullptr for an address the fabric never
+  /// handed out. One indexed load: no hashing.
+  [[nodiscard]] const RlocOwner* owner_of(net::Ipv4Address rloc) const;
 
   /// The edge whose RLOC is `rloc`, if it is an edge's.
   [[nodiscard]] std::optional<std::uint32_t> edge_at(net::Ipv4Address rloc) const;
@@ -353,8 +361,9 @@ class SdaFabric {
   /// The Map-Reply reached its requester.
   void on_map_reply_arrival(std::uint32_t slot);
 
+  /// The underlay node owning `rloc`, or kInvalidNode (which the underlay
+  /// treats as unreachable) for a foreign address.
   [[nodiscard]] underlay::NodeId node_of_rloc(net::Ipv4Address rloc) const;
-  [[nodiscard]] net::Ipv4Address next_rloc();
 
   /// The routing server `edge_rloc`'s group should use right now: its home
   /// server, or — with HA failover on and the home declared down — the
@@ -421,7 +430,9 @@ class SdaFabric {
   std::vector<std::unique_ptr<dataplane::BorderRouter>> borders_;
   std::unordered_map<std::string, std::uint32_t> edge_index_;
   std::unordered_map<std::string, std::uint32_t> border_index_;
-  std::unordered_map<net::Ipv4Address, RlocOwner> rloc_owner_;
+  /// Indexed by the RLOC's 16-bit suffix, which the fabric hands out in
+  /// sequence from 1 (so the table is dense).
+  std::vector<RlocOwner> rloc_owner_;
   /// In-flight data frames (a recycled slab) and its free slots.
   std::vector<net::FabricFrame> frames_;
   std::vector<std::uint32_t> free_frames_;

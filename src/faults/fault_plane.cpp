@@ -13,7 +13,7 @@ FaultPlane::FaultPlane(sim::Simulator& simulator, underlay::UnderlayNetwork& net
                        std::uint64_t seed)
     : simulator_(simulator), network_(network), rng_(seed) {
   network_.set_fault_injector(
-      [this](underlay::NodeId, net::Ipv4Address, std::size_t, std::uint32_t hops,
+      [this](underlay::NodeId, underlay::NodeId, std::size_t, std::uint32_t hops,
              underlay::TrafficClass cls) { return decide(hops, cls); });
 }
 

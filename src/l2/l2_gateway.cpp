@@ -15,14 +15,16 @@ void L2Gateway::handle_broadcast(dataplane::EdgeRouter& router,
 
   const net::VnEid target_ip_eid{source.vn, net::Eid{frame.arp().target_ip}};
 
-  // Fast path: target attached to the same edge — answer via local pipeline.
+  // Fast path: target attached to the same edge — answer via the local L2
+  // pipeline. The frame already passed the source port's ingress checks
+  // (its VLAN tag is stripped), so it must not run them again.
   if (const dataplane::AttachedEndpoint* local = router.find_endpoint(target_ip_eid)) {
     ++counters_.answered_locally;
     net::OverlayFrame unicast = frame;
     unicast.destination_mac = local->mac;
     auto& arp = std::get<net::ArpPacket>(unicast.l3);
     arp.target_mac = local->mac;
-    router.endpoint_transmit(source.mac, unicast);
+    router.forward_by_mac(source, unicast);
     return;
   }
 

@@ -13,6 +13,10 @@
 // marks). cancel() is an O(1) generation check — tombstoned queue entries
 // are popped lazily, and because the generation advances on every execute
 // *and* cancel, a stale entry or handle can never touch a recycled slot.
+// Timers that are armed and almost always cancelled (a Map-Request's 1 s
+// retransmit) would pile up tombstones until their deadlines, so once
+// tombstones outnumber live events by more than kTombstoneSlack, cancel()
+// sweeps them out and re-heapifies: amortized O(1) per cancel.
 // schedule/step are defined inline here: one closure move in, one out, no
 // out-of-line calls on the per-event path.
 #pragma once
@@ -84,7 +88,7 @@ class Simulator {
   }
 
   /// Cancels a pending event; no-op if it already ran or was cancelled.
-  /// Returns true if the event was still pending. O(1).
+  /// Returns true if the event was still pending. Amortized O(1).
   bool cancel(EventHandle handle) {
     if (!handle.valid() || handle.slot_ >= slots_.size()) return false;
     // Only a still-pending event can be cancelled: execution and
@@ -93,6 +97,7 @@ class Simulator {
     // mismatches here and the cancel is a counted-for no-op.
     if (slots_[handle.slot_].generation != handle.generation_) return false;
     recycle(handle.slot_);
+    if (heap_.size() > 2 * live_ + kTombstoneSlack) sweep_cancelled();
     return true;
   }
 
@@ -131,6 +136,13 @@ class Simulator {
 
   [[nodiscard]] std::size_t pending_events() const { return live_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
+  /// Pending events plus tombstones not yet swept or popped. Right after a
+  /// cancel that found its event pending, at most 2 * pending_events() +
+  /// kTombstoneSlack; executions may leave it above that until the next.
+  [[nodiscard]] std::size_t queued_entries() const { return heap_.size(); }
+
+  /// Tombstones tolerated beyond the live-event count before a sweep.
+  static constexpr std::size_t kTombstoneSlack = 64;
 
  private:
   /// What sits in the heap: a trivially-copyable stub. The action itself
@@ -166,9 +178,12 @@ class Simulator {
   void heap_pop() {
     const QueuedEvent last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  /// Places `event` at or below index `i`, whose old entry is vacated.
+  void sift_down(std::size_t i, const QueuedEvent event) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
     while (true) {
       const std::size_t first_child = 4 * i + 1;
       if (first_child >= n) break;
@@ -177,12 +192,17 @@ class Simulator {
       for (std::size_t c = first_child + 1; c < end_child; ++c) {
         if (earlier(heap_[c], heap_[best])) best = c;
       }
-      if (!earlier(heap_[best], last)) break;
+      if (!earlier(heap_[best], event)) break;
       heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = last;
+    heap_[i] = event;
   }
+
+  /// Drops every tombstone and rebuilds the heap bottom-up in O(n). Keys
+  /// (when, sequence) are unique, so pops keep the exact same order. Out of
+  /// line: it runs once per ~kTombstoneSlack cancels at most.
+  void sweep_cancelled();
 
   /// Pops cancelled (generation-mismatched) events off the queue head.
   void skip_cancelled() {

@@ -34,12 +34,11 @@ bool UnderlayNetwork::reachable(NodeId node, net::Ipv4Address rloc) {
   return table(node).reachable(*dest);
 }
 
-std::optional<UnderlayNetwork::ResolvedRoute> UnderlayNetwork::resolve_route(
-    NodeId from, net::Ipv4Address to_rloc) {
-  const auto dest = topology_.node_by_loopback(to_rloc);
-  if (!dest) return std::nullopt;
-  if (*dest == from) return ResolvedRoute{true, nullptr};
-  const SpfRoute* route = table(from).route(*dest);
+std::optional<UnderlayNetwork::ResolvedRoute> UnderlayNetwork::resolve_route(NodeId from,
+                                                                             NodeId to) {
+  if (to >= topology_.node_count()) return std::nullopt;
+  if (to == from) return ResolvedRoute{true, nullptr};
+  const SpfRoute* route = table(from).route(to);
   if (!route) return std::nullopt;
   return ResolvedRoute{false, route};
 }
@@ -65,19 +64,19 @@ std::optional<sim::Duration> UnderlayNetwork::transit_delay(NodeId from,
   (void)flow_hash;  // ECMP member choice does not change modeled latency
                     // (equal-cost paths share the metric); the hash is kept
                     // in the signature for per-flow pinning extensions.
-  const auto resolved = resolve_route(from, to_rloc);
+  const auto dest = topology_.node_by_loopback(to_rloc);
+  if (!dest) return std::nullopt;
+  const auto resolved = resolve_route(from, *dest);
   if (!resolved) return std::nullopt;
   return modeled_delay(*resolved, bytes);
 }
 
-bool UnderlayNetwork::deliver(NodeId from, net::Ipv4Address to_rloc, std::uint64_t flow_hash,
-                              std::size_t bytes, sim::InlineAction on_arrival,
-                              TrafficClass cls) {
-  (void)flow_hash;
+bool UnderlayNetwork::deliver(NodeId from, NodeId to, std::size_t bytes,
+                              sim::InlineAction on_arrival, TrafficClass cls) {
   // Resolve the SPF route exactly once: the delay model and the fault
   // injector's hop count used to each recompute it (up to three lookups
   // per packet).
-  const auto resolved = resolve_route(from, to_rloc);
+  const auto resolved = resolve_route(from, to);
   if (!resolved) {
     ++unreachable_drops_;
     return false;
@@ -86,7 +85,7 @@ bool UnderlayNetwork::deliver(NodeId from, net::Ipv4Address to_rloc, std::uint64
   sim::Duration jitter{0};
   if (fault_injector_) {
     const std::uint32_t hops = resolved->self ? 0 : resolved->route->hop_count;
-    const FaultDecision decision = fault_injector_(from, to_rloc, bytes, hops, cls);
+    const FaultDecision decision = fault_injector_(from, to, bytes, hops, cls);
     if (decision.drop) {
       ++fault_drops_;
       return false;

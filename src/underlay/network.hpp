@@ -76,16 +76,16 @@ class UnderlayNetwork {
   /// Consulted once per deliver() after routing succeeds; may drop the
   /// packet or add jitter. `hops` is the path hop count so loss models can
   /// compound per-link probabilities.
-  using FaultInjector = std::function<FaultDecision(NodeId from, net::Ipv4Address to_rloc,
-                                                    std::size_t bytes, std::uint32_t hops,
-                                                    TrafficClass cls)>;
+  using FaultInjector = std::function<FaultDecision(NodeId from, NodeId to, std::size_t bytes,
+                                                    std::uint32_t hops, TrafficClass cls)>;
 
-  /// Delivers after the transit delay; returns false (and drops) when the
-  /// destination is unreachable at send time or a fault injector drops the
-  /// packet in transit. The SPF route is resolved exactly once per call and
-  /// shared between the delay model and the fault injector's hop count.
-  bool deliver(NodeId from, net::Ipv4Address to_rloc, std::uint64_t flow_hash, std::size_t bytes,
-               sim::InlineAction on_arrival, TrafficClass cls = TrafficClass::Data);
+  /// Delivers from node `from` to node `to` after the transit delay;
+  /// returns false (and drops) when `to` is unreachable at send time (or
+  /// not a node, e.g. kInvalidNode) or a fault injector drops the packet in
+  /// transit. The SPF route is resolved exactly once per call and shared
+  /// between the delay model and the fault injector's hop count.
+  bool deliver(NodeId from, NodeId to, std::size_t bytes, sim::InlineAction on_arrival,
+               TrafficClass cls = TrafficClass::Data);
 
   /// Installs (or clears, with nullptr) the fault interposer.
   void set_fault_injector(FaultInjector injector) { fault_injector_ = std::move(injector); }
@@ -115,15 +115,14 @@ class UnderlayNetwork {
     std::unordered_map<net::Ipv4Address, bool> last_view;
   };
 
-  /// One-probe route resolution shared by transit_delay() and deliver():
-  /// `self` means from == destination node (zero-hop delivery); otherwise
+  /// Route resolution shared by transit_delay() and deliver(): `self`
+  /// means from == to (zero-hop delivery); otherwise
   /// `route` is the SPF route, or nullptr when unreachable.
   struct ResolvedRoute {
     bool self = false;
     const SpfRoute* route = nullptr;
   };
-  [[nodiscard]] std::optional<ResolvedRoute> resolve_route(NodeId from,
-                                                           net::Ipv4Address to_rloc);
+  [[nodiscard]] std::optional<ResolvedRoute> resolve_route(NodeId from, NodeId to);
   [[nodiscard]] sim::Duration modeled_delay(const ResolvedRoute& resolved,
                                             std::size_t bytes) const;
 

@@ -5,7 +5,8 @@
 //    allocation and costs exactly one simulator event;
 //  * first packet (§3.2.2): a map-cache miss — border hairpin, Map-Request,
 //    map-server job, Map-Reply, and a cache install that evicts — makes no
-//    heap allocation and costs exactly five simulator events;
+//    heap allocation and costs exactly five simulator events, and the
+//    retransmit timer its reply cancels does not linger in the event queue;
 //  * roam (Figs. 5 and 6): re-authentication, Map-Register, Map-Notify, one
 //    stale forward, one SMR and the sender's re-resolution cost exactly
 //    thirteen events, under an allocation ceiling that only comes down;
@@ -154,7 +155,15 @@ struct MissRun {
   std::uint64_t map_requests = 0;
   std::uint64_t evictions = 0;
   std::uint64_t hairpinned = 0;
+  /// Rounds that ended with more queue entries than
+  /// 2 * pending events + Simulator::kTombstoneSlack.
+  std::uint64_t tombstone_overflows = 0;
 };
+
+// Rounds of misses are paced this far apart in sim time, well inside the
+// 1 s Map-Request retransmit timeout, so every round's cancelled timers are
+// still due when the next round starts.
+constexpr sim::Duration kMissRoundSpacing = std::chrono::milliseconds{2};
 
 MissRun run_misses(bool telemetry, int warmup, int rounds) {
   FabricConfig config = campus_config(telemetry);
@@ -165,7 +174,14 @@ MissRun run_misses(bool telemetry, int warmup, int rounds) {
   // per request; size them so the measured rounds never regrow them.
   fabric.map_server_node().reserve_sojourn_samples(
       static_cast<std::size_t>(warmup + rounds) * kEdges);
+  // A fabric in service always has some earlier timer pending (a host's
+  // next send, a heartbeat). This one stands in for it, so the tombstones
+  // of cancelled retransmit timers queue up behind it instead of being
+  // popped off the head when a round drains.
+  const sim::EventHandle keepalive =
+      campus.sim.schedule_after(std::chrono::milliseconds{900}, [] {});
   std::size_t r = 0;
+  std::uint64_t tombstone_overflows = 0;
   const auto round = [&] {
     for (std::size_t e = 0; e < kEdges; ++e) {
       const std::size_t step = r + e;
@@ -175,7 +191,11 @@ MissRun run_misses(bool telemetry, int warmup, int rounds) {
                                            campus.ips[to_edge * kHostsPerEdge + to_slot], 5000,
                                            64));
     }
-    campus.sim.run();
+    campus.sim.run_until(campus.sim.now() + kMissRoundSpacing);
+    const sim::Simulator& sim = campus.sim;
+    if (sim.queued_entries() > 2 * sim.pending_events() + sim::Simulator::kTombstoneSlack) {
+      ++tombstone_overflows;
+    }
     ++r;
     return kEdges;
   };
@@ -198,6 +218,8 @@ MissRun run_misses(bool telemetry, int warmup, int rounds) {
   run.map_requests = after.map_requests - before.map_requests;
   run.evictions = after.evictions - before.evictions;
   run.hairpinned = after.hairpinned - before.hairpinned;
+  run.tombstone_overflows = tombstone_overflows;
+  EXPECT_TRUE(campus.sim.cancel(keepalive));  // rounds ended before it was due
   return run;
 }
 
@@ -230,6 +252,9 @@ void expect_misses_allocate_nothing(const MissRun& run, int rounds) {
   EXPECT_EQ(run.hairpinned, sends);    // every first packet rode the border
   EXPECT_EQ(run.path.events, kEventsPerMiss * sends);
   EXPECT_EQ(run.path.allocations, 0u);
+  // Each miss cancels its retransmit timer; the cancelled entries are
+  // swept out of the queue instead of waiting there for their deadline.
+  EXPECT_EQ(run.tombstone_overflows, 0u);
 }
 
 TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOn) {

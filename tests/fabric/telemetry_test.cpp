@@ -57,6 +57,12 @@ TEST_F(TelemetryFabric, RegistersPerNodeMetricsAndOnboardHistograms) {
   EXPECT_TRUE(snap.counters.count("edge[1].registers_sent"));
   EXPECT_TRUE(snap.counters.count("map_server.requests"));
   EXPECT_TRUE(snap.gauges.count("edge[0].fib_size"));
+  // The event loop's counters sit beside the fabric's slab gauges.
+  EXPECT_TRUE(snap.gauges.count("fabric.frames_in_flight"));
+  EXPECT_GT(snap.counters.at("sim.events_executed"), 0u);
+  EXPECT_EQ(snap.counters.at("sim.events_executed"), sim_.executed_events());
+  EXPECT_EQ(snap.gauges.at("sim.pending_events"), 0.0);  // quiesced
+  EXPECT_TRUE(snap.gauges.count("sim.queued_entries"));
   // Both onboards landed in the latency histogram.
   EXPECT_EQ(snap.histograms.at("fabric.onboard_ms").total, 2u);
   // Registrations actually happened and the probes see them.

@@ -46,10 +46,10 @@ struct PlaneFixture : ::testing::Test {
     plane = std::make_unique<FaultPlane>(sim, *net, 0xFA01);
   }
 
-  int send_data(int count, Ipv4Address to) {
+  int send_data(int count, underlay::NodeId to) {
     int arrived = 0;
     for (int i = 0; i < count; ++i) {
-      net->deliver(a, to, 0, 100, [&] { ++arrived; });
+      net->deliver(a, to, 100, [&] { ++arrived; });
     }
     sim.run();
     return arrived;
@@ -68,10 +68,10 @@ TEST_F(PlaneFixture, DataLossDoesNotTouchControlTraffic) {
   total.loss = 1.0;
   plane->set_data_loss(total);
 
-  EXPECT_EQ(send_data(10, rloc(3)), 0);
+  EXPECT_EQ(send_data(10, c), 0);
   int control_arrived = 0;
   for (int i = 0; i < 10; ++i) {
-    net->deliver(a, rloc(3), 0, 100, [&] { ++control_arrived; },
+    net->deliver(a, c, 100, [&] { ++control_arrived; },
                  underlay::TrafficClass::Control);
   }
   sim.run();
@@ -85,9 +85,9 @@ TEST_F(PlaneFixture, DisarmRestoresLosslessDelivery) {
   LossModel total;
   total.loss = 1.0;
   plane->set_data_loss(total);
-  EXPECT_EQ(send_data(5, rloc(3)), 0);
+  EXPECT_EQ(send_data(5, c), 0);
   plane->disarm();
-  EXPECT_EQ(send_data(5, rloc(3)), 5);
+  EXPECT_EQ(send_data(5, c), 5);
 }
 
 TEST(FaultPlaneDeterminism, LossIsDeterministicForFixedSeed) {
@@ -104,7 +104,7 @@ TEST(FaultPlaneDeterminism, LossIsDeterministicForFixedSeed) {
     plane.set_data_loss(lossy);
     int arrived = 0;
     for (int i = 0; i < 200; ++i) {
-      net.deliver(a, rloc(2), 0, 100, [&] { ++arrived; });
+      net.deliver(a, b, 100, [&] { ++arrived; });
     }
     sim.run();
     return std::pair{arrived, plane.counters().data_drops};
@@ -121,9 +121,9 @@ TEST_F(PlaneFixture, PerHopLossCompoundsWithPathLength) {
   per_hop.per_hop_loss = 0.4;
   plane->set_data_loss(per_hop);
   // a->b crosses one link; a->c crosses two, so more packets must die.
-  send_data(400, rloc(2));
+  send_data(400, b);
   const auto one_hop_drops = plane->counters().data_drops;
-  send_data(400, rloc(3));
+  send_data(400, c);
   const auto two_hop_drops = plane->counters().data_drops - one_hop_drops;
   EXPECT_GT(one_hop_drops, 100u);  // ~40% of 400
   EXPECT_GT(two_hop_drops, one_hop_drops);
@@ -134,7 +134,7 @@ TEST_F(PlaneFixture, ExtraJitterDelaysButDelivers) {
   jittery.extra_jitter_chance = 1.0;
   jittery.extra_jitter_max = milliseconds{1};
   plane->set_data_loss(jittery);
-  EXPECT_EQ(send_data(5, rloc(3)), 5);
+  EXPECT_EQ(send_data(5, c), 5);
   EXPECT_EQ(plane->counters().delays_injected, 5u);
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace sda::sim {
 namespace {
@@ -256,6 +261,124 @@ TEST(Simulator, ManyRecyclesKeepStaleHandlesInert) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
   EXPECT_TRUE(live_ran);
+}
+
+// Random schedule / cancel / step / run_until traffic against a reference
+// model: the pending events as an ordered set of (when, sequence). Besides
+// short events, the traffic arms far-off timers and mostly cancels them
+// soon after, oldest first, as Map-Request replies cancel their retransmit
+// timers. A self-rescheduling ticker keeps an earlier event pending at all
+// times, as a workload's traffic does, so the cancelled timers' tombstones
+// never reach the queue's head and pile up unless cancel() sweeps them.
+class ModelRun {
+ public:
+  explicit ModelRun(std::uint64_t seed) : rng_(seed) { ticker_ = schedule(Duration{1}); }
+
+  void run(int operations) {
+    for (int op = 0; op < operations; ++op) {
+      const double pick = rng_.uniform();
+      if (pick < 0.30) {
+        schedule(Duration{rng_.uniform_int(0, 50)});
+      } else if (pick < 0.50) {
+        armed_.push_back(schedule(Duration{1'000'000 + rng_.uniform_int(0, 1000)}));
+      } else if (pick < 0.70) {
+        cancel_one();
+      } else if (pick < 0.85) {
+        const std::uint64_t before = executed_;
+        EXPECT_TRUE(sim_.step());  // the ticker is always pending
+        EXPECT_EQ(executed_, before + 1);
+      } else {
+        const SimTime until = sim_.now() + Duration{rng_.uniform_int(0, 100)};
+        sim_.run_until(until);
+        EXPECT_EQ(sim_.now(), until);
+        ASSERT_FALSE(model_.empty());
+        EXPECT_GT(model_.begin()->first, until);
+      }
+      EXPECT_EQ(sim_.pending_events(), model_.size());
+    }
+    stopping_ = true;
+    sim_.run();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_FALSE(sim_.step());
+    EXPECT_EQ(sim_.queued_entries(), 0u);
+  }
+
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t live_cancels() const { return live_cancels_; }
+  [[nodiscard]] std::uint64_t bound_violations() const { return bound_violations_; }
+
+ private:
+  std::uint64_t schedule(Duration delay) {
+    const std::uint64_t id = handles_.size();
+    const SimTime when = sim_.now() + delay;
+    when_.push_back(when);
+    model_.emplace(when, id);
+    handles_.push_back(sim_.schedule_at(when, [this, id] { execute(id); }));
+    return id;
+  }
+
+  // Mostly the oldest armed timer; otherwise any of the 64 most recent
+  // events, pending, run or already cancelled.
+  void cancel_one() {
+    std::uint64_t id = 0;
+    if (!armed_.empty() && rng_.chance(0.8)) {
+      id = armed_.front();
+      armed_.erase(armed_.begin());
+    } else {
+      const std::uint64_t window = std::min<std::uint64_t>(handles_.size(), 64);
+      id = handles_.size() - 1 - rng_.next_below(window);
+    }
+    if (id == ticker_) return;
+    const bool pending = model_.erase({when_[id], id}) == 1;
+    EXPECT_EQ(sim_.cancel(handles_[id]), pending);
+    if (!pending) return;
+    ++live_cancels_;
+    // Only a cancel leaves a tombstone, so that is where the bound holds;
+    // executions in between shrink the live count without sweeping.
+    if (sim_.queued_entries() > 2 * sim_.pending_events() + Simulator::kTombstoneSlack) {
+      ++bound_violations_;
+    }
+  }
+
+  void execute(std::uint64_t id) {
+    ASSERT_FALSE(model_.empty());
+    EXPECT_EQ(model_.begin()->second, id) << "executed out of (when, sequence) order";
+    EXPECT_EQ(sim_.now(), when_[id]);
+    model_.erase({when_[id], id});
+    ++executed_;
+    if (id == ticker_) {
+      if (!stopping_) ticker_ = schedule(Duration{rng_.uniform_int(1, 20)});
+      return;
+    }
+    // Events schedule and cancel too, so sweeps also happen mid-step.
+    if (rng_.chance(0.3)) schedule(Duration{rng_.uniform_int(0, 50)});
+    if (rng_.chance(0.3)) cancel_one();
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::set<std::pair<SimTime, std::uint64_t>> model_;
+  std::vector<EventHandle> handles_;  // by id (= schedule order)
+  std::vector<SimTime> when_;         // by id
+  std::vector<std::uint64_t> armed_;  // far-off timers, oldest first
+  std::uint64_t ticker_ = 0;
+  bool stopping_ = false;
+  std::uint64_t executed_ = 0;
+  std::uint64_t live_cancels_ = 0;
+  std::uint64_t bound_violations_ = 0;
+};
+
+TEST(Simulator, MatchesReferenceModelAndBoundsTombstones) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ModelRun run(seed);
+    run.run(4000);
+    EXPECT_EQ(run.bound_violations(), 0u);
+    // The traffic really cancels: without sweeps the cancelled timers'
+    // tombstones would overflow the bound many times over.
+    EXPECT_GT(run.live_cancels(), 8u * Simulator::kTombstoneSlack);
+    EXPECT_GT(run.executed(), 1000u);
+  }
 }
 
 TEST(SimTime, ArithmeticAndFormatting) {

@@ -45,7 +45,7 @@ TEST_F(NetworkFixture, TransitDelayToSelfIsZero) {
 
 TEST_F(NetworkFixture, DeliverSchedulesArrival) {
   bool arrived = false;
-  EXPECT_TRUE(net->deliver(a, rloc(3), 0, 100, [&] { arrived = true; }));
+  EXPECT_TRUE(net->deliver(a, c, 100, [&] { arrived = true; }));
   EXPECT_FALSE(arrived);
   sim.run();
   EXPECT_TRUE(arrived);
@@ -55,7 +55,15 @@ TEST_F(NetworkFixture, DeliverSchedulesArrival) {
 TEST_F(NetworkFixture, DeliverDropsWhenUnreachable) {
   topo.set_link_state(ab, false);
   bool arrived = false;
-  EXPECT_FALSE(net->deliver(a, rloc(3), 0, 100, [&] { arrived = true; }));
+  EXPECT_FALSE(net->deliver(a, c, 100, [&] { arrived = true; }));
+  sim.run();
+  EXPECT_FALSE(arrived);
+  EXPECT_EQ(net->unreachable_drops(), 1u);
+}
+
+TEST_F(NetworkFixture, DeliverDropsWhenDestinationIsNoNode) {
+  bool arrived = false;
+  EXPECT_FALSE(net->deliver(a, kInvalidNode, 100, [&] { arrived = true; }));
   sim.run();
   EXPECT_FALSE(arrived);
   EXPECT_EQ(net->unreachable_drops(), 1u);
