@@ -130,6 +130,7 @@ void BorderRouter::external_receive(net::VnId vn, net::GroupId source_group,
 }
 
 net::GroupId BorderRouter::rewritten_group(net::VnId vn, net::GroupId group) {
+  if (group_rewrites_.empty()) return group;  // no service insertion: no probe
   const auto it = group_rewrites_.find((std::uint64_t{vn.value()} << 16) | group.value());
   if (it == group_rewrites_.end()) return group;
   ++counters_.group_rewrites;

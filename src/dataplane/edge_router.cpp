@@ -638,7 +638,8 @@ void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
   // Flush any L3 frames parked while this EID resolved (classic-LISP mode
   // with a pending-packet queue). A negative reply drops them: the EID is
   // genuinely unknown and the negative cache entry stops re-resolution.
-  const auto l3 = pending_l3_.find(reply.eid);
+  // Both parking queues are almost always empty: skip their probes then.
+  const auto l3 = pending_l3_.empty() ? pending_l3_.end() : pending_l3_.find(reply.eid);
   if (l3 != pending_l3_.end()) {
     auto held = std::move(l3->second);
     pending_l3_.erase(l3);
@@ -654,6 +655,7 @@ void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
   }
 
   // Flush any L2 frames parked on this EID.
+  if (pending_l2_.empty()) return;
   const auto parked = pending_l2_.find(reply.eid);
   if (parked == pending_l2_.end()) return;
   auto frames = std::move(parked->second);

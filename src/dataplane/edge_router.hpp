@@ -423,8 +423,10 @@ class EdgeRouter {
 
   /// RLOCs currently unreachable per the IGP (LISP RLOC liveness, §5.1):
   /// mappings towards them are bypassed in favour of the border default.
+  /// Runs on every cached packet and the set is almost always empty, so
+  /// the common case costs no hash probe.
   [[nodiscard]] bool rloc_usable(net::Ipv4Address rloc) const {
-    return !down_rlocs_.contains(rloc);
+    return down_rlocs_.empty() || !down_rlocs_.contains(rloc);
   }
 
   std::unordered_set<net::Ipv4Address> down_rlocs_;
@@ -442,7 +444,7 @@ class EdgeRouter {
     sim::EventHandle timer;    // armed retransmit (cancelled by busy/reply)
   };
   /// Flat, so a miss's resolution allocates no table node.
-  lisp::FlatMap<net::VnEid, PendingRequest> pending_requests_;
+  lisp::FlatMap<net::VnEid, PendingRequest, net::VnEidHash> pending_requests_;
   /// Registrations awaiting their Map-Notify ack (reliable Map-Register);
   /// mirrors pending_requests_. ttl_seconds 0 marks a pending withdrawal.
   struct PendingRegister {
@@ -453,9 +455,9 @@ class EdgeRouter {
     sim::Duration timeout{0};
     sim::EventHandle timer;
   };
-  lisp::FlatMap<net::VnEid, PendingRegister> pending_registers_;
+  lisp::FlatMap<net::VnEid, PendingRegister, net::VnEidHash> pending_registers_;
   /// Flat and recycled: a warm edge records roams without allocating.
-  lisp::FlatMap<net::VnEid, MobilityRecord> mobility_;
+  lisp::FlatMap<net::VnEid, MobilityRecord, net::VnEidHash> mobility_;
   /// Frames parked while a MAC EID resolves (bounded per EID).
   std::unordered_map<net::VnEid, std::vector<std::pair<net::MacAddress, net::OverlayFrame>>>
       pending_l2_;

@@ -1,7 +1,5 @@
 #include "dataplane/sgacl.hpp"
 
-#include <vector>
-
 #include "telemetry/metrics.hpp"
 
 namespace sda::dataplane {
@@ -10,43 +8,51 @@ void Sgacl::install_destination_rules(net::VnId vn, net::GroupId destination,
                                       const std::vector<policy::Rule>& rules) {
   remove_destination_rules(vn, destination);
   for (const auto& rule : rules) {
-    rules_[Key{vn.value(), rule.pair.source.value(), rule.pair.destination.value()}] =
-        rule.action;
+    set_rule(rule_key(vn, rule.pair.source, rule.pair.destination), rule.action);
   }
-  provisioned_.insert(DestKey{vn.value(), destination.value()});
+  table_.insert(provisioned_key(vn, destination), policy::Action::Allow);
 }
 
 void Sgacl::remove_destination_rules(net::VnId vn, net::GroupId destination) {
-  std::vector<Key> doomed;
-  for (const auto& [key, action] : rules_) {
-    if (key.vn == vn.value() && key.dst == destination.value()) doomed.push_back(key);
-  }
-  for (const auto& key : doomed) rules_.erase(key);
-  provisioned_.erase(DestKey{vn.value(), destination.value()});
+  // Rules and the provisioning mark share (vn, destination) bits; erased
+  // slots are recycled, so a re-download of the same size allocates nothing.
+  const std::uint64_t group = rule_key(vn, net::GroupId::unknown(), destination);
+  constexpr std::uint64_t kGroupBits = (std::uint64_t{0xFFFFFF} << 32) | 0xFFFF;
+  table_.erase_if([&](std::uint64_t key, policy::Action) {
+    if ((key & kGroupBits) != group) return false;
+    if ((key & kProvisionedMark) == 0) --rule_count_;
+    return true;
+  });
 }
 
 bool Sgacl::provisioned(net::VnId vn, net::GroupId destination) const {
-  return provisioned_.contains(DestKey{vn.value(), destination.value()});
+  return table_.contains(provisioned_key(vn, destination));
 }
 
 void Sgacl::install_rule(net::VnId vn, const policy::Rule& rule) {
-  rules_[Key{vn.value(), rule.pair.source.value(), rule.pair.destination.value()}] = rule.action;
+  set_rule(rule_key(vn, rule.pair.source, rule.pair.destination), rule.action);
+}
+
+void Sgacl::set_rule(std::uint64_t key, policy::Action action) {
+  if (policy::Action* existing = table_.find(key)) {
+    *existing = action;
+    return;
+  }
+  table_.insert(key, action);
+  ++rule_count_;
 }
 
 policy::Action Sgacl::evaluate(net::VnId vn, net::GroupId source, net::GroupId destination) {
   policy::Action action = default_action_;
   if (source.is_unknown() || destination.is_unknown()) {
     action = policy::Action::Allow;
-  } else {
-    const auto it = rules_.find(Key{vn.value(), source.value(), destination.value()});
-    if (it != rules_.end()) {
-      action = it->second;
-    } else if (fail_mode_ == PolicyFailMode::Closed && !provisioned(vn, destination)) {
-      // The destination group's rules never arrived (policy-server outage):
-      // fail closed rather than apply a default the operator never chose.
-      action = policy::Action::Deny;
-      ++counters_.fail_closed_drops;
-    }
+  } else if (const policy::Action* rule = table_.find(rule_key(vn, source, destination))) {
+    action = *rule;
+  } else if (fail_mode_ == PolicyFailMode::Closed && !provisioned(vn, destination)) {
+    // The destination group's rules never arrived (policy-server outage):
+    // fail closed rather than apply a default the operator never chose.
+    action = policy::Action::Deny;
+    ++counters_.fail_closed_drops;
   }
   if (action == policy::Action::Allow) {
     ++counters_.permits;
@@ -55,8 +61,6 @@ policy::Action Sgacl::evaluate(net::VnId vn, net::GroupId source, net::GroupId d
   }
   return action;
 }
-
-std::size_t Sgacl::rule_count() const { return rules_.size(); }
 
 void Sgacl::register_metrics(telemetry::MetricsRegistry& registry,
                              const std::string& prefix) const {
@@ -70,8 +74,8 @@ void Sgacl::register_metrics(telemetry::MetricsRegistry& registry,
 }
 
 void Sgacl::clear() {
-  rules_.clear();
-  provisioned_.clear();
+  table_.clear();
+  rule_count_ = 0;
 }
 
 }  // namespace sda::dataplane

@@ -1,17 +1,16 @@
 // Group-based ACL (SGACL): the second stage of the egress pipeline.
 //
 // An exact-match table on (source GroupId, destination GroupId) enforcing
-// the connectivity matrix (paper Fig. 4). Per-rule hit counters feed the
-// Fig. 12 drop-rate analysis.
+// the connectivity matrix (paper Fig. 4): one flat, hash-tagged probe per
+// verdict. Per-rule hit counters feed the Fig. 12 drop-rate analysis.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "lisp/flat_index.hpp"
+#include "net/eid.hpp"
 #include "net/types.hpp"
 #include "policy/matrix.hpp"
 
@@ -63,7 +62,7 @@ class Sgacl {
   /// and the rules have not been removed since.
   [[nodiscard]] bool provisioned(net::VnId vn, net::GroupId destination) const;
 
-  [[nodiscard]] std::size_t rule_count() const;
+  [[nodiscard]] std::size_t rule_count() const { return rule_count_; }
 
   struct Counters {
     std::uint64_t permits = 0;
@@ -87,34 +86,31 @@ class Sgacl {
   void clear();
 
  private:
-  struct Key {
-    std::uint32_t vn;
-    std::uint16_t src;
-    std::uint16_t dst;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
+  /// One flat table holds both the rules and the provisioning marks: a rule
+  /// is keyed (vn << 32 | source << 16 | destination); the mark that
+  /// (vn, destination)'s download completed (even if the matrix row was
+  /// empty), which tells "no rule matched" from "rules missing", is keyed
+  /// kProvisionedMark | vn << 32 | destination.
+  static constexpr std::uint64_t kProvisionedMark = std::uint64_t{1} << 63;
+  [[nodiscard]] static std::uint64_t rule_key(net::VnId vn, net::GroupId source,
+                                              net::GroupId destination) {
+    return (std::uint64_t{vn.value()} << 32) | (std::uint64_t{source.value()} << 16) |
+           destination.value();
+  }
+  [[nodiscard]] static std::uint64_t provisioned_key(net::VnId vn, net::GroupId destination) {
+    return kProvisionedMark | rule_key(vn, net::GroupId::unknown(), destination);
+  }
   struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return (std::size_t{k.vn} << 32) ^ (std::size_t{k.src} << 16) ^ k.dst;
-    }
+    std::size_t operator()(std::uint64_t key) const noexcept { return net::hash_mix(key); }
   };
-  struct DestKey {
-    std::uint32_t vn;
-    std::uint16_t dst;
-    friend bool operator==(const DestKey&, const DestKey&) = default;
-  };
-  struct DestKeyHash {
-    std::size_t operator()(const DestKey& k) const noexcept {
-      return (std::size_t{k.vn} << 16) ^ k.dst;
-    }
-  };
+
+  /// Sets the rule for `key`, adding it if absent.
+  void set_rule(std::uint64_t key, policy::Action action);
 
   policy::Action default_action_;
   PolicyFailMode fail_mode_ = PolicyFailMode::Open;
-  std::unordered_map<Key, policy::Action, KeyHash> rules_;
-  // Destination groups whose rule download completed (even if the matrix
-  // row was empty) — distinguishes "no rule matched" from "rules missing".
-  std::unordered_set<DestKey, DestKeyHash> provisioned_;
+  lisp::FlatMap<std::uint64_t, policy::Action, KeyHash> table_;
+  std::size_t rule_count_ = 0;  // table_ entries that are rules, not marks
   Counters counters_;
 };
 

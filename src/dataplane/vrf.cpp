@@ -21,9 +21,9 @@ VrfSet::Slot VrfSet::install(const AttachedEndpoint& endpoint) {
     by_eid_.erase(eid, eid_of());  // the latest attachment owns the identity
     const std::uint32_t k = record.identity_count++;
     record.identities[k] = eid;
-    by_eid_.insert(eid, slot * kMaxIdentities + k, eid_of());
+    by_eid_.insert(eid, slot * kMaxIdentities + k);
   });
-  by_mac_.insert(endpoint.mac, slot, mac_of());
+  by_mac_.insert(endpoint.mac, slot);
   return slot;
 }
 

@@ -123,7 +123,7 @@ class VrfSet {
 
   std::vector<Record> records_;
   std::vector<Slot> free_;
-  lisp::FlatIndex<net::VnEid> by_eid_;
+  lisp::FlatIndex<net::VnEid, net::VnEidHash> by_eid_;
   lisp::FlatIndex<net::MacAddress> by_mac_;
 };
 

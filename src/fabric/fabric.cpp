@@ -319,9 +319,9 @@ void SdaFabric::finalize() {
   // hosting edge (§5.3); rule updates push to hosting edges (§5.4).
   policy_server_.set_endpoint_changed_callback(
       [this](const std::string& credential, const policy::EndpointPolicy& policy) {
-        const auto it = mac_by_credential_.find(credential);
-        if (it == mac_by_credential_.end()) return;
-        EndpointState& state = endpoints_.at(it->second);
+        const auto it = endpoint_by_credential_.find(credential);
+        if (it == endpoint_by_credential_.end()) return;
+        EndpointState& state = endpoints_[it->second];
         if (state.edge == kDetached) return;
         state.definition.group = policy.group;
         dataplane::EdgeRouter& hosting = *edges_[state.edge];
@@ -845,8 +845,15 @@ void SdaFabric::provision_endpoint(const EndpointDefinition& endpoint) {
                                     policy::EndpointPolicy{endpoint.vn, endpoint.group});
   EndpointState state;
   state.definition = endpoint;
-  endpoints_[endpoint.mac] = std::move(state);
-  mac_by_credential_[endpoint.credential] = endpoint.mac;
+  std::uint32_t index = endpoint_index(endpoint.mac);
+  if (index == kNoEndpoint) {
+    index = static_cast<std::uint32_t>(endpoints_.size());
+    endpoints_.push_back(std::move(state));
+    endpoint_by_mac_.insert(endpoint.mac, index);
+  } else {
+    endpoints_[index] = std::move(state);
+  }
+  endpoint_by_credential_[endpoint.credential] = index;
 }
 
 void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv4Prefix& prefix,
@@ -870,18 +877,18 @@ void SdaFabric::add_external_prefix(net::VnId vn, const net::Ipv4Prefix& prefix,
 
 void SdaFabric::connect_endpoint(const std::string& credential, const std::string& edge,
                                  dataplane::PortId port, OnboardCallback callback) {
-  const auto it = mac_by_credential_.find(credential);
-  if (it == mac_by_credential_.end())
+  const auto it = endpoint_by_credential_.find(credential);
+  if (it == endpoint_by_credential_.end())
     throw std::invalid_argument("unknown credential: " + credential);
-  onboard(endpoints_.at(it->second), edge_index_.at(edge), port, /*fast_reauth=*/false,
+  onboard(it->second, edge_index_.at(edge), port, /*fast_reauth=*/false,
           std::move(callback));
 }
 
 void SdaFabric::roam_endpoint(const net::MacAddress& mac, const std::string& new_edge,
                               dataplane::PortId port, OnboardCallback callback) {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end()) throw std::invalid_argument("unknown endpoint MAC");
-  EndpointState& state = it->second;
+  const std::uint32_t index = endpoint_index(mac);
+  if (index == kNoEndpoint) throw std::invalid_argument("unknown endpoint MAC");
+  EndpointState& state = endpoints_[index];
   const std::uint32_t target = edge_index_.at(new_edge);
   const bool moves = state.edge != kDetached && state.edge != target;
   std::uint64_t move_trace = 0;
@@ -897,22 +904,23 @@ void SdaFabric::roam_endpoint(const net::MacAddress& mac, const std::string& new
     edges_[state.edge]->detach_endpoint(mac, /*deregister=*/false);
     state.edge = kDetached;
   }
-  onboard(state, target, port, /*fast_reauth=*/true, std::move(callback), move_trace);
+  onboard(index, target, port, /*fast_reauth=*/true, std::move(callback), move_trace);
 }
 
 void SdaFabric::disconnect_endpoint(const net::MacAddress& mac) {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end() || it->second.edge == kDetached) return;
-  EndpointState& state = it->second;
+  const std::uint32_t index = endpoint_index(mac);
+  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return;
+  EndpointState& state = endpoints_[index];
   services_.withdraw_provider(state.definition.vn, mac);  // mDNS goodbye
   edges_[state.edge]->detach_endpoint(mac, /*deregister=*/true);
   state.edge = kDetached;
 }
 
-void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
+void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
                         dataplane::PortId port, bool fast_reauth, OnboardCallback callback,
                         std::uint64_t move_trace) {
   assert(finalized_);
+  EndpointState& state = endpoints_[endpoint];
   // An endpoint can only be attached in one place: a fresh connect while
   // attached elsewhere behaves like an unplug + replug.
   if (state.edge != kDetached && state.edge != edge_index) {
@@ -925,8 +933,8 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
   const EndpointDefinition def = state.definition;
   state.onboarding = true;
 
-  auto fail = [this, &state, def, edge_name, started, callback, move_trace](const char*) {
-    state.onboarding = false;
+  auto fail = [this, endpoint, def, edge_name, started, callback, move_trace](const char*) {
+    endpoints_[endpoint].onboarding = false;
     if (move_trace != 0) telemetry_.causal.abandon(move_trace);
     if (!callback) return;
     OnboardResult result;
@@ -970,7 +978,7 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
   const sim::SimTime cpu_done = reserve_policy_cpu(auth_cpu);
   const sim::SimTime auth_done = std::max(cpu_done, simulator_.now() + auth_client_delay);
 
-  simulator_.schedule_at(auth_done, [this, &state, &edge, def, edge_index, port, started,
+  simulator_.schedule_at(auth_done, [this, endpoint, &edge, def, edge_index, port, started,
                                      dhcp_delay, rules_delay, fail, callback, fast_reauth,
                                      move_trace] {
     // Step 1-2: authenticate and fetch (VN, GroupId).
@@ -985,7 +993,7 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
       return;
     }
 
-    simulator_.schedule_after(rules_delay + dhcp_delay, [this, &state, &edge, def, edge_index,
+    simulator_.schedule_after(rules_delay + dhcp_delay, [this, endpoint, &edge, def, edge_index,
                                                          port, started, policy, callback,
                                                          fail, fast_reauth, move_trace] {
       // Step 3: DHCP address (sticky lease).
@@ -1010,10 +1018,11 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
         attached.ipv6 = l2::slaac_address(slaac->second, def.mac);
       }
 
-      state.edge = edge_index;
-      state.port = port;
-      state.onboarding = false;
-      state.definition.group = policy->group;
+      EndpointState& onboarded = endpoints_[endpoint];
+      onboarded.edge = edge_index;
+      onboarded.port = port;
+      onboarded.onboarding = false;
+      onboarded.definition.group = policy->group;
 
       if (def.l2_services) {
         const net::VnEid l2_eid{policy->vn, net::Eid{*ip}};
@@ -1059,7 +1068,7 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
             result.elapsed = simulator_.now() - started;
             callback(result);
           });
-      state.slot = edge.attach_endpoint(attached);
+      onboarded.slot = edge.attach_endpoint(attached);
     });
   });
 }
@@ -1070,10 +1079,11 @@ void SdaFabric::onboard(EndpointState& state, std::uint32_t edge_index,
 
 std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> SdaFabric::sender_of(
     const net::MacAddress& mac) {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end() || it->second.edge == kDetached) return {nullptr, nullptr};
-  dataplane::EdgeRouter* edge = edges_[it->second.edge].get();
-  return {edge, edge->vrf().at(it->second.slot, mac)};
+  const std::uint32_t index = endpoint_index(mac);
+  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return {nullptr, nullptr};
+  const EndpointState& state = endpoints_[index];
+  dataplane::EdgeRouter* edge = edges_[state.edge].get();
+  return {edge, edge->vrf().at(state.slot, mac)};
 }
 
 bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address destination,
@@ -1241,12 +1251,12 @@ void SdaFabric::reboot_edge(const std::string& name, sim::Duration downtime) {
 
   // Collect the endpoints that were attached here, in credential-table
   // order; they re-onboard when the router returns.
-  std::vector<EndpointState*> stranded;
-  for (const auto& [credential, mac] : mac_by_credential_) {
-    EndpointState& state = endpoints_.at(mac);
+  std::vector<std::uint32_t> stranded;
+  for (const auto& [credential, endpoint] : endpoint_by_credential_) {
+    EndpointState& state = endpoints_[endpoint];
     if (state.edge == index) {
       state.edge = kDetached;
-      stranded.push_back(&state);
+      stranded.push_back(endpoint);
     }
   }
 
@@ -1255,8 +1265,8 @@ void SdaFabric::reboot_edge(const std::string& name, sim::Duration downtime) {
     record_event(telemetry::EventKind::Reboot, rebooted.name(), "up");
     topology_.set_node_state(rebooted.config().node, true);
     underlay_->topology_changed();
-    for (EndpointState* state : stranded) {
-      onboard(*state, index, state->port, /*fast_reauth=*/false, {});
+    for (const std::uint32_t endpoint : stranded) {
+      onboard(endpoint, index, endpoints_[endpoint].port, /*fast_reauth=*/false, {});
     }
   });
 }
@@ -1608,9 +1618,9 @@ std::vector<std::string> SdaFabric::edge_names() const { return names_of(edges_)
 std::vector<std::string> SdaFabric::border_names() const { return names_of(borders_); }
 
 std::optional<std::string> SdaFabric::location_of(const net::MacAddress& mac) const {
-  const auto it = endpoints_.find(mac);
-  if (it == endpoints_.end() || it->second.edge == kDetached) return std::nullopt;
-  return edges_[it->second.edge]->name();
+  const std::uint32_t index = endpoint_index(mac);
+  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return std::nullopt;
+  return edges_[endpoints_[index].edge]->name();
 }
 
 }  // namespace sda::fabric

@@ -33,6 +33,7 @@
 #include "l2/dhcp.hpp"
 #include "l2/l2_gateway.hpp"
 #include "l2/service_discovery.hpp"
+#include "lisp/flat_index.hpp"
 #include "lisp/map_server.hpp"
 #include "lisp/map_server_node.hpp"
 #include "policy/policy_server.hpp"
@@ -300,6 +301,15 @@ class SdaFabric {
   /// handed out. One indexed load: no hashing.
   [[nodiscard]] const RlocOwner* owner_of(net::Ipv4Address rloc) const;
 
+  static constexpr std::uint32_t kNoEndpoint = lisp::FlatIndex<net::MacAddress>::kNone;
+  /// The index of `mac`'s record in endpoints_, or kNoEndpoint if the MAC
+  /// was never provisioned.
+  [[nodiscard]] std::uint32_t endpoint_index(const net::MacAddress& mac) const {
+    return endpoint_by_mac_.find(mac, [this](std::uint32_t i) -> const net::MacAddress& {
+      return endpoints_[i].definition.mac;
+    });
+  }
+
   /// The edge whose RLOC is `rloc`, if it is an edge's.
   [[nodiscard]] std::optional<std::uint32_t> edge_at(net::Ipv4Address rloc) const;
 
@@ -389,7 +399,9 @@ class SdaFabric {
   /// round-trip count. A nonzero `move_trace` is the causal move operation
   /// opened by roam_endpoint(); once the address is known it is indexed by
   /// EID so the mobility Map-Notify can close it.
-  void onboard(EndpointState& state, std::uint32_t edge_index, dataplane::PortId port,
+  /// `endpoint` indexes endpoints_; the flow's closures hold the index,
+  /// not a reference, since provisioning may grow the table meanwhile.
+  void onboard(std::uint32_t endpoint, std::uint32_t edge_index, dataplane::PortId port,
                bool fast_reauth, OnboardCallback callback, std::uint64_t move_trace = 0);
 
   /// Reserves policy-server CPU; returns when the work completes.
@@ -452,9 +464,12 @@ class SdaFabric {
   std::uint64_t stale_acks_accepted_ = 0;  // epoch-fence audit (must stay 0)
   std::unique_ptr<l2::L2Gateway> l2_gateway_;
 
-  std::unordered_map<net::MacAddress, EndpointState> endpoints_;
-  /// Serves the credential-keyed calls only.
-  std::unordered_map<std::string, net::MacAddress> mac_by_credential_;
+  /// One dense record per provisioned endpoint (never unprovisioned), with
+  /// a flat MAC index: the sender lookup on every packet is one probe.
+  std::vector<EndpointState> endpoints_;
+  lisp::FlatIndex<net::MacAddress> endpoint_by_mac_;
+  /// Serves the credential-keyed calls only (index into endpoints_).
+  std::unordered_map<std::string, std::uint32_t> endpoint_by_credential_;
   /// Onboard callbacks waiting for an EID's Map-Register to complete.
   std::unordered_map<net::VnEid, std::vector<std::function<void()>>> pending_onboards_;
 

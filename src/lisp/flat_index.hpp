@@ -1,14 +1,17 @@
 // Flat open-addressing key index: maps keys to the u32 slot numbers of a
 // caller-owned slot array.
 //
-// The table holds only slot numbers (power-of-two size, linear probing,
-// backward-shift deletion — no tombstones, so churn never forces a rehash);
-// the keys stay in the caller's slots and are read back through a `key_of`
-// callable. Lookups cost one probe sequence with no pointer chasing, and
-// inserts and erases allocate nothing until the table must grow. The
-// map-cache indexes its LRU slots with it; FlatMap below pairs it with a
-// recycled slot vector for plain key -> value tables (the edge's pending
-// Map-Requests and per-EID mobility records).
+// The table holds 8-byte entries: a slot number beside the 32-bit hash of
+// its key (power-of-two size, linear probing, backward-shift deletion — no
+// tombstones, so churn never forces a rehash). The keys stay in the
+// caller's slots and are read back through a `key_of` callable, only once
+// the stored hash matches. Lookups cost one probe sequence with no pointer
+// chasing; erase and growth move entries by their stored hash and never
+// re-hash a key; inserts and erases allocate nothing until the table must
+// grow. The map-cache, the VRF and the fabric's endpoint table index their
+// slots with it; FlatMap below pairs it with a recycled slot vector for
+// plain key -> value tables (the edge's pending Map-Requests and per-EID
+// mobility records, the SGACL).
 #pragma once
 
 #include <algorithm>
@@ -26,36 +29,26 @@ class FlatIndex {
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
   /// Sizes the table for `entries` keys under the 70% load bound.
-  template <typename KeyOf>
-  void reserve(std::size_t entries, KeyOf key_of) {
+  void reserve(std::size_t entries) {
     std::size_t table_size = std::max<std::size_t>(16, table_.size());
     while (entries * 10 > table_size * 7) table_size <<= 1;
-    if (table_size != table_.size()) rehash(table_size, key_of);
+    if (table_size != table_.size()) rehash(table_size);
   }
 
   /// The slot holding `key`, or kNone. `key_of(slot)` returns a slot's key.
   template <typename KeyOf>
   [[nodiscard]] std::uint32_t find(const Key& key, KeyOf key_of) const {
-    if (table_.empty()) return kNone;
-    std::size_t idx = home_of(key);
-    while (true) {
-      const std::uint32_t e = table_[idx];
-      if (e == kNone) return kNone;
-      if (key_of(e) == key) return e;
-      idx = (idx + 1) & mask_;
-    }
+    const std::size_t i = position(key, key_of);
+    return i == kAbsent ? kNone : table_[i].slot;
   }
 
   /// Indexes `slot` under `key`; the key must not already be present.
-  template <typename KeyOf>
-  void insert(const Key& key, std::uint32_t slot, KeyOf key_of) {
+  void insert(const Key& key, std::uint32_t slot) {
     // Keep the load factor under 70% so probe chains stay short.
     if ((size_ + 1) * 10 > table_.size() * 7) {
-      rehash(std::max<std::size_t>(16, table_.size() * 2), key_of);
+      rehash(std::max<std::size_t>(16, table_.size() * 2));
     }
-    std::size_t idx = home_of(key);
-    while (table_[idx] != kNone) idx = (idx + 1) & mask_;
-    table_[idx] = slot;
+    place(Entry{hash_of(key), slot});
     ++size_;
   }
 
@@ -63,59 +56,78 @@ class FlatIndex {
   /// indexed, or kNone when absent.
   template <typename KeyOf>
   std::uint32_t erase(const Key& key, KeyOf key_of) {
-    if (table_.empty()) return kNone;
-    std::size_t i = home_of(key);
-    while (true) {
-      const std::uint32_t e = table_[i];
-      if (e == kNone) return kNone;  // not present
-      if (key_of(e) == key) break;
-      i = (i + 1) & mask_;
-    }
-    const std::uint32_t erased = table_[i];
+    std::size_t i = position(key, key_of);
+    if (i == kAbsent) return kNone;
+    const std::uint32_t erased = table_[i].slot;
     --size_;
     // Backward-shift deletion: pull cluster members whose home position
     // lies at or before the hole back over it, instead of a tombstone.
     std::size_t j = i;
     while (true) {
       j = (j + 1) & mask_;
-      const std::uint32_t e = table_[j];
-      if (e == kNone) break;
-      const std::size_t k = home_of(key_of(e));
+      const Entry e = table_[j];
+      if (e.slot == kNone) break;
+      const std::size_t k = e.hash & mask_;
       const bool home_between_hole_and_j = (i < j) ? (k > i && k <= j) : (k > i || k <= j);
       if (!home_between_hole_and_j) {
         table_[i] = e;
         i = j;
       }
     }
-    table_[i] = kNone;
+    table_[i].slot = kNone;
     return erased;
   }
 
   /// Forgets every key; keeps the table's size.
   void clear() {
-    std::fill(table_.begin(), table_.end(), kNone);
+    std::fill(table_.begin(), table_.end(), Entry{});
     size_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  [[nodiscard]] std::size_t home_of(const Key& key) const { return Hash{}(key) & mask_; }
+  /// A slot number beside its key's hash: a probe compares the hash before
+  /// it reads a key, and moving an entry never re-hashes its key.
+  struct Entry {
+    std::uint32_t hash = 0;
+    std::uint32_t slot = kNone;  // kNone = empty
+  };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
 
+  [[nodiscard]] static std::uint32_t hash_of(const Key& key) {
+    return static_cast<std::uint32_t>(Hash{}(key));
+  }
+
+  /// The table index of `key`'s entry, or kAbsent.
   template <typename KeyOf>
-  void rehash(std::size_t new_size, KeyOf key_of) {
-    const std::vector<std::uint32_t> old = std::move(table_);
-    table_.assign(new_size, kNone);
-    mask_ = new_size - 1;
-    for (const std::uint32_t e : old) {
-      if (e == kNone) continue;
-      std::size_t idx = home_of(key_of(e));
-      while (table_[idx] != kNone) idx = (idx + 1) & mask_;
-      table_[idx] = e;
+  [[nodiscard]] std::size_t position(const Key& key, KeyOf key_of) const {
+    if (table_.empty()) return kAbsent;
+    const std::uint32_t hash = hash_of(key);
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const Entry e = table_[i];
+      if (e.slot == kNone) return kAbsent;
+      if (e.hash == hash && key_of(e.slot) == key) return i;
     }
   }
 
-  std::vector<std::uint32_t> table_;  // slot numbers, kNone = empty
+  /// Stores `e` at the first free position from its home.
+  void place(Entry e) {
+    std::size_t i = e.hash & mask_;
+    while (table_[i].slot != kNone) i = (i + 1) & mask_;
+    table_[i] = e;
+  }
+
+  void rehash(std::size_t new_size) {
+    const std::vector<Entry> old = std::move(table_);
+    table_.assign(new_size, Entry{});
+    mask_ = new_size - 1;
+    for (const Entry e : old) {
+      if (e.slot != kNone) place(e);
+    }
+  }
+
+  std::vector<Entry> table_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
@@ -158,7 +170,7 @@ class FlatMap {
     }
     slots_[i].key = key;
     slots_[i].live = true;
-    index_.insert(key, i, key_of());
+    index_.insert(key, i);
     return slots_[i].value;
   }
 

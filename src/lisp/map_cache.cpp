@@ -13,7 +13,8 @@ MapCache::MapCache(std::size_t capacity) : capacity_(capacity) {
     // entry pointers stable and the steady state allocation-free. +1 because
     // an install at capacity briefly holds the newcomer before evicting.
     slots_.reserve(capacity_ + 1);
-    index_.reserve(capacity_ + 1, key_of());
+    links_.reserve(capacity_ + 1);
+    index_.reserve(capacity_ + 1);
   }
 }
 
@@ -24,6 +25,7 @@ std::uint32_t MapCache::new_slot() {
     return i;
   }
   slots_.emplace_back();
+  links_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -62,7 +64,7 @@ void MapCache::install_entry(const net::VnEid& eid, std::span<const net::Rloc> r
   slots_[i].eid = eid;
   fill(i, rlocs, ttl_seconds, group, now);
   link_front(i);
-  index_.insert(eid, i, key_of());
+  index_.insert(eid, i);
   if (!slots_[i].entry.negative()) ++positive_count_;
   evict_if_needed();
 }
@@ -75,40 +77,44 @@ bool MapCache::invalidate(const net::VnEid& eid) {
 }
 
 std::size_t MapCache::invalidate_rloc(net::Ipv4Address rloc) {
-  std::vector<std::uint32_t> doomed;
-  for (std::uint32_t i = head_; i != kNone; i = slots_[i].next) {
+  std::size_t removed = 0;
+  for (std::uint32_t i = head_; i != kNone;) {
+    const std::uint32_t next = links_[i].next;
     if (!slots_[i].entry.negative() && slots_[i].entry.primary_rloc() == rloc) {
-      doomed.push_back(i);
+      erase_slot(i);
+      ++removed;
     }
+    i = next;
   }
-  for (const std::uint32_t i : doomed) erase_slot(i);
-  return doomed.size();
+  return removed;
 }
 
 std::size_t MapCache::sweep(sim::SimTime now) {
-  std::vector<std::uint32_t> doomed;
-  for (std::uint32_t i = head_; i != kNone; i = slots_[i].next) {
-    if (slots_[i].entry.expires_at <= now) doomed.push_back(i);
+  std::size_t removed = 0;
+  for (std::uint32_t i = head_; i != kNone;) {
+    const std::uint32_t next = links_[i].next;
+    if (slots_[i].entry.expires_at <= now) {
+      erase_slot(i);
+      ++stats_.expirations;
+      ++removed;
+    }
+    i = next;
   }
-  for (const std::uint32_t i : doomed) {
-    erase_slot(i);
-    ++stats_.expirations;
-  }
-  return doomed.size();
+  return removed;
 }
 
 void MapCache::clear() {
   slots_.clear();
+  links_.clear();
   free_slots_.clear();
   index_.clear();
   head_ = tail_ = kNone;
   positive_count_ = 0;
-  if (capacity_ != 0) slots_.reserve(capacity_ + 1);
 }
 
 void MapCache::walk(
     const std::function<void(const net::VnEid&, const MapCacheEntry&)>& visit) const {
-  for (std::uint32_t i = head_; i != kNone; i = slots_[i].next) {
+  for (std::uint32_t i = head_; i != kNone; i = links_[i].next) {
     visit(slots_[i].eid, slots_[i].entry);
   }
 }

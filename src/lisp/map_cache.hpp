@@ -6,11 +6,12 @@
 // the Map-Reply TTL; negative replies are cached briefly; capacity is
 // bounded with LRU eviction to model small-FIB devices.
 //
-// Layout: entries live in a contiguous slot vector threaded by an intrusive
-// index-linked LRU list (head = most recently used). The key index is a
-// FlatIndex (flat open addressing over slot numbers). A hit is one
-// flat-table probe plus four index writes to relink — no per-entry node
-// allocation and no pointer chasing. Erased slots are recycled through a
+// Layout: entries live in a contiguous slot vector; the LRU list (head =
+// most recently used) is a parallel array of 8-byte {prev, next} links, so
+// relinking on a hit writes links, not entry slots. The key index is a
+// FlatIndex (flat open addressing over slot numbers, hash-tagged, one-mix
+// VnEidHash). A hit is one flat-table probe plus a relink — no per-entry
+// node allocation and no pointer chasing. Erased slots are recycled through a
 // free list and keep their locator vector's capacity, so a cache at steady
 // state (hits, refreshes, installs and evictions at capacity) performs no
 // allocation.
@@ -116,37 +117,41 @@ class MapCache {
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
  private:
-  static constexpr std::uint32_t kNone = FlatIndex<net::VnEid>::kNone;
+  using Index = FlatIndex<net::VnEid, net::VnEidHash>;
+  static constexpr std::uint32_t kNone = Index::kNone;
 
   struct Slot {
     net::VnEid eid;
     MapCacheEntry entry;
+  };
+  /// A slot's place in the LRU chain, kept apart from the slot.
+  struct Link {
     std::uint32_t prev = kNone;  // towards MRU
     std::uint32_t next = kNone;  // towards LRU
   };
 
   /// Unlinks `i` from the LRU chain (does not free the slot).
   void unlink(std::uint32_t i) {
-    Slot& s = slots_[i];
-    if (s.prev != kNone) {
-      slots_[s.prev].next = s.next;
+    Link& l = links_[i];
+    if (l.prev != kNone) {
+      links_[l.prev].next = l.next;
     } else {
-      head_ = s.next;
+      head_ = l.next;
     }
-    if (s.next != kNone) {
-      slots_[s.next].prev = s.prev;
+    if (l.next != kNone) {
+      links_[l.next].prev = l.prev;
     } else {
-      tail_ = s.prev;
+      tail_ = l.prev;
     }
-    s.prev = s.next = kNone;
+    l.prev = l.next = kNone;
   }
 
   /// Links `i` at the head (most recently used) of the chain.
   void link_front(std::uint32_t i) {
-    Slot& s = slots_[i];
-    s.prev = kNone;
-    s.next = head_;
-    if (head_ != kNone) slots_[head_].prev = i;
+    Link& l = links_[i];
+    l.prev = kNone;
+    l.next = head_;
+    if (head_ != kNone) links_[head_].prev = i;
     head_ = i;
     if (tail_ == kNone) tail_ = i;
   }
@@ -177,10 +182,11 @@ class MapCache {
   std::size_t capacity_;
   std::size_t positive_count_ = 0;
   std::vector<Slot> slots_;
+  std::vector<Link> links_;  // parallel to slots_
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t head_ = kNone;  // most recently used
   std::uint32_t tail_ = kNone;  // least recently used
-  FlatIndex<net::VnEid> index_;
+  Index index_;
   Stats stats_;
 };
 

@@ -132,6 +132,39 @@ constexpr std::size_t hash_combine(std::size_t seed, std::size_t value) noexcept
   return seed ^ (hash_mix(value) + 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2));
 }
 
+/// One-mix hasher for the flat (VN, EID) tables on the packet path (the
+/// VRF, the map-cache index, the edge's per-EID tables). It packs the VN,
+/// the family and the address (IPv6 folds its two halves) into one word and
+/// avalanches it once, where std::hash<VnEid> chains two hash_combine
+/// steps, each a full mix. Only for tables never iterated in hash order:
+/// std::hash<VnEid> orders unordered containers whose iteration feeds the
+/// simulation, and stays as it is.
+struct VnEidHash {
+  std::size_t operator()(const VnEid& v) const noexcept {
+    std::uint64_t address = 0;
+    switch (v.eid.family()) {
+      case EidFamily::Ipv4: address = v.eid.ipv4().value(); break;
+      case EidFamily::Mac: address = v.eid.mac().to_u64(); break;
+      case EidFamily::Ipv6: {
+        const auto& bytes = v.eid.ipv6().bytes();
+        std::uint64_t high = 0;
+        std::uint64_t low = 0;
+        for (std::size_t i = 0; i < 8; ++i) {
+          high = (high << 8) | bytes[i];
+          low = (low << 8) | bytes[i + 8];
+        }
+        address = high ^ (low * 0xC2B2AE3D27D4EB4Full);
+        break;
+      }
+    }
+    // (VN, family) scaled by an odd constant: distinct tags land far apart
+    // for any two addresses under 2^48.
+    const std::uint64_t tag = (std::uint64_t{v.vn.value()} << 3) |
+                              static_cast<std::uint64_t>(v.eid.family());
+    return hash_mix(address + tag * 0x9E3779B97F4A7C15ull);
+  }
+};
+
 }  // namespace sda::net
 
 template <>

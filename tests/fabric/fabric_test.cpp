@@ -97,6 +97,25 @@ TEST_F(FabricFixture, UnknownCredentialThrows) {
   EXPECT_THROW(fabric->connect_endpoint("ghost", "e0", 1), std::invalid_argument);
 }
 
+TEST_F(FabricFixture, ProvisioningDuringOnboardingKeepsItsRecord) {
+  // The endpoint table grows while an onboarding is in flight: the flow's
+  // later steps must still find the endpoint's record (under ASan a moved
+  // record would be a use-after-free).
+  const auto bob = connect("bob", "e1");
+  OnboardResult alice;
+  fabric->connect_endpoint("alice", "e0", 1, [&](const OnboardResult& r) { alice = r; });
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    provision("extra" + std::to_string(i), mac(0x1000 + i), kEmployees);
+  }
+  sim.run();
+  ASSERT_TRUE(alice.success);
+  EXPECT_EQ(fabric->location_of(mac(1)), "e0");
+  EXPECT_EQ(fabric->location_of(mac(0x1000)), std::nullopt);  // provisioned only
+  EXPECT_TRUE(fabric->endpoint_send_udp(mac(1), bob.ip, 443, 100));
+  sim.run();
+  EXPECT_EQ(deliveries, std::vector<std::string>{"bob"});
+}
+
 TEST_F(FabricFixture, CrossEdgeTrafficResolvesThenFlowsDirect) {
   const auto alice = connect("alice", "e0");
   const auto bob = connect("bob", "e1");

@@ -12,7 +12,9 @@
 //    thirteen events, under an allocation ceiling that only comes down;
 //  * endpoint churn at one edge: detach and re-attach at a constant
 //    population reuse the endpoint's record and index entries, allocating
-//    nothing.
+//    nothing;
+//  * rule re-download at one edge: pushing a destination group's rules
+//    again, with the same rule count, allocates nothing.
 //
 // Built as its own executable because it replaces the global operator new
 // with a counting one.
@@ -410,6 +412,36 @@ TEST(PacketPathAlloc, EndpointChurnAtConstantPopulationAllocatesNothing) {
   EXPECT_EQ(g_allocations - allocations, 0u);
   EXPECT_EQ(edge.endpoint_count(), hosts.size());
   EXPECT_EQ(edge.vrf().size(), 32u + 16u + 8u);
+}
+
+// Policy push (§5.4) at one edge: a destination group's rules downloaded
+// again, with the same rule count, reuse the SGACL's table slots.
+TEST(PacketPathAlloc, RuleRedownloadAllocatesNothing) {
+  sim::Simulator simulator;
+  dataplane::EdgeRouterConfig config;
+  config.name = "e0";
+  config.rloc = net::Ipv4Address{0x0A01'0001u};
+  dataplane::EdgeRouter edge(simulator, config);
+  constexpr net::VnId kPolicyVn{100};
+  const auto rules_for = [](std::uint16_t destination) {
+    std::vector<policy::Rule> rules;
+    for (std::uint16_t source = 1; source <= 24; ++source) {
+      rules.push_back({{net::GroupId{source}, net::GroupId{destination}},
+                       source % 3 == 0 ? policy::Action::Deny : policy::Action::Allow});
+    }
+    return rules;
+  };
+  for (std::uint16_t destination = 10; destination < 14; ++destination) {
+    edge.install_rules(kPolicyVn, net::GroupId{destination}, rules_for(destination));
+  }
+  const std::vector<policy::Rule> pushed = rules_for(11);
+  for (int k = 0; k < 10; ++k) edge.install_rules(kPolicyVn, net::GroupId{11}, pushed);
+  const std::uint64_t allocations = g_allocations;
+  for (int k = 0; k < 1000; ++k) edge.install_rules(kPolicyVn, net::GroupId{11}, pushed);
+  EXPECT_EQ(g_allocations - allocations, 0u);
+  EXPECT_EQ(edge.sgacl().rule_count(), 4u * 24u);
+  EXPECT_EQ(edge.sgacl().evaluate(kPolicyVn, net::GroupId{3}, net::GroupId{11}),
+            policy::Action::Deny);
 }
 
 }  // namespace
