@@ -6,44 +6,34 @@
 // feed disconnect with snapshot resync on reconnect. The bench reports the
 // fraction of sent packets that arrived, how long after the storm the
 // fabric took to return to loss-free delivery, and what the hardening
-// machinery (retransmits, register acks, resyncs) did to get there.
+// machinery (retransmits, register acks, resyncs) did to get there. It then
+// prints the server-kill, election, oscillation and assurance drills of
+// src/workload/drills.hpp, whose thresholds tests/workload/drills_test.cpp
+// asserts.
 //
 // Fully deterministic for a fixed seed: rerunning produces byte-identical
 // tables and CSV, so chaos results are comparable across code changes.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "faults/fault_plane.hpp"
 #include "stats/table.hpp"
 #include "telemetry_sink.hpp"
+#include "workload/drills.hpp"
 
 namespace {
 
 using namespace sda;
 using std::chrono::milliseconds;
 using std::chrono::seconds;
-
-constexpr net::VnId kVn{100};
-constexpr std::uint64_t kSeed = 0x5DA;
+using workload::DrillFabric;
 
 constexpr int kFlows = 12;                      // endpoint pairs sending from t=0
 constexpr int kLateFlows = 4;                   // endpoints that onboard mid-storm
-constexpr auto kSendGap = milliseconds{5};      // 200 Hz per flow
 constexpr auto kRunFor = seconds{10};
 constexpr auto kChaosStart = seconds{2};
 constexpr auto kChaosEnd = seconds{6};
-constexpr auto kBucket = milliseconds{100};
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-std::string host(int i) { return std::string{"h"} + std::to_string(i); }
 
 struct ChaosResult {
   std::uint64_t sent = 0;
@@ -62,17 +52,9 @@ struct ChaosResult {
   }
 };
 
-ChaosResult run(double control_loss, double data_loss, bool export_telemetry = false) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  fabric::SdaFabric fabric{sim, config};
-
-  // Redundant campus: every edge dual-homed to two distribution nodes, so
-  // a single flapped link degrades paths without partitioning anything.
+// Redundant campus: every edge dual-homed to two distribution nodes, so
+// a single flapped link degrades paths without partitioning anything.
+std::vector<std::string> wire_campus(fabric::SdaFabric& fabric) {
   fabric.add_border("b0");
   fabric.add_underlay_node("d0");
   fabric.add_underlay_node("d1");
@@ -86,65 +68,28 @@ ChaosResult run(double control_loss, double data_loss, bool export_telemetry = f
     fabric.link(edges.back(), "d0");
     fabric.link(edges.back(), "d1");
   }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
+  return edges;
+}
 
-  std::vector<net::Ipv4Address> ips(kFlows + kLateFlows);
-  for (int i = 0; i < kFlows + kLateFlows; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kFlows) {
-      fabric.connect_endpoint(
-          def.credential, edges[static_cast<std::size_t>(i) % edges.size()], 1,
-          [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
-    }
-  }
-  sim.run();
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  // Injected faults land in the fabric's flight recorder next to the
-  // control-plane events they provoke — one merged timeline per run.
-  plane.set_recorder(&fabric.flight_recorder());
-
-  ChaosResult result;
-  const auto buckets = static_cast<std::size_t>(kRunFor / kBucket) + 1;
-  std::vector<std::uint64_t> sent_in(buckets, 0), arrived_in(buckets, 0);
-  const sim::SimTime t0 = sim.now();
-  const auto bucket_of = [&](sim::SimTime at) {
-    const auto idx = static_cast<std::size_t>((at - t0) / kBucket);
-    return idx < buckets ? idx : buckets - 1;
-  };
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime at) {
-        ++result.delivered;
-        ++arrived_in[bucket_of(at)];
-      });
+ChaosResult run(double control_loss, double data_loss, bool export_telemetry = false) {
+  DrillFabric d{workload::drill_config(1), wire_campus};
+  d.provision(kFlows + kLateFlows, kFlows);
+  d.sim.run();
+  d.start(kRunFor);
 
   // Continuous traffic: flow i -> flow i+1 (different edge). Flows toward
   // the late endpoints start only once their target has an address —
   // before that, the "application" has nothing to talk to.
   for (int i = 0; i < kFlows + kLateFlows; ++i) {
-    const auto peer = static_cast<std::size_t>((i + 1) % (kFlows + kLateFlows));
-    for (sim::Duration at = kSendGap * i / (kFlows + kLateFlows); at < kRunFor;
-         at += kSendGap) {
-      sim.schedule_at(t0 + at, [&, i, peer] {
-        if (ips[peer].is_unspecified()) return;  // target not onboarded yet
-        if (!fabric.endpoint_send_udp(mac(static_cast<std::uint64_t>(i)), ips[peer], 443,
-                                      200)) {
-          return;  // sender itself not attached yet
-        }
-        ++result.sent;
-        ++sent_in[bucket_of(sim.now())];
-      });
-    }
+    d.flow(i, (i + 1) % (kFlows + kLateFlows),
+           workload::kDrillSendGap * i / (kFlows + kLateFlows));
   }
 
   // --- The storm (all seeded, all inside [kChaosStart, kChaosEnd)) --------
+  sim::Simulator& sim = d.sim;
+  fabric::SdaFabric& fabric = d.fabric;
+  faults::FaultPlane& plane = *d.plane;
+  const sim::SimTime t0 = d.t0;
   sim.schedule_at(t0 + kChaosStart, [&] {
     faults::LossModel control;
     control.loss = control_loss;
@@ -178,40 +123,30 @@ ChaosResult run(double control_loss, double data_loss, bool export_telemetry = f
   // the server outage; reliable Map-Register must carry them through).
   sim.schedule_at(t0 + kChaosStart + milliseconds{600}, [&] {
     for (int i = kFlows; i < kFlows + kLateFlows; ++i) {
-      fabric.connect_endpoint(
-          host(i), edges[static_cast<std::size_t>(i) % edges.size()], 2,
-          [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
+      d.connect(i, static_cast<std::size_t>(i) % d.edges.size(), 2);
     }
   });
   // One endpoint roams mid-storm: its sender holds a stale cache entry and
   // must be refreshed by data-triggered SMR over the lossy control plane.
   sim.schedule_at(t0 + kChaosStart + milliseconds{1200},
-                  [&] { fabric.roam_endpoint(mac(1), edges[4], 3); });
+                  [&] { fabric.roam_endpoint(DrillFabric::mac(1), d.edges[4], 3); });
 
   sim.run();
 
   // Per-bucket delivered fraction and the re-convergence point: the last
   // bucket that still lost traffic, measured from the end of the storm.
-  const auto chaos_end_bucket = static_cast<std::size_t>(kChaosEnd / kBucket);
-  for (std::size_t b = 0; b < buckets; ++b) {
-    if (sent_in[b] == 0) continue;
-    const double fraction =
-        static_cast<double>(arrived_in[b]) / static_cast<double>(sent_in[b]);
-    result.fraction_series.emplace_back(
-        static_cast<double>(b) * std::chrono::duration<double>(kBucket).count(), fraction);
-    if (arrived_in[b] < sent_in[b]) {
-      result.reconvergence_ms =
-          (static_cast<double>(b + 1) - static_cast<double>(chaos_end_bucket)) *
-          std::chrono::duration<double>(kBucket).count() * 1e3;
-    }
-  }
+  ChaosResult result;
+  result.sent = d.sent;
+  result.delivered = d.delivered;
+  result.fraction_series = d.fraction_series();
+  result.reconvergence_ms = d.reconvergence_ms(kChaosEnd);
   if (result.reconvergence_ms < 0 && result.sent != result.delivered) {
     result.reconvergence_ms = 0;  // losses happened but never bucketed (drained late)
   }
 
   result.control_drops = plane.counters().control_drops;
   result.data_drops = plane.counters().data_drops;
-  for (const auto& name : edges) {
+  for (const auto& name : d.edges) {
     result.request_retries += fabric.edge(name).counters().map_request_retries;
     result.register_retries += fabric.edge(name).counters().map_register_retries;
   }
@@ -224,995 +159,9 @@ ChaosResult run(double control_loss, double data_loss, bool export_telemetry = f
   return result;
 }
 
-// --- HA drill: kill a routing server mid-run, with and without failover ----
-//
-// Scale-out fabric (2 routing servers, edges round-robined between them),
-// border default route disabled so Map-Request resolution is load-bearing.
-// Server 0 is blacked out for 3s mid-run while three *cold* flows start —
-// all from edges homed on the dead server, so their first packets need a
-// resolution it cannot answer. With HA off those flows blackhole until the
-// server returns; with HA on the heartbeat monitor fails the edges over to
-// the replica and the cold starts cost a millisecond-scale blip. A late
-// endpoint also onboards mid-outage: its registration is missed by the dead
-// primary and must be repaired by anti-entropy once the server is back.
-
-struct DrillResult {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  double reconvergence_ms = -1;  // outage end -> last lossy bucket
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t anti_entropy_repairs = 0;
-  std::uint64_t request_retries = 0;
-
-  [[nodiscard]] double fraction() const {
-    return sent ? static_cast<double>(delivered) / static_cast<double>(sent) : 1.0;
-  }
-};
-
-DrillResult run_drill(bool ha_on) {
-  constexpr int kDrillFlows = 12;
-  constexpr auto kDrillRun = seconds{8};
-  constexpr auto kKillAt = seconds{2};
-  constexpr auto kKillFor = seconds{3};
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.default_route_fallback = false;  // resolution failures are visible
-  config.pending_packet_limit = 8;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  if (ha_on) {
-    config.ha.failover = true;
-    config.ha.heartbeat_interval = milliseconds{100};
-    config.ha.heartbeat_timeout = milliseconds{30};
-    config.ha.down_after_misses = 3;
-    config.ha.up_after_acks = 4;
-    config.ha.anti_entropy_interval = milliseconds{500};
-  }
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 6; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  std::vector<net::Ipv4Address> ips(kDrillFlows + 1);
-  for (int i = 0; i < kDrillFlows + 1; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kDrillFlows) {
-      fabric.connect_endpoint(
-          def.credential, edges[static_cast<std::size_t>(i) % edges.size()], 1,
-          [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
-    }
-  }
-  // The HA heartbeat timers never drain the queue: drive time explicitly.
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  DrillResult result;
-  const auto buckets = static_cast<std::size_t>(kDrillRun / kBucket) + 1;
-  std::vector<std::uint64_t> sent_in(buckets, 0), arrived_in(buckets, 0);
-  const sim::SimTime t0 = sim.now();
-  const auto bucket_of = [&](sim::SimTime at) {
-    const auto idx = static_cast<std::size_t>((at - t0) / kBucket);
-    return idx < buckets ? idx : buckets - 1;
-  };
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime at) {
-        ++result.delivered;
-        ++arrived_in[bucket_of(at)];
-      });
-
-  // Flow sets: h0..h5 talk in a ring from t=0 (caches warm long before the
-  // kill); h6/h8/h10 — on edges e0/e2/e4, all homed on server 0 — start
-  // cold toward idle peers mid-outage, forcing fresh resolutions.
-  const auto flow = [&](int from, int to, sim::Duration start) {
-    for (sim::Duration at = start + kSendGap * from / kDrillFlows; at < kDrillRun;
-         at += kSendGap) {
-      sim.schedule_at(t0 + at, [&, from, to] {
-        if (!fabric.endpoint_send_udp(mac(static_cast<std::uint64_t>(from)),
-                                      ips[static_cast<std::size_t>(to)], 443, 200)) {
-          return;
-        }
-        ++result.sent;
-        ++sent_in[bucket_of(sim.now())];
-      });
-    }
-  };
-  for (int i = 0; i < 6; ++i) flow(i, (i + 1) % 6, sim::Duration{0});
-  const auto cold_start = kKillAt + milliseconds{600};
-  flow(6, 9, cold_start);
-  flow(8, 11, cold_start);
-  flow(10, 7, cold_start);
-
-  // The kill: routing server 0 dark for 3s (database preserved — a reboot,
-  // not a disk loss).
-  plane.server_outage(fabric.map_server_node(0), kKillAt, kKillFor);
-  // A late endpoint onboards mid-outage: the dead primary misses its
-  // registration, leaving a divergence only anti-entropy can repair.
-  sim.schedule_at(t0 + seconds{3}, [&] {
-    fabric.connect_endpoint(host(kDrillFlows), edges[1], 2,
-                            [&ips](const fabric::OnboardResult& r) { ips.back() = r.ip; });
-  });
-
-  sim.run_until(t0 + kDrillRun + seconds{2});  // drain late flushes
-
-  const auto outage_end_bucket = static_cast<std::size_t>((kKillAt + kKillFor) / kBucket);
-  for (std::size_t b = 0; b < buckets; ++b) {
-    if (sent_in[b] == 0 || arrived_in[b] >= sent_in[b]) continue;
-    result.reconvergence_ms =
-        (static_cast<double>(b + 1) - static_cast<double>(outage_end_bucket)) *
-        std::chrono::duration<double>(kBucket).count() * 1e3;
-  }
-  for (const auto& name : edges) {
-    result.request_retries += fabric.edge(name).counters().map_request_retries;
-  }
-  if (const fabric::HaMonitor* ha = fabric.ha_monitor()) {
-    result.failovers = ha->counters().failovers;
-    result.failbacks = ha->counters().failbacks;
-    result.anti_entropy_repairs = ha->counters().anti_entropy_repairs;
-  }
-  return result;
-}
-
-// --- Election drill: kill the elected leader, resurrect it stale ------------
-//
-// Same scale-out fabric with leader election on: server 0 leads until it is
-// blacked out mid-run; the replica's watchdog opens a new term and takes
-// over the acking authority and the pub/sub feed (borders snapshot-resync
-// onto it). The dead ex-leader then returns still believing it leads — its
-// stale-term asserts/acks/pushes must all be fenced (zero stale accepts).
-
-struct ElectionDrillResult {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t term = 0;
-  std::size_t leader = 0;
-  std::uint64_t elections = 0;
-  std::uint64_t resyncs = 0;        // border snapshot pulls (feed re-homes)
-  std::uint64_t stale_rejects = 0;  // epoch-fenced messages, all receivers
-  std::uint64_t stale_accepts = 0;  // fence breaches (must be 0)
-  std::uint64_t min_feed_epoch = 0;
-
-  [[nodiscard]] double fraction() const {
-    return sent ? static_cast<double>(delivered) / static_cast<double>(sent) : 1.0;
-  }
-};
-
-ElectionDrillResult run_election_drill() {
-  constexpr int kDrillFlows = 12;
-  constexpr auto kDrillRun = seconds{9};
-  constexpr auto kKillAt = seconds{2};
-  constexpr auto kKillFor = seconds{3};  // resurrects at 5s, stale
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.default_route_fallback = false;
-  config.pending_packet_limit = 8;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.anti_entropy_interval = milliseconds{500};
-  config.ha.election = true;
-  config.ha.election_heartbeat_interval = milliseconds{100};
-  config.ha.election_timeout = milliseconds{400};
-  config.ha.election_claim_timeout = milliseconds{60};
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 6; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  std::vector<net::Ipv4Address> ips(kDrillFlows + 1);
-  for (int i = 0; i < kDrillFlows + 1; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kDrillFlows) {
-      fabric.connect_endpoint(
-          def.credential, edges[static_cast<std::size_t>(i) % edges.size()], 1,
-          [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
-    }
-  }
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  ElectionDrillResult result;
-  const sim::SimTime t0 = sim.now();
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime) {
-        ++result.delivered;
-      });
-  const auto flow = [&](int from, int to, sim::Duration start) {
-    for (sim::Duration at = start + kSendGap * from / kDrillFlows; at < kDrillRun;
-         at += kSendGap) {
-      sim.schedule_at(t0 + at, [&, from, to] {
-        if (!fabric.endpoint_send_udp(mac(static_cast<std::uint64_t>(from)),
-                                      ips[static_cast<std::size_t>(to)], 443, 200)) {
-          return;
-        }
-        ++result.sent;
-      });
-    }
-  };
-  for (int i = 0; i < 6; ++i) flow(i, (i + 1) % 6, sim::Duration{0});
-  flow(6, 9, kKillAt + milliseconds{600});
-  flow(8, 11, kKillAt + milliseconds{600});
-
-  // Kill the leader; it resurrects at kKillAt + kKillFor still on its old
-  // term. A late endpoint onboards while the new leader runs the control
-  // plane — its registration is acked under the new term.
-  plane.server_outage(fabric.map_server_node(0), kKillAt, kKillFor);
-  sim.schedule_at(t0 + seconds{4}, [&] {
-    fabric.connect_endpoint(host(kDrillFlows), edges[1], 2,
-                            [&ips](const fabric::OnboardResult& r) { ips.back() = r.ip; });
-  });
-
-  sim.run_until(t0 + kDrillRun + seconds{2});
-
-  const fabric::HaMonitor& ha = *fabric.ha_monitor();
-  result.term = ha.epoch();
-  result.leader = ha.leader();
-  result.elections = ha.counters().elections_started;
-  result.stale_rejects = ha.counters().epoch_rejections;
-  result.stale_accepts = fabric.stale_epoch_acks_accepted();
-  result.min_feed_epoch = ~std::uint64_t{0};
-  for (const auto& name : fabric.border_names()) {
-    const auto& border = fabric.border(name);
-    result.resyncs += border.counters().snapshots_applied;
-    result.stale_rejects += border.counters().stale_epoch_rejected;
-    result.min_feed_epoch = std::min(result.min_feed_epoch, border.feed_epoch());
-  }
-  for (const auto& name : edges) {
-    result.stale_rejects += fabric.edge(name).counters().stale_epoch_rejected;
-  }
-  return result;
-}
-
-// --- Oscillation drill: flap dampening vs failover churn --------------------
-//
-// Server 0 oscillates at the miss/ack boundary (down long enough to be
-// declared dead, up long enough to pass fail-back hysteresis, three
-// times). Without dampening that is three full failover/failback churn
-// cycles; with it the penalty crosses the suppress threshold after the
-// first flap and the server is held down until the penalty decays.
-
-struct OscillationDrillResult {
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t suppressions = 0;
-  bool released = false;  // suppression lifted once the penalty decayed
-};
-
-OscillationDrillResult run_oscillation_drill(bool dampening_on) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.dampening = dampening_on;
-  config.ha.dampening_penalty = 1000.0;
-  config.ha.dampening_suppress = 1500.0;
-  config.ha.dampening_reuse = 500.0;
-  config.ha.dampening_half_life = seconds{1};
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  for (int e = 0; e < 4; ++e) {
-    const std::string name = std::string{"e"} + std::to_string(e);
-    fabric.add_edge(name);
-    fabric.link(name, "b0");
-    fabric.link(name, "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-  sim.run_until(sim.now() + milliseconds{500});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.server_oscillation(fabric.map_server_node(0), milliseconds{100},
-                           /*down_for=*/milliseconds{400}, /*up_for=*/milliseconds{600},
-                           /*cycles=*/3);
-  sim.run_until(sim.now() + seconds{8});  // oscillation + penalty decay
-
-  OscillationDrillResult result;
-  const fabric::HaMonitor& ha = *fabric.ha_monitor();
-  result.failovers = ha.counters().failovers;
-  result.failbacks = ha.counters().failbacks;
-  result.suppressions = ha.counters().suppressions;
-  result.released = !ha.suppressed(0) && ha.server_up(0);
-  return result;
-}
-
-// --- Quorum drill: minority partition must elect NO leader ------------------
-//
-// Three routing servers (one per border) with quorum elections on. Border
-// b2 — hosting replica 2 — is partitioned off: the minority side loses the
-// leader's asserts, opens term after term, and every candidacy must stall
-// leaderless (no majority reachable) while the two-node majority keeps
-// leader 0 and serves onboards normally. On heal the minority's inflated
-// term forces one quorate re-election and the cluster reconverges.
-
-struct QuorumDrillResult {
-  std::uint64_t stalls = 0;
-  std::uint64_t minority_led_samples = 0;  // minority believed it led (must be 0)
-  std::uint64_t minority_wins = 0;         // breach-audit counter (must be 0)
-  long long mid_leader = -2;               // majority consensus mid-partition
-  long long final_leader = -2;
-  std::uint64_t term = 0;
-  bool quorum_dipped = false;    // the quorum gauge went 0 during the partition
-  bool quorum_held_at_end = false;
-  bool onboard_ok = false;
-  std::uint64_t stale_accepts = 0;
-  bool invariant_pass = false;  // no-minority-leader at quiesce
-};
-
-long long leader_as_int(std::size_t leader) {
-  return leader == fabric::HaMonitor::kNoLeader ? -1 : static_cast<long long>(leader);
-}
-
-QuorumDrillResult run_quorum_drill() {
-  constexpr auto kPartitionAt = seconds{2};
-  constexpr auto kPartitionFor = seconds{3};
-  constexpr auto kDrillRun = seconds{9};
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 3;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.anti_entropy_interval = milliseconds{500};
-  config.ha.election = true;
-  config.ha.election_heartbeat_interval = milliseconds{100};
-  config.ha.election_timeout = milliseconds{400};
-  config.ha.election_claim_timeout = milliseconds{60};
-  config.ha.election_quorum = true;
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  fabric.add_border("b2");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 6; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-    fabric.link(edges.back(), "b2");
-  }
-  fabric.link("b0", "b1");
-  fabric.link("b1", "b2");
-  fabric.link("b0", "b2");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  for (int i = 0; i < 7; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < 6) {
-      fabric.connect_endpoint(def.credential, edges[static_cast<std::size_t>(i)], 1,
-                              [](const fabric::OnboardResult&) {});
-    }
-  }
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  const sim::SimTime t0 = sim.now();
-  // Partition replica 2's hosting border: the one-node minority side.
-  const auto minority_node =
-      fabric.underlay().topology().node_by_loopback(fabric.border("b2").rloc());
-  plane.partition_node(*minority_node, kPartitionAt, kPartitionFor);
-
-  QuorumDrillResult result;
-  const fabric::HaMonitor& ha = *fabric.ha_monitor();
-  // Sample the minority's self-belief through the partition window: with
-  // quorum elections it must never assert leadership, and the quorum gauge
-  // must dip while its candidacies stall.
-  for (auto at = kPartitionAt + milliseconds{50}; at < kPartitionAt + kPartitionFor;
-       at += milliseconds{100}) {
-    sim.schedule_at(t0 + at, [&] {
-      if (ha.node_believes_leader(2)) ++result.minority_led_samples;
-      if (ha.quorum_lost()) result.quorum_dipped = true;
-    });
-  }
-  sim.schedule_at(t0 + kPartitionAt + milliseconds{2500},
-                  [&] { result.mid_leader = leader_as_int(ha.leader()); });
-  // The majority keeps serving: an onboard mid-partition completes normally.
-  sim.schedule_at(t0 + kPartitionAt + milliseconds{1500}, [&] {
-    fabric.connect_endpoint(host(6), edges[1], 2,
-                            [&result](const fabric::OnboardResult&) { result.onboard_ok = true; });
-  });
-
-  sim.run_until(t0 + kDrillRun);
-
-  result.stalls = ha.counters().quorum_stalls;
-  result.minority_wins = ha.counters().minority_leaders;
-  result.final_leader = leader_as_int(ha.leader());
-  result.term = ha.epoch();
-  result.quorum_held_at_end = !ha.quorum_lost();
-  result.stale_accepts = fabric.stale_epoch_acks_accepted();
-  for (const auto& v : fabric.telemetry().assurance.evaluate_invariants()) {
-    if (v.name == "no-minority-leader") result.invariant_pass = v.pass;
-  }
-  return result;
-}
-
-// --- Catch-up drill: log replay vs snapshot resync --------------------------
-//
-// Two routing servers; replica 1 reboots (database preserved) for 2s while
-// a dozen endpoints onboard — a lag only anti-entropy can repair. Three
-// arms by catchup_log_capacity: a roomy log repairs by delta replay (far
-// fewer control bytes than a table exchange), capacity 0 is the legacy
-// snapshot-only path, and a log smaller than the missed delta has its
-// horizon passed and must fall back to the snapshot exchange.
-
-struct CatchupDrillResult {
-  std::size_t capacity = 0;
-  std::uint64_t replays = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t replay_bytes = 0;
-  std::uint64_t snapshot_bytes = 0;
-  std::uint64_t catchup_n = 0;  // assurance.catchup_convergence_us samples
-  bool converged = false;
-};
-
-CatchupDrillResult run_catchup_drill(std::size_t log_capacity) {
-  constexpr int kBaseline = 40;
-  constexpr int kDelta = 12;
-  constexpr auto kOutageAt = seconds{2};
-  constexpr auto kOutageFor = seconds{2};
-  constexpr auto kDrillRun = seconds{8};
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.map_register_retries = 10;
-  config.causal_tracing = true;  // populates assurance.catchup_convergence_us
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.anti_entropy_interval = milliseconds{500};
-  config.ha.catchup_log_capacity = log_capacity;
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 4; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  for (int i = 0; i < kBaseline + kDelta; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kBaseline) {
-      fabric.connect_endpoint(def.credential, edges[static_cast<std::size_t>(i) % edges.size()],
-                              1, [](const fabric::OnboardResult&) {});
-    }
-  }
-  // Baseline settles and at least one anti-entropy round records the
-  // replica as caught up with the leader's log position.
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  const sim::SimTime t0 = sim.now();
-  const fabric::HaMonitor& ha = *fabric.ha_monitor();
-  plane.server_outage(fabric.map_server_node(1), kOutageAt, kOutageFor);
-  // Counters at outage start: the drill reports outage-repair deltas so
-  // baseline-propagation noise cannot pollute the traffic comparison.
-  auto before = std::make_shared<fabric::HaMonitor::Counters>();
-  sim.schedule_at(t0 + kOutageAt, [&ha, before] { *before = ha.counters(); });
-  // The delta the rebooting replica misses.
-  sim.schedule_at(t0 + kOutageAt + milliseconds{300}, [&] {
-    for (int i = kBaseline; i < kBaseline + kDelta; ++i) {
-      fabric.connect_endpoint(host(i), edges[static_cast<std::size_t>(i) % edges.size()], 2,
-                              [](const fabric::OnboardResult&) {});
-    }
-  });
-
-  sim.run_until(t0 + kDrillRun);
-
-  const fabric::HaMonitor::Counters& after = ha.counters();
-  CatchupDrillResult result;
-  result.capacity = log_capacity;
-  result.replays = after.catchup_replays - before->catchup_replays;
-  result.entries = after.catchup_entries_replayed - before->catchup_entries_replayed;
-  result.fallbacks = after.catchup_snapshot_fallbacks - before->catchup_snapshot_fallbacks;
-  result.replay_bytes = after.catchup_replay_bytes - before->catchup_replay_bytes;
-  result.snapshot_bytes = after.snapshot_bytes - before->snapshot_bytes;
-  const telemetry::Snapshot snap = fabric.telemetry().metrics.snapshot();
-  const auto it = snap.histograms.find("assurance.catchup_convergence_us");
-  result.catchup_n = it == snap.histograms.end() ? 0 : it->second.total;
-  result.converged = ha.last_divergence() == 0;
-  return result;
-}
-
-// --- Stampede drill: post-election admission ramp sheds the re-register rush
-
-struct StampedeDrillResult {
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t ramp_sheds = 0;
-  std::uint64_t sheds = 0;
-  std::size_t peak_backlog = 0;
-  std::size_t limit = 0;
-  int onboards_done = 0;
-  int onboards_asked = 0;
-  std::size_t parked = 0;
-  long long leader = -2;
-  bool ramp_ended = false;
-
-  [[nodiscard]] double fraction() const {
-    return sent ? static_cast<double>(delivered) / static_cast<double>(sent) : 1.0;
-  }
-};
-
-StampedeDrillResult run_stampede_drill() {
-  constexpr int kWarm = 6;
-  constexpr int kBurst = 16;
-  constexpr auto kKillAt = seconds{2};
-  constexpr auto kKillFor = seconds{4};  // dead through the whole stampede
-  constexpr auto kDrillRun = seconds{10};
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  // Slow registers + a tight admission bound make the burst visible: the
-  // just-elected leader must shed, not queue, the re-registration rush.
-  config.map_server.register_service = milliseconds{20};
-  config.map_server.admission_limit = 4;
-  config.map_server.shed_retry_after = milliseconds{100};
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.anti_entropy_interval = milliseconds{500};
-  config.ha.election = true;
-  config.ha.election_heartbeat_interval = milliseconds{100};
-  config.ha.election_timeout = milliseconds{400};
-  config.ha.election_claim_timeout = milliseconds{60};
-  config.ha.post_election_ramp = seconds{2};
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 6; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  std::vector<net::Ipv4Address> ips(kWarm);
-  for (int i = 0; i < kWarm + kBurst; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kWarm) {
-      // Staggered so the bounded admission queue never sheds the warm-up.
-      sim.schedule_at(sim.now() + milliseconds{80} * i, [&fabric, &ips, &edges, i] {
-        fabric.connect_endpoint(
-            host(i), edges[static_cast<std::size_t>(i)], 1,
-            [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
-      });
-    }
-  }
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  StampedeDrillResult result;
-  result.onboards_asked = kBurst;
-  result.limit = config.map_server.admission_limit;
-  const sim::SimTime t0 = sim.now();
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime) {
-        ++result.delivered;
-      });
-  // Background traffic across the failover so a stampede mishap (a parked
-  // frame leak, a starved resolution) would surface in the data plane.
-  for (int i = 0; i < kWarm; ++i) {
-    const auto peer = static_cast<std::size_t>((i + 1) % kWarm);
-    for (sim::Duration at = kSendGap * i / kWarm; at < kDrillRun; at += kSendGap) {
-      sim.schedule_at(t0 + at, [&, i, peer] {
-        if (ips[peer].is_unspecified()) return;
-        if (!fabric.endpoint_send_udp(mac(static_cast<std::uint64_t>(i)), ips[peer], 443, 200)) {
-          return;
-        }
-        ++result.sent;
-      });
-    }
-  }
-
-  // Kill the leader; the replica wins the term and opens its ramp window.
-  plane.server_outage(fabric.map_server_node(0), kKillAt, kKillFor);
-  // The stampede: a burst of onboards lands mid-ramp on the fresh leader.
-  sim.schedule_at(t0 + kKillAt + milliseconds{1500}, [&] {
-    for (int i = kWarm; i < kWarm + kBurst; ++i) {
-      fabric.connect_endpoint(host(i), edges[static_cast<std::size_t>(i) % edges.size()], 2,
-                              [&result](const fabric::OnboardResult&) { ++result.onboards_done; });
-    }
-  });
-
-  sim.run_until(t0 + kDrillRun + seconds{2});
-
-  const lisp::MapServerNode& fresh = fabric.map_server_node(1);
-  result.ramp_sheds = fresh.ramp_shed_submissions();
-  result.sheds = fresh.shed_submissions();
-  result.peak_backlog = fresh.peak_backlog();
-  for (const auto& name : edges) result.parked += fabric.edge(name).parked_frame_count();
-  result.leader = leader_as_int(fabric.ha_monitor()->leader());
-  result.ramp_ended = !fresh.ramp_active();
-  return result;
-}
-
-// --- Assurance drill: the causal tracer + assurance engine end to end -------
-//
-// The election-drill fabric with causal tracing on: onboards open Register
-// operations, mid-run roams open Move and SmrFanout operations, and the
-// leader kill opens a FailoverRehome operation — so one run populates all
-// four assurance.* convergence histograms. At quiesce the engine audits the
-// continuous invariants (epoch fencing, replica convergence, packet/trace
-// leaks, pub/sub gap resolution) and the convergence SLOs. The breach mode
-// re-runs with an artificial 100ms SMR delay to prove a violated SLO is
-// actually caught, not vacuously green.
-
-struct AssureDrillResult {
-  std::uint64_t register_n = 0;
-  std::uint64_t move_n = 0;
-  std::uint64_t rehome_n = 0;
-  std::uint64_t smr_n = 0;
-  std::size_t open_ops = 0;
-  std::uint64_t abandoned = 0;
-  std::vector<telemetry::Verdict> invariants;
-  std::vector<telemetry::Verdict> slos;
-};
-
-AssureDrillResult run_assurance_drill(bool breach) {
-  constexpr int kDrillFlows = 12;
-  constexpr auto kDrillRun = seconds{9};
-  constexpr auto kKillAt = seconds{2};
-  constexpr auto kKillFor = seconds{3};
-
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = kSeed;
-  config.routing_servers = 2;
-  config.default_route_fallback = false;
-  config.pending_packet_limit = 8;
-  config.map_request_retries = 8;
-  config.map_register_retries = 10;
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.down_after_misses = 3;
-  config.ha.up_after_acks = 4;
-  config.ha.anti_entropy_interval = milliseconds{500};
-  config.ha.election = true;
-  config.ha.election_heartbeat_interval = milliseconds{100};
-  config.ha.election_timeout = milliseconds{400};
-  config.ha.election_claim_timeout = milliseconds{60};
-  config.causal_tracing = true;
-  if (breach) config.smr_debug_delay = milliseconds{100};
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  fabric.add_border("b1");
-  std::vector<std::string> edges;
-  for (int e = 0; e < 6; ++e) {
-    edges.push_back(std::string{"e"} + std::to_string(e));
-    fabric.add_edge(edges.back());
-    fabric.link(edges.back(), "b0");
-    fabric.link(edges.back(), "b1");
-  }
-  fabric.link("b0", "b1");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  // Convergence SLOs. require_samples=true makes an unpopulated histogram a
-  // failure — the gate cannot go green because tracing silently broke.
-  telemetry::AssuranceEngine& assurance = fabric.telemetry().assurance;
-  assurance.add_slo({"smr-fanout-p95", "assurance.smr_fanout_us", 0.95, 20'000.0, true});
-  assurance.add_slo(
-      {"move-convergence-p95", "assurance.move_convergence_us", 0.95, 300'000.0, true});
-  assurance.add_slo({"register-rtt-p95", "assurance.register_rtt_us", 0.95, 250'000.0, true});
-  assurance.add_slo(
-      {"failover-rehome-p95", "assurance.failover_rehome_us", 0.95, 400'000.0, true});
-
-  std::vector<net::Ipv4Address> ips(kDrillFlows + 1);
-  for (int i = 0; i < kDrillFlows + 1; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = host(i);
-    def.secret = "pw";
-    def.mac = mac(static_cast<std::uint64_t>(i));
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    if (i < kDrillFlows) {
-      fabric.connect_endpoint(
-          def.credential, edges[static_cast<std::size_t>(i) % edges.size()], 1,
-          [&ips, i](const fabric::OnboardResult& r) { ips[static_cast<std::size_t>(i)] = r.ip; });
-    }
-  }
-  sim.run_until(sim.now() + seconds{1});
-
-  faults::FaultPlane plane{sim, fabric.underlay(), kSeed};
-  plane.set_recorder(&fabric.flight_recorder());
-
-  const sim::SimTime t0 = sim.now();
-  const auto flow = [&](int from, int to, sim::Duration start) {
-    for (sim::Duration at = start + kSendGap * from / kDrillFlows; at < kDrillRun;
-         at += kSendGap) {
-      sim.schedule_at(t0 + at, [&, from, to] {
-        fabric.endpoint_send_udp(mac(static_cast<std::uint64_t>(from)),
-                                 ips[static_cast<std::size_t>(to)], 443, 200);
-      });
-    }
-  };
-  for (int i = 0; i < 6; ++i) flow(i, (i + 1) % 6, sim::Duration{0});
-
-  // Roams bracket the outage (clean SMR timing on both sides of the kill):
-  // each roamer's peer holds a stale cache entry and is SMR'd once the old
-  // edge has applied the Map-Notify (Fig. 6), well clear of the kill window.
-  sim.schedule_at(t0 + milliseconds{500}, [&] { fabric.roam_endpoint(mac(1), edges[4], 3); });
-  sim.schedule_at(t0 + milliseconds{6500}, [&] { fabric.roam_endpoint(mac(3), edges[5], 3); });
-
-  // Kill the elected leader: the replica's watchdog opens a new term and
-  // the borders re-home onto it (the FailoverRehome operation). A late
-  // endpoint registers under the new leader mid-outage.
-  plane.server_outage(fabric.map_server_node(0), kKillAt, kKillFor);
-  sim.schedule_at(t0 + seconds{4}, [&] {
-    fabric.connect_endpoint(host(kDrillFlows), edges[1], 2,
-                            [&ips](const fabric::OnboardResult& r) { ips.back() = r.ip; });
-  });
-
-  sim.run_until(t0 + kDrillRun + seconds{3});  // quiesce: every op must resolve
-
-  AssureDrillResult result;
-  const telemetry::Snapshot snap = fabric.telemetry().metrics.snapshot();
-  const auto hist_n = [&snap](const char* name) -> std::uint64_t {
-    const auto it = snap.histograms.find(name);
-    return it == snap.histograms.end() ? 0 : it->second.total;
-  };
-  result.register_n = hist_n("assurance.register_rtt_us");
-  result.move_n = hist_n("assurance.move_convergence_us");
-  result.rehome_n = hist_n("assurance.failover_rehome_us");
-  result.smr_n = hist_n("assurance.smr_fanout_us");
-  result.open_ops = fabric.telemetry().causal.open_count();
-  result.abandoned = fabric.telemetry().causal.abandoned_count();
-  result.invariants = assurance.evaluate_invariants();
-  result.slos = assurance.evaluate_slos(snap);
-
-  if (!breach) {
-    // The span trees of the faithful run are the Chrome-trace artifact
-    // (chrome://tracing / Perfetto); the breach run is diagnostics only.
-    if (const auto dir = bench::results_dir()) {
-      if (fabric.telemetry().causal.write_chrome_trace(*dir, "assurance_causal_trace")) {
-        std::printf("chrome trace written to %s/assurance_causal_trace.json\n", dir->c_str());
-      }
-    }
-  }
-  return result;
-}
-
-void print_assure_lines(const char* mode, const AssureDrillResult& r) {
-  std::printf(
-      "assure mode=%s register_n=%llu move_n=%llu rehome_n=%llu smr_n=%llu "
-      "open_ops=%llu abandoned=%llu\n",
-      mode, static_cast<unsigned long long>(r.register_n),
-      static_cast<unsigned long long>(r.move_n),
-      static_cast<unsigned long long>(r.rehome_n),
-      static_cast<unsigned long long>(r.smr_n),
-      static_cast<unsigned long long>(r.open_ops),
-      static_cast<unsigned long long>(r.abandoned));
-  for (const auto& v : r.invariants) {
-    std::printf("averdict mode=%s name=%s pass=%d detail=%s\n", mode, v.name.c_str(),
-                v.pass ? 1 : 0, v.detail.c_str());
-  }
-  for (const auto& v : r.slos) {
-    std::printf("aslo mode=%s name=%s pass=%d detail=%s\n", mode, v.name.c_str(),
-                v.pass ? 1 : 0, v.detail.c_str());
-  }
-}
-
-void print_drill_line(const char* mode, const DrillResult& r) {
-  std::printf(
-      "drill ha=%s sent=%llu delivered=%llu fraction=%.4f reconv_ms=%.0f "
-      "failovers=%llu failbacks=%llu anti_entropy_repairs=%llu rq_retries=%llu\n",
-      mode, static_cast<unsigned long long>(r.sent),
-      static_cast<unsigned long long>(r.delivered), r.fraction(), r.reconvergence_ms,
-      static_cast<unsigned long long>(r.failovers),
-      static_cast<unsigned long long>(r.failbacks),
-      static_cast<unsigned long long>(r.anti_entropy_repairs),
-      static_cast<unsigned long long>(r.request_retries));
-}
-
-void print_election_drill_line(const ElectionDrillResult& r) {
-  std::printf(
-      "edrill term=%llu leader=%llu elections=%llu resyncs=%llu stale_rejects=%llu "
-      "stale_accepts=%llu min_feed_epoch=%llu fraction=%.4f\n",
-      static_cast<unsigned long long>(r.term), static_cast<unsigned long long>(r.leader),
-      static_cast<unsigned long long>(r.elections),
-      static_cast<unsigned long long>(r.resyncs),
-      static_cast<unsigned long long>(r.stale_rejects),
-      static_cast<unsigned long long>(r.stale_accepts),
-      static_cast<unsigned long long>(r.min_feed_epoch), r.fraction());
-}
-
-void print_oscillation_drill_line(const char* mode, const OscillationDrillResult& r) {
-  std::printf(
-      "odrill dampening=%s failovers=%llu failbacks=%llu suppressions=%llu released=%d\n",
-      mode, static_cast<unsigned long long>(r.failovers),
-      static_cast<unsigned long long>(r.failbacks),
-      static_cast<unsigned long long>(r.suppressions), r.released ? 1 : 0);
-}
-
-void print_quorum_drill_line(const QuorumDrillResult& r) {
-  std::printf(
-      "qdrill stalls=%llu minority_led=%llu minority_wins=%llu mid_leader=%lld "
-      "final_leader=%lld term=%llu quorum_dipped=%d quorum_held=%d onboard_ok=%d "
-      "stale_accepts=%llu invariant=%d\n",
-      static_cast<unsigned long long>(r.stalls),
-      static_cast<unsigned long long>(r.minority_led_samples),
-      static_cast<unsigned long long>(r.minority_wins), r.mid_leader, r.final_leader,
-      static_cast<unsigned long long>(r.term), r.quorum_dipped ? 1 : 0,
-      r.quorum_held_at_end ? 1 : 0, r.onboard_ok ? 1 : 0,
-      static_cast<unsigned long long>(r.stale_accepts), r.invariant_pass ? 1 : 0);
-}
-
-void print_catchup_drill_line(const char* arm, const CatchupDrillResult& r) {
-  std::printf(
-      "cdrill arm=%s capacity=%llu replays=%llu entries=%llu fallbacks=%llu "
-      "replay_bytes=%llu snapshot_bytes=%llu catchup_n=%llu converged=%d\n",
-      arm, static_cast<unsigned long long>(r.capacity),
-      static_cast<unsigned long long>(r.replays),
-      static_cast<unsigned long long>(r.entries),
-      static_cast<unsigned long long>(r.fallbacks),
-      static_cast<unsigned long long>(r.replay_bytes),
-      static_cast<unsigned long long>(r.snapshot_bytes),
-      static_cast<unsigned long long>(r.catchup_n), r.converged ? 1 : 0);
-}
-
-void print_stampede_drill_line(const StampedeDrillResult& r) {
-  std::printf(
-      "sdrill ramp_sheds=%llu sheds=%llu peak=%llu limit=%llu onboards=%d asked=%d "
-      "parked=%llu leader=%lld ramp_ended=%d fraction=%.4f\n",
-      static_cast<unsigned long long>(r.ramp_sheds),
-      static_cast<unsigned long long>(r.sheds),
-      static_cast<unsigned long long>(r.peak_backlog),
-      static_cast<unsigned long long>(r.limit), r.onboards_done, r.onboards_asked,
-      static_cast<unsigned long long>(r.parked), r.leader, r.ramp_ended ? 1 : 0,
-      r.fraction());
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool assure_only = argc > 1 && std::strcmp(argv[1], "--assure") == 0;
-  if (assure_only) {
-    // Machine-parseable mode for scripts/check_assurance.sh: the causal-
-    // tracing drill (all four convergence histograms + invariant audit),
-    // then the same drill with a deliberately slowed SMR path to prove the
-    // smr-fanout SLO breach is caught.
-    print_assure_lines("normal", run_assurance_drill(false));
-    print_assure_lines("breach", run_assurance_drill(true));
-    return 0;
-  }
-  const bool drill_only = argc > 1 && std::strcmp(argv[1], "--drill") == 0;
-  if (drill_only) {
-    // Machine-parseable mode for scripts/check_failover.sh: the server-kill
-    // drill with and without the HA layer, then the leader-election and
-    // flap-dampening drills, nothing else.
-    print_drill_line("on", run_drill(true));
-    print_drill_line("off", run_drill(false));
-    print_election_drill_line(run_election_drill());
-    print_oscillation_drill_line("on", run_oscillation_drill(true));
-    print_oscillation_drill_line("off", run_oscillation_drill(false));
-    print_quorum_drill_line(run_quorum_drill());
-    // Catch-up arms: a roomy log (delta replay), no log (snapshot-only
-    // legacy path), and a log smaller than the missed delta (horizon passed
-    // -> snapshot fallback).
-    print_catchup_drill_line("log", run_catchup_drill(4096));
-    print_catchup_drill_line("snap", run_catchup_drill(0));
-    print_catchup_drill_line("horizon", run_catchup_drill(8));
-    print_stampede_drill_line(run_stampede_drill());
-    return 0;
-  }
+int main() {
   std::printf("=== Chaos convergence: delivered traffic under a seeded fault storm ===\n");
   std::printf("%d flows at 200 Hz for 10s; storm in [2s, 6s): control/data loss,\n", kFlows);
   std::printf("4-link flap storm, 1.5s routing-server outage, border feed cut+resync.\n");
@@ -1244,7 +193,7 @@ int main(int argc, char** argv) {
   std::printf("post-storm fraction at 1.0 — nothing stays blackholed once faults clear.\n\n");
 
   bench::write_timeseries("chaos_delivered_fraction", {"delivered_fraction"},
-                          bench::rows_from_series(reference_series), kSeed);
+                          bench::rows_from_series(reference_series), workload::kDrillSeed);
 
   std::printf("=== HA drill: 3s routing-server kill + mid-outage cold flows ===\n");
   std::printf("2 routing servers, border default route off; with HA the heartbeat\n");
@@ -1253,7 +202,7 @@ int main(int argc, char** argv) {
   stats::Table drill_table{{"ha", "sent", "delivered", "fraction", "reconv (ms)",
                             "failovers", "failbacks", "ae repairs", "rq retries"}};
   for (const bool ha_on : {true, false}) {
-    const DrillResult d = run_drill(ha_on);
+    const workload::ServerKillDrillResult d = workload::run_server_kill_drill(ha_on);
     drill_table.add_row(
         {ha_on ? "on" : "off", stats::Table::num(std::size_t{d.sent}),
          stats::Table::num(std::size_t{d.delivered}), stats::Table::num(d.fraction(), 4),
@@ -1269,7 +218,7 @@ int main(int argc, char** argv) {
   std::printf("replica divergence is repaired by anti-entropy instead of staying stale.\n\n");
 
   std::printf("=== Election drill: leader killed, resurrected stale ===\n");
-  const ElectionDrillResult e = run_election_drill();
+  const workload::ElectionDrillResult e = workload::run_election_drill();
   std::printf(
       "term %llu, leader %llu after the kill; %llu border snapshot resyncs re-homed the\n"
       "feed; %llu stale-epoch messages fenced, %llu accepted; delivered fraction %.4f.\n\n",
@@ -1279,8 +228,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(e.stale_accepts), e.fraction());
 
   std::printf("=== Oscillation drill: 3 down/up cycles on server 0 ===\n");
-  const OscillationDrillResult damped = run_oscillation_drill(true);
-  const OscillationDrillResult churn = run_oscillation_drill(false);
+  const workload::OscillationDrillResult damped = workload::run_oscillation_drill(true);
+  const workload::OscillationDrillResult churn = workload::run_oscillation_drill(false);
   std::printf(
       "dampening off: %llu failovers, %llu failbacks (full churn every cycle).\n"
       "dampening on:  %llu failover, %llu suppression%s; server released after decay: %s.\n",
@@ -1291,7 +240,15 @@ int main(int argc, char** argv) {
       damped.suppressions == 1 ? "" : "s", damped.released ? "yes" : "no");
 
   std::printf("\n=== Assurance drill: causal tracing + invariant audit ===\n");
-  const AssureDrillResult a = run_assurance_drill(false);
+  // The faithful run's span trees are the Chrome-trace artifact
+  // (chrome://tracing / Perfetto).
+  const workload::AssureDrillResult a =
+      workload::run_assurance_drill(false, [](const fabric::SdaFabric& fabric) {
+        const auto dir = bench::results_dir();
+        if (dir && fabric.telemetry().causal.write_chrome_trace(*dir, "assurance_causal_trace")) {
+          std::printf("chrome trace written to %s/assurance_causal_trace.json\n", dir->c_str());
+        }
+      });
   std::printf(
       "operations traced: %llu registrations, %llu moves, %llu re-homes, %llu SMR\n"
       "fan-outs; %llu open at quiesce, %llu abandoned.\n",

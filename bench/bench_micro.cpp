@@ -8,15 +8,11 @@
 //  * telemetry hot paths (counter cells, recorder, idle tracer hooks) —
 //    the instrumentation tax must stay ~0 when idle, tiny when enabled.
 //
-// The custom main additionally builds a two-edge fabric, pushes a few
-// packets, and exports metrics snapshots so scripts/check_metrics.sh can
-// validate the JSON schema and counter monotonicity cheaply (run with
-// --benchmark_filter=NothingMatches to skip the timing loops).
-//
-// When $SDA_BENCH_JSON is set, main also runs the perf-gate probes
-// (steady_clock-timed hot loops plus a global-new allocation counter) and
-// writes the machine-readable summary scripts/check_perf.sh diffs against
-// the committed baseline in bench/BENCH_micro.json.
+// The custom main serves only scripts/check_perf.sh: after the suite, when
+// $SDA_BENCH_JSON is set, it runs the perf-gate probes (steady_clock-timed
+// hot loops plus a global-new allocation counter) and writes the
+// machine-readable summary check_perf.sh diffs against the committed
+// baseline in bench/BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -58,7 +54,6 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/path_trace.hpp"
-#include "telemetry_sink.hpp"
 #include "trie/patricia.hpp"
 #include "underlay/spf.hpp"
 
@@ -400,68 +395,6 @@ void BM_TelemetryRegistrySnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryRegistrySnapshot);
 
-/// Builds a tiny two-edge fabric, pushes traffic, and exports two metrics
-/// snapshots (plus Prometheus text) for scripts/check_metrics.sh: the
-/// second snapshot must be schema-identical and counter-monotonic over the
-/// first. No-op unless $SDA_RESULTS_DIR is set.
-void export_schema_probe() {
-  const auto dir = bench::results_dir();
-  if (!dir) return;
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = 0x5DA;
-  config.trace_first_packets = true;
-  // The probe's job is schema coverage: turn on every metric-bearing
-  // subsystem — scale-out routing servers, the full HA layer (failover,
-  // anti-entropy, election, dampening), and causal tracing — so the
-  // routing_server[i].*, ha.*, and assurance.* families are all present.
-  config.routing_servers = 2;
-  config.ha.failover = true;
-  config.ha.anti_entropy_interval = std::chrono::milliseconds{500};
-  config.ha.election = true;
-  config.ha.dampening = true;
-  config.causal_tracing = true;
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  fabric.add_edge("e0");
-  fabric.add_edge("e1");
-  fabric.link("e0", "b0");
-  fabric.link("e1", "b0");
-  fabric.finalize();
-  fabric.define_vn({net::VnId{1}, "corp", *net::Ipv4Prefix::parse("10.1.0.0/16")});
-
-  std::array<net::Ipv4Address, 2> ips;
-  for (int i = 0; i < 2; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = "h" + std::to_string(i);
-    def.secret = "pw";
-    def.mac = net::MacAddress::from_u64(0x0400u + static_cast<std::uint64_t>(i));
-    def.vn = net::VnId{1};
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, i == 0 ? "e0" : "e1", 1,
-                            [&ips, i](const fabric::OnboardResult& r) {
-                              ips[static_cast<std::size_t>(i)] = r.ip;
-                            });
-  }
-  // The HA heartbeat/election timers never drain the queue: drive time
-  // explicitly. 3s covers the first election plus the acked registrations.
-  sim.run_until(sim.now() + std::chrono::seconds{3});
-  fabric.endpoint_send_udp(net::MacAddress::from_u64(0x0400u), ips[1], 443, 200);
-  sim.run_until(sim.now() + std::chrono::milliseconds{200});
-  const telemetry::Snapshot first = fabric.telemetry().metrics.snapshot();
-  telemetry::write_json(*dir, "bench_micro_metrics", first);
-  telemetry::write_prometheus(*dir, "bench_micro_metrics", first);
-  for (int i = 0; i < 8; ++i) {
-    fabric.endpoint_send_udp(net::MacAddress::from_u64(0x0401u), ips[0], 443, 200);
-  }
-  sim.run_until(sim.now() + std::chrono::milliseconds{200});
-  telemetry::write_json(*dir, "bench_micro_metrics_2", fabric.telemetry().metrics.snapshot());
-  std::printf("telemetry schema probes written to %s/bench_micro_metrics{,_2}.json\n",
-              dir->c_str());
-}
-
 // --- Perf-gate probes -----------------------------------------------------
 // Fixed-iteration steady_clock loops (deliberately independent of the
 // google-benchmark runner so the JSON shape stays stable) measured per
@@ -729,7 +662,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  export_schema_probe();
   export_perf_probe();
   return 0;
 }

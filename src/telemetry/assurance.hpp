@@ -13,7 +13,7 @@
 //    demand.
 //
 // evaluate() returns one Verdict per check; inspect() renders them, and
-// scripts/check_assurance.sh turns them into a tier-1 gate.
+// the Drills.Assurance test (tests/workload/drills_test.cpp) gates on them.
 #pragma once
 
 #include <functional>

@@ -2,7 +2,7 @@
 //
 // Three formats cover the consumers we have:
 //  * Prometheus-style text — scrape-shaped, for eyeballing and diffing;
-//  * JSON — machine-readable snapshot, validated by scripts/check_metrics.sh;
+//  * JSON — machine-readable snapshot for external tooling;
 //  * CSV timeseries — the bench figure pipeline, with one convention for
 //    every bench: first column "time_s" (simulated seconds), last column
 //    "seed" (the run's RNG seed), so downstream plotting never has to

@@ -3,8 +3,11 @@
 // encap -> underlay -> decap -> two-stage SGACL pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "fabric/fabric.hpp"
 #include "fabric/inspect.hpp"
+#include "telemetry/export.hpp"
 
 namespace sda::fabric {
 namespace {
@@ -224,6 +227,135 @@ TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
   const telemetry::Snapshot snap = fabric.metrics().snapshot();
   EXPECT_EQ(snap.histograms.at("fabric.first_packet_us").total, 30u);
   EXPECT_EQ(fabric.path_tracer().open_count(), 0u);
+}
+
+// The schema every metric-bearing subsystem exports: scale-out routing
+// servers, the full HA layer (failover, anti-entropy, election, dampening)
+// and causal tracing, on a fault-free two-edge fabric. Export's own tests
+// cover the JSON and Prometheus renderings of such snapshots.
+TEST(TelemetrySchema, EveryFamilyExportsItsFaultFreeValues) {
+  sim::Simulator sim;
+  FabricConfig config;
+  config.l2_gateway = false;
+  config.seed = 0x5DA;
+  config.trace_first_packets = true;
+  config.routing_servers = 2;
+  config.ha.failover = true;
+  config.ha.anti_entropy_interval = std::chrono::milliseconds{500};
+  config.ha.election = true;
+  config.ha.dampening = true;
+  config.causal_tracing = true;
+  SdaFabric fabric(sim, config);
+  fabric.add_border("b0");
+  fabric.add_edge("e0");
+  fabric.add_edge("e1");
+  fabric.link("e0", "b0");
+  fabric.link("e1", "b0");
+  fabric.finalize();
+  fabric.define_vn({VnId{1}, "corp", *net::Ipv4Prefix::parse("10.1.0.0/16")});
+  std::array<net::Ipv4Address, 2> ips;
+  for (std::size_t i = 0; i < 2; ++i) {
+    fabric.provision_endpoint(
+        {"h" + std::to_string(i), "pw", MacAddress::from_u64(0x0400 + i), VnId{1}, GroupId{10}});
+    fabric.connect_endpoint("h" + std::to_string(i), "e" + std::to_string(i), 1,
+                            [&ips, i](const OnboardResult& r) { ips[i] = r.ip; });
+  }
+  // The HA timers never drain the queue: drive time explicitly. 3 s covers
+  // the first election and the acked registrations.
+  sim.run_until(sim.now() + std::chrono::seconds{3});
+  fabric.endpoint_send_udp(MacAddress::from_u64(0x0400), ips[1], 443, 200);
+  sim.run_until(sim.now() + std::chrono::milliseconds{200});
+  const telemetry::Snapshot first = fabric.metrics().snapshot();
+  for (int i = 0; i < 8; ++i) {
+    fabric.endpoint_send_udp(MacAddress::from_u64(0x0401), ips[0], 443, 200);
+  }
+  sim.run_until(sim.now() + std::chrono::milliseconds{200});
+  const telemetry::Snapshot second = fabric.metrics().snapshot();
+
+  for (const char* name :
+       {"edge[0].map_cache.misses", "edge[1].map_cache.hits", "edge[0].smr_sent",
+        "map_server.requests", "border[0].hairpinned", "routing_server[0].dropped_submissions",
+        "routing_server[1].dropped_submissions", "routing_server[0].shed_submissions",
+        "routing_server[1].shed_submissions", "routing_server[0].ramp_sheds",
+        "routing_server[1].ramp_sheds", "ha.heartbeats_sent", "ha.failovers",
+        "ha.anti_entropy_rounds", "ha.elections_started", "ha.leaders_elected",
+        "ha.epoch_rejections", "ha.suppressions", "ha.quorum_stalls", "ha.minority_leaders",
+        "ha.catchup.replays", "ha.catchup.entries_replayed", "ha.catchup.snapshot_fallbacks",
+        "ha.catchup.replay_bytes", "ha.catchup.snapshot_bytes"}) {
+    EXPECT_TRUE(first.counters.count(name)) << "missing counter " << name;
+  }
+  for (const char* name :
+       {"routing_server[0].online", "routing_server[1].in_flight",
+        "routing_server[0].admission_ramp", "ha.servers_up", "ha.replica_divergence",
+        "ha.election.term", "ha.election.leader", "ha.election.quorum",
+        "ha.dampening.suppressed"}) {
+    EXPECT_TRUE(first.gauges.count(name)) << "missing gauge " << name;
+  }
+  for (const char* name :
+       {"fabric.first_packet_us", "fabric.onboard_ms", "assurance.register_rtt_us",
+        "assurance.move_convergence_us", "assurance.failover_rehome_us",
+        "assurance.smr_fanout_us", "assurance.catchup_convergence_us"}) {
+    EXPECT_TRUE(first.histograms.count(name)) << "missing histogram " << name;
+  }
+
+  // Fault-free: the timers fired, server 0 keeps the first term, nothing is
+  // suppressed, diverged or stalled, and both onboards were traced.
+  const auto counter = [&first](const char* name) {
+    const auto it = first.counters.find(name);
+    return it == first.counters.end() ? ~std::uint64_t{0} : it->second;
+  };
+  const auto gauge = [&first](const char* name) {
+    const auto it = first.gauges.find(name);
+    return it == first.gauges.end() ? -2.0 : it->second;
+  };
+  const auto total = [&first](const char* name) {
+    const auto it = first.histograms.find(name);
+    return it == first.histograms.end() ? 0 : it->second.total;
+  };
+  EXPECT_GT(counter("ha.heartbeats_sent"), 0u);
+  EXPECT_GT(counter("ha.anti_entropy_rounds"), 0u);
+  EXPECT_EQ(counter("ha.quorum_stalls"), 0u);
+  EXPECT_EQ(counter("ha.minority_leaders"), 0u);
+  EXPECT_GE(gauge("ha.election.term"), 1.0);
+  EXPECT_EQ(gauge("ha.election.leader"), 0.0);
+  EXPECT_EQ(gauge("ha.election.quorum"), 1.0);
+  EXPECT_EQ(gauge("ha.dampening.suppressed"), 0.0);
+  EXPECT_EQ(gauge("ha.replica_divergence"), 0.0);
+  EXPECT_EQ(gauge("ha.servers_up"), 2.0);
+  EXPECT_EQ(total("fabric.onboard_ms"), 2u);
+  EXPECT_GE(total("assurance.register_rtt_us"), 2u);
+
+  // Every histogram accounts for each sample in exactly one bucket.
+  for (const telemetry::Snapshot* snap : {&first, &second}) {
+    for (const auto& [name, h] : snap->histograms) {
+      EXPECT_LT(h.spec.lo, h.spec.hi) << name;
+      std::uint64_t in_range = 0;
+      for (const std::uint64_t c : h.counts) in_range += c;
+      EXPECT_EQ(in_range + h.underflow + h.overflow, h.total) << name;
+    }
+  }
+
+  // Traffic changes values, never the schema, and counters only grow.
+  const auto keys = [](const auto& map) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : map) out.push_back(name);
+    return out;
+  };
+  EXPECT_EQ(keys(first.counters), keys(second.counters));
+  EXPECT_EQ(keys(first.gauges), keys(second.gauges));
+  EXPECT_EQ(keys(first.histograms), keys(second.histograms));
+  std::uint64_t moved = 0;
+  for (const auto& [name, value] : first.counters) {
+    const auto it = second.counters.find(name);
+    if (it == second.counters.end()) continue;
+    EXPECT_GE(it->second, value) << name << " went backwards";
+    if (it->second > value) moved += it->second - value;
+  }
+  EXPECT_GT(moved, 0u) << "the second snapshot shows no traffic";
+
+  const std::string prom = telemetry::to_prometheus(first);
+  EXPECT_NE(prom.find("# TYPE sda_edge_0_map_cache_misses counter\n"), std::string::npos);
+  EXPECT_NE(prom.find("sda_fabric_first_packet_us_bucket"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Exporter conformance tests: the Prometheus text rendering and JSON
-// snapshot must keep their exact shape — scripts/check_metrics.sh and any
-// external scrape pipeline parse these formats byte-by-byte.
+// snapshot must keep their exact shape — external scrape pipelines parse
+// these formats byte-by-byte.
 #include "telemetry/export.hpp"
 
 #include <gtest/gtest.h>
@@ -81,7 +81,7 @@ TEST(Export, PrometheusInfBucketMatchesCount) {
 TEST(Export, GoldenPrometheusRendering) {
   // Full golden string for a minimal snapshot: sorted order, one # TYPE
   // line per metric, exact float formatting. A diff here means the scrape
-  // format changed — update check_metrics.sh consumers deliberately.
+  // format changed — update its consumers deliberately.
   MetricsRegistry reg;
   reg.counter("b.count").inc(3);
   reg.gauge("a.depth").set(1.5);
