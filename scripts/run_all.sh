@@ -5,8 +5,8 @@
 #
 # With a results-dir argument, benches additionally dump raw CSV series
 # there (SDA_RESULTS_DIR). --release builds -O3/NDEBUG into build-release/
-# (the default tree is RelWithDebInfo) — use it when regenerating the
-# perf-gate baseline or timing-sensitive figures.
+# (the default tree is RelWithDebInfo) — use it for timing-sensitive
+# figures and bench_micro's timing loops.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +18,7 @@ if [[ "${1:-}" == "--release" ]]; then
   shift
 fi
 
-cmake -B "$BUILD_DIR" -G Ninja "${CMAKE_ARGS[@]}"
+cmake -B "$BUILD_DIR" "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 

@@ -7,19 +7,27 @@
 //    map-server job, Map-Reply, and a cache install that evicts — makes no
 //    heap allocation and costs exactly five simulator events, and the
 //    retransmit timer its reply cancels does not linger in the event queue;
+//  * routing-server failover (§4.1, §5): with the primary declared down,
+//    every miss resolves at the replica for the same five events and no
+//    allocation, and the server fails over and back exactly once;
 //  * roam (Figs. 5 and 6): re-authentication, Map-Register, Map-Notify, one
 //    stale forward, one SMR and the sender's re-resolution cost exactly
 //    thirteen events, under an allocation ceiling that only comes down;
+//  * onboarding (Fig. 3): a fresh host costs exactly six events, under an
+//    allocation ceiling that only comes down;
 //  * endpoint churn at one edge: detach and re-attach at a constant
 //    population reuse the endpoint's record and index entries, allocating
 //    nothing;
 //  * rule re-download at one edge: pushing a destination group's rules
-//    again, with the same rule count, allocates nothing.
+//    again, with the same rule count, allocates nothing;
+//  * causal tracing off: the tracer's per-hook call pattern allocates
+//    nothing.
 //
 // Built as its own executable because it replaces the global operator new
 // with a counting one.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -27,6 +35,8 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
+#include "faults/fault_plane.hpp"
+#include "telemetry/causal_trace.hpp"
 
 namespace {
 
@@ -87,7 +97,13 @@ struct Campus {
       fabric.connect_endpoint(credential, "e" + std::to_string(h / kHostsPerEdge), 1,
                               [this, h](const OnboardResult& r) { ips[h] = r.ip; });
     }
-    sim.run();
+    // HA heartbeats never let the queue drain: onboard for a simulated
+    // second instead.
+    if (config.ha.failover) {
+      sim.run_until(sim.now() + std::chrono::seconds{1});
+    } else {
+      sim.run();
+    }
     fabric.set_delivery_listener([this](const dataplane::AttachedEndpoint&,
                                         const net::OverlayFrame&,
                                         sim::SimTime) { ++delivered; });
@@ -167,6 +183,18 @@ struct MissRun {
 // still due when the next round starts.
 constexpr sim::Duration kMissRoundSpacing = std::chrono::milliseconds{2};
 
+// Round r of misses: one send per edge, from the edge's slot r % 16 host.
+void send_miss_round(Campus& campus, std::size_t r) {
+  for (std::size_t e = 0; e < kEdges; ++e) {
+    const std::size_t step = r + e;
+    const std::size_t to_edge = (e + 1 + step % (kEdges - 1)) % kEdges;
+    const std::size_t to_slot = (step / (kEdges - 1)) % kHostsPerEdge;
+    EXPECT_TRUE(campus.fabric.endpoint_send_udp(campus.macs[e * kHostsPerEdge + r % kHostsPerEdge],
+                                                campus.ips[to_edge * kHostsPerEdge + to_slot],
+                                                5000, 64));
+  }
+}
+
 MissRun run_misses(bool telemetry, int warmup, int rounds) {
   FabricConfig config = campus_config(telemetry);
   config.edge_map_cache_capacity = 8;
@@ -185,14 +213,7 @@ MissRun run_misses(bool telemetry, int warmup, int rounds) {
   std::size_t r = 0;
   std::uint64_t tombstone_overflows = 0;
   const auto round = [&] {
-    for (std::size_t e = 0; e < kEdges; ++e) {
-      const std::size_t step = r + e;
-      const std::size_t to_edge = (e + 1 + step % (kEdges - 1)) % kEdges;
-      const std::size_t to_slot = (step / (kEdges - 1)) % kHostsPerEdge;
-      EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[e * kHostsPerEdge + r % kHostsPerEdge],
-                                           campus.ips[to_edge * kHostsPerEdge + to_slot], 5000,
-                                           64));
-    }
+    send_miss_round(campus, r);
     campus.sim.run_until(campus.sim.now() + kMissRoundSpacing);
     const sim::Simulator& sim = campus.sim;
     if (sim.queued_entries() > 2 * sim.pending_events() + sim::Simulator::kTombstoneSlack) {
@@ -269,6 +290,126 @@ TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOn) {
 TEST(PacketPathAlloc, MissesAllocateNothingWithTelemetryOff) {
   const MissRun run = run_misses(/*telemetry=*/false, 160, 64);
   expect_misses_allocate_nothing(run, 64);
+}
+
+// Routing-server failover (§4.1, §5). Two routing servers; edge e sends its
+// Map-Requests to server e % 2. Server 0 goes dark, three missed heartbeats
+// declare it down, and from then on every miss of both edge groups resolves
+// at the replica. Heartbeats keep firing, so each window of misses is
+// matched by an idle window of the same length and heartbeat phase (one
+// heartbeat interval, started 50 ms past a heartbeat); the difference is
+// what the misses themselves cost. Server 0 comes back, four answered
+// heartbeats later traffic fails back.
+struct FailoverRun {
+  PathRun idle;    // heartbeats only
+  PathRun misses;  // heartbeats plus one miss per edge every 2 ms
+  std::uint64_t map_requests = 0;
+  std::uint64_t replica_answers = 0;  // Map-Requests server 1 answered
+  std::uint64_t primary_requests = 0;  // reached server 0: answered or dropped
+  bool down_in_windows = false;
+  std::uint64_t failovers = 0;
+  std::uint64_t failbacks = 0;
+};
+
+FailoverRun run_failover(bool telemetry) {
+  FabricConfig config = campus_config(telemetry);
+  config.edge_map_cache_capacity = 8;
+  config.routing_servers = 2;
+  config.ha.failover = true;
+  const sim::Duration heartbeat = config.ha.heartbeat_interval;
+  const int window_rounds = static_cast<int>(heartbeat / kMissRoundSpacing);
+  Campus campus(config);
+  SdaFabric& fabric = campus.fabric;
+  sim::Simulator& sim = campus.sim;
+  lisp::MapServerNode& primary = fabric.map_server_node(0);
+  lisp::MapServerNode& replica = fabric.map_server_node(1);
+  const HaMonitor& ha = *fabric.ha_monitor();
+  replica.reserve_sojourn_samples(static_cast<std::size_t>(3 * window_rounds) * kEdges);
+
+  // Heartbeats fire at whole multiples of the interval from finalize() at
+  // time 0; the outage, and so every window below, starts 50 ms past one.
+  const sim::SimTime outage_at =
+      sim::SimTime{} + (sim.now().since_start() / heartbeat + 1) * heartbeat +
+      std::chrono::milliseconds{50};
+  constexpr sim::Duration kOutage = std::chrono::seconds{2};
+  faults::FaultPlane plane(sim, fabric.underlay(), 7);
+  plane.server_outage(primary, outage_at - sim.now(), kOutage);
+  sim.run_until(outage_at + 5 * heartbeat);  // declared down after 3 misses
+  EXPECT_FALSE(ha.server_up(0));
+
+  std::size_t r = 0;
+  const auto miss_round = [&] {
+    send_miss_round(campus, r++);
+    sim.run_until(sim.now() + kMissRoundSpacing);
+    return kEdges;
+  };
+  const auto idle_round = [&] {
+    sim.run_until(sim.now() + kMissRoundSpacing);
+    return std::size_t{0};
+  };
+  const auto requests = [&] {
+    std::uint64_t sent = 0;
+    for (const auto& name : fabric.edge_names()) {
+      sent += fabric.edge(name).counters().map_requests_sent;
+    }
+    return sent;
+  };
+  // Warm-up fills every cache and grows the replica's slabs for the load
+  // of both edge groups.
+  for (int i = 0; i < 2 * window_rounds; ++i) miss_round();
+  FailoverRun run;
+  const std::uint64_t requests_before = requests();
+  const std::uint64_t answers_before = replica.request_sojourns().count();
+  const std::uint64_t primary_before =
+      primary.request_sojourns().count() + primary.dropped_submissions();
+  run.idle = campus.measure(0, window_rounds, idle_round);
+  run.misses = campus.measure(0, window_rounds, miss_round);
+  run.down_in_windows = !ha.server_up(0) && !primary.online();
+  run.map_requests = requests() - requests_before;
+  run.replica_answers = replica.request_sojourns().count() - answers_before;
+  run.primary_requests =
+      primary.request_sojourns().count() + primary.dropped_submissions() - primary_before;
+  // Back online; four answered heartbeats later the group fails back.
+  sim.run_until(outage_at + kOutage + 6 * heartbeat);
+  run.failovers = ha.counters().failovers;
+  run.failbacks = ha.counters().failbacks;
+  EXPECT_TRUE(ha.server_up(0));
+  return run;
+}
+
+// A miss at the replica costs the same five events as the miss arm's, and
+// allocates nothing. The idle window is the heartbeats' own cost: each
+// server's heartbeat timer and probe leg, the live replica's answer leg,
+// and each server's timeout timer; each heartbeat allocates its shared
+// verdict flag.
+constexpr std::uint64_t kHeartbeatEventsPerInterval = 7;
+constexpr std::uint64_t kHeartbeatAllocsPerInterval = 2;
+
+void expect_failover_pinned(const FailoverRun& run) {
+  const std::uint64_t misses = run.misses.sends;
+  EXPECT_EQ(misses, 100u * kEdges);
+  EXPECT_EQ(run.misses.delivered, misses);
+  EXPECT_TRUE(run.down_in_windows);
+  EXPECT_EQ(run.map_requests, misses);     // one Map-Request per miss, no retry
+  EXPECT_EQ(run.replica_answers, misses);  // every one answered by server 1
+  EXPECT_EQ(run.primary_requests, 0u);     // none sent to the dark server
+  EXPECT_EQ(run.idle.events, kHeartbeatEventsPerInterval);
+  EXPECT_LE(run.idle.allocations, kHeartbeatAllocsPerInterval);
+  EXPECT_EQ(run.misses.events - run.idle.events, kEventsPerMiss * misses);
+  EXPECT_EQ(run.misses.allocations, run.idle.allocations);
+  EXPECT_EQ(run.failovers, 1u);
+  EXPECT_EQ(run.failbacks, 1u);
+}
+
+TEST(PacketPathAlloc, FailoverMissesAtTheReplicaWithTelemetryOn) {
+  const FailoverRun run = run_failover(/*telemetry=*/true);
+  expect_failover_pinned(run);
+  EXPECT_EQ(run.misses.frames_in_flight, 0u);
+  EXPECT_EQ(run.misses.control_in_flight, 0u);
+}
+
+TEST(PacketPathAlloc, FailoverMissesAtTheReplicaWithTelemetryOff) {
+  expect_failover_pinned(run_failover(/*telemetry=*/false));
 }
 
 // Roams. The slot-0 host of every edge is a roamer; the slot-1 host on the
@@ -372,6 +513,75 @@ TEST(PacketPathAlloc, RoamsWithTelemetryOff) {
   expect_roams_pinned(run, 8 * kEdges);
 }
 
+// Onboarding (Fig. 3): fresh hosts connect one at a time to the populated
+// campus, whose edges, servers and VNs stay as they are, each run to
+// quiesce. Their group already has rules on every edge, so no rule
+// download rides along.
+struct OnboardRun {
+  PathRun path;
+  std::uint64_t onboarded = 0;
+};
+
+OnboardRun run_onboardings(bool telemetry, int warmup, int onboardings) {
+  Campus campus(campus_config(telemetry));
+  SdaFabric& fabric = campus.fabric;
+  const auto fresh = static_cast<std::size_t>(warmup + onboardings);
+  std::vector<std::string> credentials;
+  for (std::size_t h = 0; h < fresh; ++h) {
+    credentials.push_back("fresh" + std::to_string(h));
+    fabric.provision_endpoint({credentials.back(), "pw",
+                               net::MacAddress::from_u64(0x0300'0000'0000ull + h), kVn,
+                               net::GroupId{10}});
+  }
+  const std::vector<std::string> edges = fabric.edge_names();
+  std::size_t i = 0;
+  std::uint64_t onboarded = 0;
+  const auto round = [&] {
+    fabric.connect_endpoint(credentials[i], edges[i % kEdges], 2,
+                            [&onboarded](const OnboardResult& r) { onboarded += r.success; });
+    ++i;
+    campus.sim.run();
+    return std::uint64_t{1};
+  };
+  for (int k = 0; k < warmup; ++k) round();
+  OnboardRun run;
+  const std::uint64_t before = onboarded;
+  run.path = campus.measure(0, onboardings, round);
+  run.onboarded = onboarded - before;
+  return run;
+}
+
+// Six events per onboarding: two onboarding steps (authentication; address,
+// attach and Map-Register), the Map-Register leg, the map-server job, the
+// border publish and the edge's Map-Notify ack.
+constexpr std::uint64_t kEventsPerOnboarding = 6;
+// Allocations per onboarding, a ceiling at today's count (34.26, telemetry
+// on or off): the onboarding closures, the access request's and the
+// endpoint record's strings, and the map server's and edge's tables
+// growing with the population. The ceiling only comes down.
+constexpr double kAllocsPerOnboardingCeiling = 34.3;
+
+void expect_onboardings_pinned(const OnboardRun& run, int onboardings) {
+  const auto n = static_cast<std::uint64_t>(onboardings);
+  EXPECT_EQ(run.path.sends, n);
+  EXPECT_EQ(run.onboarded, n);
+  EXPECT_EQ(run.path.events, kEventsPerOnboarding * n);
+  EXPECT_LE(static_cast<double>(run.path.allocations),
+            kAllocsPerOnboardingCeiling * static_cast<double>(n));
+}
+
+TEST(PacketPathAlloc, OnboardingsWithTelemetryOn) {
+  const OnboardRun run = run_onboardings(/*telemetry=*/true, 2 * kEdges, 16 * kEdges);
+  expect_onboardings_pinned(run, 16 * kEdges);
+  EXPECT_EQ(run.path.frames_in_flight, 0u);
+  EXPECT_EQ(run.path.control_in_flight, 0u);
+}
+
+TEST(PacketPathAlloc, OnboardingsWithTelemetryOff) {
+  const OnboardRun run = run_onboardings(/*telemetry=*/false, 2 * kEdges, 16 * kEdges);
+  expect_onboardings_pinned(run, 16 * kEdges);
+}
+
 // Endpoint churn at one edge, below the fabric: 32 hosts in two VNs, some
 // with IPv6 and MAC identities. A cycle detaches one host (a roam away or a
 // clean departure, alternately) and attaches it again at the next port.
@@ -442,6 +652,30 @@ TEST(PacketPathAlloc, RuleRedownloadAllocatesNothing) {
   EXPECT_EQ(edge.sgacl().rule_count(), 4u * 24u);
   EXPECT_EQ(edge.sgacl().evaluate(kPolicyVn, net::GroupId{3}, net::GroupId{11}),
             policy::Action::Deny);
+}
+
+// Causal tracing off (the default): the call pattern every control-plane
+// hook makes, an enabled() check guarding begin() and then span_begin,
+// span_end and finish on trace id 0, allocates nothing.
+TEST(PacketPathAlloc, DisabledCausalTracerAllocatesNothing) {
+  telemetry::CausalTracer tracer{16};
+  const std::string node = "edge0";
+  const sim::SimTime now{};
+  std::uint64_t spans = 0;
+  const auto hook = [&] {
+    std::uint64_t trace = 0;
+    if (tracer.enabled()) trace = tracer.begin(telemetry::OpKind::Register, node, now);
+    const std::uint64_t span = tracer.span_begin(trace, 0, "map-register", node, now);
+    tracer.span_end(trace, span, now);
+    tracer.finish(trace, now);
+    spans += span;
+  };
+  const std::uint64_t allocations = g_allocations;
+  for (int k = 0; k < 10000; ++k) hook();
+  EXPECT_EQ(g_allocations - allocations, 0u);
+  EXPECT_EQ(spans, 0u);
+  EXPECT_EQ(tracer.open_count(), 0u);
+  EXPECT_EQ(tracer.completed_count(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 
 #include "fabric/fabric.hpp"
 #include "fabric/inspect.hpp"
@@ -126,9 +127,17 @@ TEST_F(TelemetryFabric, PathTraceDecomposesDeliveredFirstPacket) {
   for (std::size_t i = 1; i < trace->hops.size(); ++i) {
     EXPECT_GE(trace->hops[i].at, trace->hops[i - 1].at);
   }
-  // The completion fed the fabric-wide first-packet histogram.
+  // The first packet's latency is sim time, so it is exact on every
+  // machine: border hairpin and resolution included, 110.444 us. The
+  // completion fed the fabric-wide first-packet histogram, whose 400 us
+  // buckets read that one sample as a p50 of 200 us (half the first
+  // bucket); the exact latency and the histogram's sum are the sharp checks.
+  EXPECT_EQ(trace->latency(), std::chrono::nanoseconds{110'444});
   const telemetry::Snapshot snap = fabric_->metrics().snapshot();
-  EXPECT_EQ(snap.histograms.at("fabric.first_packet_us").total, 1u);
+  const telemetry::HistogramSnapshot& first_packet = snap.histograms.at("fabric.first_packet_us");
+  EXPECT_EQ(first_packet.total, 1u);
+  EXPECT_DOUBLE_EQ(first_packet.sum, 110.444);
+  EXPECT_DOUBLE_EQ(first_packet.quantile(0.5), 200.0);
 }
 
 TEST_F(TelemetryFabric, PathTraceEndsAtEgressSgaclDeny) {
