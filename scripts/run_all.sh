@@ -6,7 +6,7 @@
 # With a results-dir argument, benches additionally dump raw CSV series
 # there (SDA_RESULTS_DIR). --release builds -O3/NDEBUG into build-release/
 # (the default tree is RelWithDebInfo) — use it for timing-sensitive
-# figures and bench_micro's timing loops.
+# figures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

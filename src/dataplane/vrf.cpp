@@ -4,18 +4,9 @@ namespace sda::dataplane {
 
 VrfSet::Slot VrfSet::install(const AttachedEndpoint& endpoint) {
   remove(endpoint.mac);
-  Slot slot;
-  if (free_.empty()) {
-    slot = static_cast<Slot>(records_.size());
-    records_.emplace_back();
-    free_.reserve(records_.capacity());  // remove() never allocates
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
+  const Slot slot = records_.acquire();
   Record& record = records_[slot];
   record.endpoint = endpoint;
-  record.live = true;
   record.identity_count = 0;
   for_each_identity(endpoint, [&](const net::VnEid& eid) {
     by_eid_.erase(eid, eid_of());  // the latest attachment owns the identity
@@ -36,8 +27,7 @@ const AttachedEndpoint* VrfSet::remove(const net::MacAddress& mac) {
     const net::VnEid& eid = record.identities[k];
     if (by_eid_.find(eid, eid_of()) == slot * kMaxIdentities + k) by_eid_.erase(eid, eid_of());
   }
-  record.live = false;
-  free_.push_back(slot);
+  records_.release(slot);
   return &record.endpoint;
 }
 
@@ -50,7 +40,6 @@ bool VrfSet::retag(const net::MacAddress& mac, net::GroupId group) {
 
 void VrfSet::clear() {
   records_.clear();
-  free_.clear();
   by_eid_.clear();
   by_mac_.clear();
 }

@@ -1,9 +1,9 @@
 // The endpoints attached to one edge router, and its per-VN VRFs over them.
 //
-// Each attached endpoint is one record in a recycled slab with dense u32
-// slots, in the flat preallocated per-port state idiom of software NFs: no
-// node per endpoint, and a steady population attaches and detaches without
-// allocating. Two lisp::FlatIndex views key into the slab:
+// Each attached endpoint is one record in a recycled sim::Slab with dense
+// u32 slots, in the flat preallocated per-port state idiom of software NFs:
+// no node per endpoint, and a steady population attaches and detaches
+// without allocating. Two lisp::FlatIndex views key into the slab:
 //   * every identity of an endpoint (IPv4, IPv6 and MAC EID, within its
 //     VN) -> slot. This is the VRF of paper Fig. 4: an exact host match on
 //     the combined (VN, EID) key yields the record, whose (port, GroupId)
@@ -19,11 +19,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "lisp/flat_index.hpp"
 #include "net/eid.hpp"
 #include "net/types.hpp"
+#include "sim/slab.hpp"
 
 namespace sda::dataplane {
 
@@ -77,9 +77,8 @@ class VrfSet {
 
   /// The endpoint in `slot`, if that slot still holds `mac`: no probe.
   [[nodiscard]] const AttachedEndpoint* at(Slot slot, const net::MacAddress& mac) const {
-    if (slot >= records_.size()) return nullptr;
-    const Record& record = records_[slot];
-    return record.live && record.endpoint.mac == mac ? &record.endpoint : nullptr;
+    const bool held = records_.is_live(slot) && records_[slot].endpoint.mac == mac;
+    return held ? &records_[slot].endpoint : nullptr;
   }
 
   /// Updates the GroupId of the endpoint with `mac` (re-authentication
@@ -93,9 +92,7 @@ class VrfSet {
   /// Visits every attached endpoint in slot order.
   template <typename F>
   void for_each(F visit) const {
-    for (const Record& record : records_) {
-      if (record.live) visit(record.endpoint);
-    }
+    records_.for_each([&](Slot slot) { visit(records_[slot].endpoint); });
   }
 
   void clear();
@@ -108,7 +105,6 @@ class VrfSet {
   struct Record {
     std::array<net::VnEid, kMaxIdentities> identities;  // the keys by_eid_ reads
     std::uint32_t identity_count = 0;
-    bool live = false;
     AttachedEndpoint endpoint;
   };
 
@@ -121,8 +117,7 @@ class VrfSet {
     return [this](Slot slot) -> const net::MacAddress& { return records_[slot].endpoint.mac; };
   }
 
-  std::vector<Record> records_;
-  std::vector<Slot> free_;
+  sim::Slab<Record> records_;
   lisp::FlatIndex<net::VnEid, net::VnEidHash> by_eid_;
   lisp::FlatIndex<net::MacAddress> by_mac_;
 };

@@ -54,8 +54,8 @@ struct HaConfig {
   /// run_until(), not run().
   bool failover = false;
   sim::Duration heartbeat_interval = std::chrono::milliseconds{200};
-  /// A heartbeat unanswered for this long counts as a miss (must exceed
-  /// the control-plane round trip to the server).
+  /// A heartbeat unanswered for this long counts as a miss. It must exceed
+  /// the control-plane round trip to the server and not heartbeat_interval.
   sim::Duration heartbeat_timeout = std::chrono::milliseconds{100};
   /// Consecutive misses before the server is declared down.
   unsigned down_after_misses = 3;

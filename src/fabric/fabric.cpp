@@ -376,7 +376,7 @@ void SdaFabric::finalize() {
         // slab legs as an edge's, answered to `done` instead of an edge.
         [this](net::Ipv4Address edge_rloc, const net::VnEid& mac_eid,
                std::function<void(std::optional<net::Ipv4Address>)> done) {
-          const std::uint32_t slot = acquire_control();
+          const std::uint32_t slot = controls_.acquire();
           ControlSlot& c = controls_[slot];
           c.request = lisp::MapRequest{};
           c.request.eid = mac_eid;
@@ -519,19 +519,23 @@ void SdaFabric::register_invariants() {
     return std::make_pair(parked == 0, "parked_frames=" + std::to_string(parked));
   });
 
-  // Every data frame handed to the underlay either arrives or is dropped
-  // at send time; a held frame-slab slot at quiesce is a leak.
-  eng.add_invariant("no-frame-slot-leak", [this] {
-    const std::size_t held = frames_in_flight();
-    return std::make_pair(held == 0, "frames_in_flight=" + std::to_string(held));
-  });
-
-  // Likewise every Map-Request either gets its Map-Reply to the requester
-  // or is lost, swallowed or shed; a held control-slab slot is a leak.
-  eng.add_invariant("no-control-slot-leak", [this] {
-    const std::size_t held = control_in_flight();
-    return std::make_pair(held == 0, "control_in_flight=" + std::to_string(held));
-  });
+  // A slab slot held at quiesce is a leak: a frame arrives or is dropped at
+  // send time, a Map-Request is answered, lost, swallowed or shed, and a
+  // server job is answered.
+  const std::pair<const char*, std::function<std::size_t()>> slabs[] = {
+      {"no-frame-slot-leak", [this] { return frames_in_flight(); }},
+      {"no-control-slot-leak", [this] { return control_in_flight(); }},
+      {"no-server-job-slot-leak", [this] {
+         std::size_t held = 0;
+         for (const auto& node : server_nodes_) held += node->request_jobs_held();
+         return held;
+       }}};
+  for (const auto& [name, held_slots] : slabs) {
+    eng.add_invariant(name, [held_slots = held_slots] {
+      const std::size_t held = held_slots();
+      return std::make_pair(held == 0, "held_slots=" + std::to_string(held));
+    });
+  }
 
   // Every causal operation and armed packet trace must resolve: an open
   // trace at quiesce means a control-plane flow started but never
@@ -1410,13 +1414,7 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
   // The frame must outlive dispatch (the caller's copy dies before
   // arrival) but is too big to ride inline in the event, so it waits in a
   // recycled slab slot and the event carries only the slot number.
-  if (free_frames_.empty()) {
-    free_frames_.push_back(static_cast<std::uint32_t>(frames_.size()));
-    frames_.emplace_back();
-    free_frames_.reserve(frames_.capacity());  // release_frame never allocates
-  }
-  const std::uint32_t slot = free_frames_.back();
-  free_frames_.pop_back();
+  const std::uint32_t slot = frames_.acquire();
   frames_[slot] = frame;
   // The receiving router, resolved once here rather than again on arrival.
   const RlocOwner* to = owner_of(frame.outer_destination);
@@ -1454,7 +1452,7 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
 }
 
 net::FabricFrame SdaFabric::release_frame(std::uint32_t slot) {
-  free_frames_.push_back(slot);
+  frames_.release(slot);
   return std::move(frames_[slot]);
 }
 
@@ -1475,20 +1473,9 @@ bool SdaFabric::control_send(net::Ipv4Address from, net::Ipv4Address to, std::si
 // job -> Map-Reply, carried in a recycled control slab
 // ---------------------------------------------------------------------------
 
-std::uint32_t SdaFabric::acquire_control() {
-  if (free_controls_.empty()) {
-    free_controls_.push_back(static_cast<std::uint32_t>(controls_.size()));
-    controls_.emplace_back();
-    free_controls_.reserve(controls_.capacity());  // release_control never allocates
-  }
-  const std::uint32_t slot = free_controls_.back();
-  free_controls_.pop_back();
-  return slot;
-}
-
 void SdaFabric::release_control(std::uint32_t slot) {
   controls_[slot].l2_done = nullptr;
-  free_controls_.push_back(slot);
+  controls_.release(slot);
 }
 
 void SdaFabric::send_map_request(std::uint32_t edge_index, const lisp::MapRequest& request) {
@@ -1500,7 +1487,7 @@ void SdaFabric::send_map_request(std::uint32_t edge_index, const lisp::MapReques
   const std::size_t server = active_server_index(edge.rloc());
   record_event(telemetry::EventKind::MapRequest, edge.name(),
                telemetry::DetailForm::ForEidToRloc, request.eid, server_nodes_[server]->rloc());
-  const std::uint32_t slot = acquire_control();
+  const std::uint32_t slot = controls_.acquire();
   ControlSlot& c = controls_[slot];
   c.request = request;
   c.server = static_cast<std::uint32_t>(server);

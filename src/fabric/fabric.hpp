@@ -39,6 +39,7 @@
 #include "policy/policy_server.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "telemetry/telemetry.hpp"
 #include "underlay/network.hpp"
 #include "underlay/topology.hpp"
@@ -233,16 +234,12 @@ class SdaFabric {
 
   /// Data frames sent into the underlay that have not arrived yet (slots
   /// held in the frame slab). 0 whenever the simulator has quiesced.
-  [[nodiscard]] std::size_t frames_in_flight() const {
-    return frames_.size() - free_frames_.size();
-  }
+  [[nodiscard]] std::size_t frames_in_flight() const { return frames_.live(); }
   /// Map-Requests (from edges and the L2 gateway) not yet finished: slots
   /// held in the control slab from the send until the Map-Reply arrives,
   /// or until the request or reply is lost, swallowed by an offline
   /// server, or shed. 0 whenever the simulator has quiesced.
-  [[nodiscard]] std::size_t control_in_flight() const {
-    return controls_.size() - free_controls_.size();
-  }
+  [[nodiscard]] std::size_t control_in_flight() const { return controls_.live(); }
 
   void set_delivery_listener(DeliveryListener listener) {
     delivery_listener_ = std::move(listener);
@@ -359,7 +356,6 @@ class SdaFabric {
     /// The L2 gateway's MAC lookup answers this instead of an edge.
     std::function<void(std::optional<net::Ipv4Address>)> l2_done;
   };
-  [[nodiscard]] std::uint32_t acquire_control();
   void release_control(std::uint32_t slot);
   /// An edge's Map-Request: takes a control slot and sends the first leg.
   void send_map_request(std::uint32_t edge_index, const lisp::MapRequest& request);
@@ -445,14 +441,12 @@ class SdaFabric {
   /// Indexed by the RLOC's 16-bit suffix, which the fabric hands out in
   /// sequence from 1 (so the table is dense).
   std::vector<RlocOwner> rloc_owner_;
-  /// In-flight data frames (a recycled slab) and its free slots.
-  std::vector<net::FabricFrame> frames_;
-  std::vector<std::uint32_t> free_frames_;
-  /// In-flight Map-Requests/Replies (a recycled slab) and its free slots,
-  /// plus the reply handed to the requesting edge (swapped out of its slot
-  /// so the slab may grow while the edge reacts).
-  std::vector<ControlSlot> controls_;
-  std::vector<std::uint32_t> free_controls_;
+  /// In-flight data frames.
+  sim::Slab<net::FabricFrame> frames_;
+  /// In-flight Map-Requests/Replies, plus the reply handed to the
+  /// requesting edge (swapped out of its slot so the slab may grow while
+  /// the edge reacts).
+  sim::Slab<ControlSlot> controls_;
   lisp::MapReply arrived_reply_;
   /// Pub/sub feed session state per border (Fig. 1 "sync" hardening).
   struct BorderFeedState {

@@ -93,28 +93,26 @@ void HaMonitor::heartbeat(std::size_t server) {
   // delay, and partitions fail heartbeats exactly like Map-Requests. The
   // verdict is decided once per heartbeat: whichever of {ack arrival,
   // timeout} fires first wins (a late ack after the timeout is ignored,
-  // as the miss was already charged).
-  auto resolved = std::make_shared<bool>(false);
+  // as the miss was already charged): both carry the beat's number.
+  const std::uint64_t beat = ++st.beat;
   const net::Ipv4Address source = st.probe_source;
   const net::Ipv4Address target = servers_[server]->rloc();
-  control_send_(source, target, 64, [this, server, source, target, resolved] {
+  control_send_(source, target, 64, [this, server, source, target, beat] {
     if (!servers_[server]->online()) return;  // a down server never answers
-    control_send_(target, source, 64, [this, server, resolved] {
-      if (*resolved) return;
-      *resolved = true;
-      heartbeat_verdict(server, /*answered=*/true);
+    control_send_(target, source, 64, [this, server, beat] {
+      heartbeat_verdict(server, beat, /*answered=*/true);
     });
   });
-  simulator_.schedule_after(config_.heartbeat_timeout, [this, server, resolved] {
-    if (*resolved) return;
-    *resolved = true;
-    heartbeat_verdict(server, /*answered=*/false);
+  simulator_.schedule_after(config_.heartbeat_timeout, [this, server, beat] {
+    heartbeat_verdict(server, beat, /*answered=*/false);
   });
   simulator_.schedule_after(config_.heartbeat_interval, [this, server] { heartbeat(server); });
 }
 
-void HaMonitor::heartbeat_verdict(std::size_t server, bool answered) {
+void HaMonitor::heartbeat_verdict(std::size_t server, std::uint64_t beat, bool answered) {
   ServerState& st = state_[server];
+  if (beat != st.beat) return;  // settled already, or superseded
+  ++st.beat;                     // settled: the beat's other closure is stale
   if (answered) {
     st.misses = 0;
     if (!st.up && ++st.ack_streak >= config_.up_after_acks) {

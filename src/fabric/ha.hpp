@@ -205,6 +205,7 @@ class HaMonitor {
     bool up = true;
     unsigned misses = 0;      // consecutive unanswered heartbeats while up
     unsigned ack_streak = 0;  // consecutive answered heartbeats while down
+    std::uint64_t beat = 0;   // the open heartbeat's number; bumped as it settles
     // Flap dampening (lazily decayed exponential penalty).
     double penalty = 0.0;
     sim::SimTime penalty_at{};
@@ -230,7 +231,7 @@ class HaMonitor {
   };
 
   void heartbeat(std::size_t server);
-  void heartbeat_verdict(std::size_t server, bool answered);
+  void heartbeat_verdict(std::size_t server, std::uint64_t beat, bool answered);
   void anti_entropy_round();
   void anti_entropy_with(std::size_t driver, std::size_t replica);
 

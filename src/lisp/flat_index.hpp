@@ -9,7 +9,7 @@
 // chasing; erase and growth move entries by their stored hash and never
 // re-hash a key; inserts and erases allocate nothing until the table must
 // grow. The map-cache, the VRF and the fabric's endpoint table index their
-// slots with it; FlatMap below pairs it with a recycled slot vector for
+// slots with it; FlatMap below pairs it with a recycled sim::Slab for
 // plain key -> value tables (the edge's pending Map-Requests and per-EID
 // mobility records, the SGACL).
 #pragma once
@@ -20,6 +20,8 @@
 #include <functional>
 #include <utility>
 #include <vector>
+
+#include "sim/slab.hpp"
 
 namespace sda::lisp {
 
@@ -132,7 +134,7 @@ class FlatIndex {
   std::size_t size_ = 0;
 };
 
-/// Key -> value table over a recycled slot vector indexed by FlatIndex.
+/// Key -> value table over a recycled sim::Slab indexed by FlatIndex.
 /// Value pointers stay valid until the next insert(); erased slots are
 /// reused, so a table whose size stays bounded stops allocating.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
@@ -159,57 +161,43 @@ class FlatMap {
   /// last left it: a recycled slot hands back its old value, so containers
   /// inside keep their capacity. The caller resets what it needs.
   Value& insert_reused(const Key& key) {
-    std::uint32_t i;
-    if (free_.empty()) {
-      i = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-      free_.reserve(slots_.capacity());  // erase() never allocates
-    } else {
-      i = free_.back();
-      free_.pop_back();
-    }
+    const std::uint32_t i = slots_.acquire();
     slots_[i].key = key;
-    slots_[i].live = true;
     index_.insert(key, i);
     return slots_[i].value;
   }
 
   /// Whether the next insert reuses an erased slot rather than growing.
-  [[nodiscard]] bool has_free_slot() const { return !free_.empty(); }
+  [[nodiscard]] bool has_free_slot() const { return slots_.has_free(); }
 
   /// Removes every entry for which `drop(key, value)` holds. Erased values
   /// stay in their slots for insert_reused().
   template <typename Pred>
   void erase_if(Pred drop) {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    slots_.for_each([&](std::uint32_t i) {
       Slot& slot = slots_[i];
-      if (!slot.live || !drop(slot.key, slot.value)) continue;
+      if (!drop(slot.key, slot.value)) return;
       index_.erase(slot.key, key_of());
-      slot.live = false;
-      free_.push_back(i);
-    }
+      slots_.release(i);
+    });
   }
 
   /// Removes `key`; returns whether it was present.
   bool erase(const Key& key) {
     const std::uint32_t i = index_.erase(key, key_of());
     if (i == kNone) return false;
-    slots_[i].live = false;
-    free_.push_back(i);
+    slots_.release(i);
     return true;
   }
 
   /// Visits every (key, value) in slot order.
   template <typename F>
   void for_each(F visit) {
-    for (Slot& slot : slots_) {
-      if (slot.live) visit(slot.key, slot.value);
-    }
+    slots_.for_each([&](std::uint32_t i) { visit(slots_[i].key, slots_[i].value); });
   }
 
   void clear() {
     slots_.clear();
-    free_.clear();
     index_.clear();
   }
 
@@ -221,15 +209,13 @@ class FlatMap {
   struct Slot {
     Key key{};
     Value value{};
-    bool live = false;
   };
 
   [[nodiscard]] auto key_of() const {
     return [this](std::uint32_t i) -> const Key& { return slots_[i].key; };
   }
 
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
+  sim::Slab<Slot> slots_;
   FlatIndex<Key, Hash> index_;
 };
 

@@ -18,17 +18,6 @@ MapCache::MapCache(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-std::uint32_t MapCache::new_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t i = free_slots_.back();
-    free_slots_.pop_back();
-    return i;
-  }
-  slots_.emplace_back();
-  links_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void MapCache::fill(std::uint32_t i, std::span<const net::Rloc> rlocs,
                     std::uint32_t ttl_seconds, net::GroupId group, sim::SimTime now) {
   MapCacheEntry& entry = slots_[i].entry;
@@ -58,9 +47,10 @@ void MapCache::install_entry(const net::VnEid& eid, std::span<const net::Rloc> r
     touch(existing);
     return;
   }
-  // At capacity the free list holds the slot the previous install evicted,
-  // so its locator vector's capacity is reused here.
-  const std::uint32_t i = new_slot();
+  // At capacity the slab's free list holds the slot the previous install
+  // evicted, so its locator vector's capacity is reused here.
+  const std::uint32_t i = slots_.acquire();
+  if (i == links_.size()) links_.emplace_back();
   slots_[i].eid = eid;
   fill(i, rlocs, ttl_seconds, group, now);
   link_front(i);
@@ -78,35 +68,28 @@ bool MapCache::invalidate(const net::VnEid& eid) {
 
 std::size_t MapCache::invalidate_rloc(net::Ipv4Address rloc) {
   std::size_t removed = 0;
-  for (std::uint32_t i = head_; i != kNone;) {
-    const std::uint32_t next = links_[i].next;
-    if (!slots_[i].entry.negative() && slots_[i].entry.primary_rloc() == rloc) {
-      erase_slot(i);
-      ++removed;
-    }
-    i = next;
-  }
+  slots_.for_each([&](std::uint32_t i) {
+    if (slots_[i].entry.negative() || slots_[i].entry.primary_rloc() != rloc) return;
+    erase_slot(i);
+    ++removed;
+  });
   return removed;
 }
 
 std::size_t MapCache::sweep(sim::SimTime now) {
   std::size_t removed = 0;
-  for (std::uint32_t i = head_; i != kNone;) {
-    const std::uint32_t next = links_[i].next;
-    if (slots_[i].entry.expires_at <= now) {
-      erase_slot(i);
-      ++stats_.expirations;
-      ++removed;
-    }
-    i = next;
-  }
+  slots_.for_each([&](std::uint32_t i) {
+    if (slots_[i].entry.expires_at > now) return;
+    erase_slot(i);
+    ++removed;
+  });
+  stats_.expirations += removed;
   return removed;
 }
 
 void MapCache::clear() {
   slots_.clear();
   links_.clear();
-  free_slots_.clear();
   index_.clear();
   head_ = tail_ = kNone;
   positive_count_ = 0;
@@ -123,8 +106,7 @@ void MapCache::erase_slot(std::uint32_t i) {
   if (!slots_[i].entry.negative()) --positive_count_;
   unlink(i);
   index_.erase(slots_[i].eid, key_of());
-  slots_[i].entry.rlocs.clear();  // keeps its capacity for the next install
-  free_slots_.push_back(i);
+  slots_.release(i);  // the entry keeps its locator capacity for the next install
 }
 
 void MapCache::evict_if_needed() {

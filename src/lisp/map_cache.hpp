@@ -12,7 +12,7 @@
 // FlatIndex (flat open addressing over slot numbers, hash-tagged, one-mix
 // VnEidHash). A hit is one flat-table probe plus a relink — no per-entry
 // node allocation and no pointer chasing. Erased slots are recycled through a
-// free list and keep their locator vector's capacity, so a cache at steady
+// sim::Slab and keep their locator vector's capacity, so a cache at steady
 // state (hits, refreshes, installs and evictions at capacity) performs no
 // allocation.
 #pragma once
@@ -26,6 +26,7 @@
 #include "lisp/flat_index.hpp"
 #include "lisp/messages.hpp"
 #include "net/eid.hpp"
+#include "sim/slab.hpp"
 #include "sim/time.hpp"
 
 namespace sda::telemetry {
@@ -176,14 +177,11 @@ class MapCache {
   /// Removes the entry in slot `i` entirely and recycles the slot.
   void erase_slot(std::uint32_t i);
   void evict_if_needed();
-  /// Allocates a slot (from the free list when possible).
-  std::uint32_t new_slot();
 
   std::size_t capacity_;
   std::size_t positive_count_ = 0;
-  std::vector<Slot> slots_;
+  sim::Slab<Slot> slots_;
   std::vector<Link> links_;  // parallel to slots_
-  std::vector<std::uint32_t> free_slots_;
   std::uint32_t head_ = kNone;  // most recently used
   std::uint32_t tail_ = kNone;  // least recently used
   Index index_;

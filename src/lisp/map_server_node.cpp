@@ -78,13 +78,7 @@ bool MapServerNode::submit_request(const MapRequest& request, std::uint32_t tick
     return false;
   }
   track_backlog();
-  if (free_request_jobs_.empty()) {
-    free_request_jobs_.push_back(static_cast<std::uint32_t>(request_jobs_.size()));
-    request_jobs_.emplace_back();
-    free_request_jobs_.reserve(request_jobs_.capacity());  // freeing never allocates
-  }
-  const std::uint32_t slot = free_request_jobs_.back();
-  free_request_jobs_.pop_back();
+  const std::uint32_t slot = request_jobs_.acquire();
   request_jobs_[slot] = RequestJob{request, ticket, simulator_.now()};
   const sim::SimTime done = reserve_worker(jittered(config_.request_service));
   auto complete = [this, slot] { complete_request(slot); };
@@ -95,7 +89,7 @@ bool MapServerNode::submit_request(const MapRequest& request, std::uint32_t tick
 
 void MapServerNode::complete_request(std::uint32_t slot) {
   const RequestJob job = request_jobs_[slot];
-  free_request_jobs_.push_back(slot);
+  request_jobs_.release(slot);
   --in_flight_;
   server_.answer(job.request, reply_);
   reply_.trace = job.request.trace;  // the reply stays on the requester's span tree

@@ -14,6 +14,7 @@
 #include "lisp/map_server.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "stats/summary.hpp"
 
 namespace sda::lisp {
@@ -112,6 +113,8 @@ class MapServerNode {
 
   /// Jobs currently waiting or in service.
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
+  /// Map-Request jobs held in the job slab (a subset of in_flight()).
+  [[nodiscard]] std::size_t request_jobs_held() const { return request_jobs_.live(); }
 
   /// Sojourn-time samples (seconds) collected since construction.
   [[nodiscard]] const stats::Summary& request_sojourns() const { return request_sojourns_; }
@@ -161,9 +164,8 @@ class MapServerNode {
   stats::Summary register_sojourns_;
   ReplySink reply_sink_;
   RequestShedSink request_shed_sink_;
-  /// Queued Map-Requests (a recycled slab) and its free slots.
-  std::vector<RequestJob> request_jobs_;
-  std::vector<std::uint32_t> free_request_jobs_;
+  /// Queued Map-Requests.
+  sim::Slab<RequestJob> request_jobs_;
   /// Reply scratch handed to the sink; keeps its locator capacity.
   MapReply reply_;
 };

@@ -7,12 +7,12 @@
 // Hot-path layout: the priority queue is a 4-ary implicit min-heap of
 // 24-byte PODs (shallower than a binary heap and the four children share a
 // cache line, so pops touch fewer lines); the closures live in
-// generation-stamped slots recycled through a free list, so the
-// steady-state schedule/dispatch cycle performs no heap allocation (the
-// heap vector, slot vector, and free list all plateau at their high-water
-// marks). cancel() is an O(1) generation check — tombstoned queue entries
-// are popped lazily, and because the generation advances on every execute
-// *and* cancel, a stale entry or handle can never touch a recycled slot.
+// generation-stamped slots of a recycled Slab, so the steady-state
+// schedule/dispatch cycle performs no heap allocation (the heap and the
+// slab both plateau at their high-water marks). cancel() is an O(1)
+// generation check — tombstoned queue entries are popped lazily, and
+// because the generation advances on every execute *and* cancel, a stale
+// entry or handle can never touch a recycled slot.
 // Timers that are armed and almost always cancelled (a Map-Request's 1 s
 // retransmit) would pile up tombstones until their deadlines, so once
 // tombstones outnumber live events by more than kTombstoneSlack, cancel()
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/inline_action.hpp"
+#include "sim/slab.hpp"
 #include "sim/time.hpp"
 
 namespace sda::sim {
@@ -67,18 +68,10 @@ class Simulator {
   EventHandle schedule_at(SimTime when, Action action) {
     assert(action);
     if (when < now_) when = now_;  // no scheduling into the past
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
+    const std::uint32_t slot = slots_.acquire();
     Slot& s = slots_[slot];
     s.action = std::move(action);
     heap_push(QueuedEvent{when, next_sequence_++, slot, s.generation});
-    ++live_;
     return EventHandle{slot, s.generation};
   }
 
@@ -97,7 +90,7 @@ class Simulator {
     // mismatches here and the cancel is a counted-for no-op.
     if (slots_[handle.slot_].generation != handle.generation_) return false;
     recycle(handle.slot_);
-    if (heap_.size() > 2 * live_ + kTombstoneSlack) sweep_cancelled();
+    if (heap_.size() > 2 * slots_.live() + kTombstoneSlack) sweep_cancelled();
     return true;
   }
 
@@ -134,7 +127,7 @@ class Simulator {
     return heap_.front().when;
   }
 
-  [[nodiscard]] std::size_t pending_events() const { return live_; }
+  [[nodiscard]] std::size_t pending_events() const { return slots_.live(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   /// Pending events plus tombstones not yet swept or popped. Right after a
   /// cancel that found its event pending, at most 2 * pending_events() +
@@ -217,17 +210,14 @@ class Simulator {
   void recycle(std::uint32_t slot) {
     slots_[slot].action.reset();
     ++slots_[slot].generation;
-    free_slots_.push_back(slot);
-    --live_;
+    slots_.release(slot);
   }
 
   SimTime now_{};
   std::uint64_t next_sequence_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;
   std::vector<QueuedEvent> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  Slab<Slot> slots_;
 };
 
 }  // namespace sda::sim

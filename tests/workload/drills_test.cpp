@@ -135,7 +135,7 @@ TEST(Drills, Assurance) {
   const Names invariants = {
       "zero-stale-epoch-accepts", "no-minority-leader",   "replica-divergence-converged",
       "no-parked-packet-leak",    "no-frame-slot-leak",   "no-control-slot-leak",
-      "no-pending-trace-leak",    "pubsub-gap-resolved"};
+      "no-server-job-slot-leak",  "no-pending-trace-leak", "pubsub-gap-resolved"};
   const Names slos = {"smr-fanout-p95", "move-convergence-p95", "register-rtt-p95",
                       "failover-rehome-p95"};
 
