@@ -33,12 +33,16 @@ int main() {
   spec.reflector.per_peer_send = std::chrono::microseconds{26};
   // Telemetry: trace every flow's first packet in the reactive run and
   // export the fabric's metrics snapshot (per-edge map-cache hits/misses,
-  // SMR counts, onboarding/roam/first-packet histograms) plus the traces
-  // that decompose the first-packet latency hop by hop.
+  // SMR counts, onboarding/roam/first-packet histograms) plus the Chrome
+  // trace of the first-packet operations, hop by hop with their
+  // resolutions.
   spec.trace_first_packets = true;
   spec.inspect_reactive = [](fabric::SdaFabric& f) {
     const telemetry::Snapshot snap = bench::export_fabric_metrics(f, "fig11_mobility_metrics");
-    bench::export_path_traces(f, "fig11_mobility_traces");
+    const auto dir = bench::results_dir();
+    if (dir && f.telemetry().causal.write_chrome_trace(*dir, "fig11_mobility_traces")) {
+      std::printf("chrome trace written to %s/fig11_mobility_traces.json\n", dir->c_str());
+    }
     std::uint64_t hits = 0, misses = 0, smr_sent = 0;
     for (const auto& [name, value] : snap.counters) {
       if (name.ends_with(".map_cache.hits")) hits += value;
@@ -53,7 +57,7 @@ int main() {
       std::printf("telemetry: first packet n=%llu p50=%.0fus p95=%.0fus (traced: %zu kept)\n",
                   static_cast<unsigned long long>(fp->second.total),
                   fp->second.quantile(0.5), fp->second.quantile(0.95),
-                  f.path_tracer().completed().size());
+                  f.telemetry().causal.completed().size());
     }
   };
   workload::WarehouseWorkload warehouse{spec};

@@ -54,22 +54,6 @@ inline void export_flight_recorder(fabric::SdaFabric& fabric, const std::string&
   std::printf("flight recorder written to %s\n", path.c_str());
 }
 
-/// Dumps the completed path traces to `<dir>/<name>.log`, hop by hop.
-inline void export_path_traces(fabric::SdaFabric& fabric, const std::string& name) {
-  const auto dir = results_dir();
-  if (!dir) return;
-  const std::string path = *dir + "/" + name + ".log";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  for (const auto& trace : fabric.path_tracer().completed()) {
-    const std::string text = trace.to_string();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-  }
-  std::fclose(f);
-  std::printf("path traces written to %s\n", path.c_str());
-}
-
 /// Writes a sim-time series through the shared exporter (header
 /// "time_s,<columns...>,seed"). Returns false when no results dir is set
 /// or the write failed.

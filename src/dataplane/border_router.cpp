@@ -167,14 +167,12 @@ void BorderRouter::receive_fabric_frame(const net::FabricFrame& frame_in) {
     net::OverlayFrame inner = frame.inner;
     if (inner.hop_limit() <= 1) {
       ++counters_.ttl_drops;  // edge<->border transient loop guard (§5.2)
-      trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "ttl");
+      trace_hop(frame.vn, inner, "drop");
       return;
     }
     inner.set_hop_limit(static_cast<std::uint8_t>(inner.hop_limit() - 1));
     ++counters_.hairpinned;
-    if (tracing()) {
-      trace_hop(frame.vn, inner, telemetry::HopKind::Hairpin, "to " + target.to_string());
-    }
+    trace_hop(frame.vn, inner, "hairpin");
     encap_to(target, frame.vn, frame.source_group, frame.policy_applied, inner);
     return;
   }
@@ -184,17 +182,17 @@ void BorderRouter::receive_fabric_frame(const net::FabricFrame& frame_in) {
     if (!frame.policy_applied && !route->group.is_unknown() &&
         sgacl_.evaluate(frame.vn, frame.source_group, route->group) == policy::Action::Deny) {
       ++counters_.policy_drops;
-      trace_hop(frame.vn, frame.inner, telemetry::HopKind::SgaclDeny, "border-egress");
+      trace_hop(frame.vn, frame.inner, "sgacl-deny");
       return;
     }
     ++counters_.external_out;
-    trace_hop(frame.vn, frame.inner, telemetry::HopKind::ExternalOut);
+    trace_hop(frame.vn, frame.inner, "external-out");
     if (deliver_external_) deliver_external_(destination, frame.inner);
     return;
   }
 
   ++counters_.no_route_drops;
-  trace_hop(frame.vn, frame.inner, telemetry::HopKind::Drop, "no-route");
+  trace_hop(frame.vn, frame.inner, "drop");
 }
 
 void BorderRouter::register_metrics(telemetry::MetricsRegistry& registry,

@@ -19,7 +19,7 @@
 #include "net/packet.hpp"
 #include "net/prefix.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/path_trace.hpp"
+#include "telemetry/causal_trace.hpp"
 #include "trie/patricia.hpp"
 #include "underlay/topology.hpp"
 
@@ -156,17 +156,17 @@ class BorderRouter {
   /// capture `this`.
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
-  /// Attaches an opt-in packet path tracer (nullptr detaches); while it is
-  /// idle every hook is one inline branch and builds nothing.
-  void set_tracer(telemetry::PathTracer* tracer) { tracer_ = tracer; }
+  /// Attaches the tracer whose armed flows this border's hooks record
+  /// (nullptr detaches); while no flow is armed or in flight every hook is
+  /// one inline branch and builds nothing.
+  void set_tracer(telemetry::CausalTracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Tracer hooks: one inline branch while the tracer is idle. A hook
-  /// that formats its detail tests tracing() before building it.
-  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && !tracer_->idle(); }
-  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, telemetry::HopKind kind,
-                 std::string_view detail = {}) {
-    if (tracing()) tracer_->note(vn, frame, kind, config_.name, simulator_.now(), detail);
+  /// Tracer hooks: one inline branch while no flow is armed or in flight,
+  /// taken before any argument is built.
+  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && tracer_->tracing_flows(); }
+  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, const char* hop) {
+    if (tracing()) tracer_->hop(vn, frame, hop, config_.name, simulator_.now());
   }
 
   struct ExternalRoute {
@@ -199,7 +199,7 @@ class BorderRouter {
   std::unordered_map<std::uint64_t, net::GroupId> group_rewrites_;
   Sgacl sgacl_;
   Counters counters_;
-  telemetry::PathTracer* tracer_ = nullptr;
+  telemetry::CausalTracer* tracer_ = nullptr;
 };
 
 }  // namespace sda::dataplane

@@ -204,12 +204,13 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
   }
 
   const net::VnEid destination{source.vn, frame.destination_eid()};
-  if (tracing()) tracer_->ingress(source.vn, frame, config_.name, simulator_.now());
+  const std::uint64_t trace =
+      tracing() ? tracer_->ingress(source.vn, frame, config_.name, simulator_.now()) : 0;
 
   // Same-edge destination: run the egress pipeline directly.
   if (const AttachedEndpoint* local = local_.lookup(destination)) {
     ++counters_.locally_switched;
-    trace_hop(source.vn, frame, telemetry::HopKind::LocalSwitch);
+    trace_hop(source.vn, frame, "local-switch");
     egress_deliver(*local, source.group, false, frame);
     return;
   }
@@ -219,7 +220,7 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
     // Mapping points at an RLOC the IGP says is gone (§5.1): bypass it and
     // ride the border default until the endpoint re-registers elsewhere.
     ++counters_.default_routed;
-    trace_hop(source.vn, frame, telemetry::HopKind::DefaultRoute, "rloc-fallback");
+    trace_hop(source.vn, frame, "default-route");
     encap_to(config_.border_rloc, destination, source.group, false, frame);
     return;
   }
@@ -228,7 +229,7 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
       // §5.3 ablation: enforce here using the (possibly stale) cached group.
       if (sgacl_.evaluate(source.vn, source.group, entry->group) == policy::Action::Deny) {
         ++counters_.policy_drops;
-        trace_hop(source.vn, frame, telemetry::HopKind::SgaclDeny, "ingress");
+        trace_hop(source.vn, frame, "sgacl-deny");
         return;
       }
       encap_to(entry->primary_rloc(), destination, source.group, true, frame);
@@ -238,7 +239,7 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
     return;
   }
 
-  if (entry == nullptr) resolve(destination, false);
+  if (entry == nullptr) resolve(destination, false, trace);
   if (!config_.default_route_fallback) {
     // Classic LISP (§3.2.2 ablation): nothing rides a default route while
     // the Map-Reply is outstanding. With a pending-packet queue configured
@@ -253,13 +254,12 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
       }
     }
     ++counters_.resolution_drops;
-    trace_hop(source.vn, frame, telemetry::HopKind::Drop, "resolution-pending");
+    trace_hop(source.vn, frame, "drop");
     return;
   }
   // Miss (or negative): default route to the border while resolution runs.
   ++counters_.default_routed;
-  trace_hop(source.vn, frame, telemetry::HopKind::DefaultRoute,
-            entry == nullptr ? "cache-miss" : "negative-entry");
+  trace_hop(source.vn, frame, "default-route");
   encap_to(config_.border_rloc, destination, source.group, false, frame);
 }
 
@@ -269,7 +269,7 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
 
 void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   ++counters_.decapsulated;
-  trace_hop(frame.vn, frame.inner, telemetry::HopKind::Decap);  // ARP is never traced
+  trace_hop(frame.vn, frame.inner, "decap");  // ARP is never traced
   if (frame.inner.is_arp()) {
     // Unicast-converted ARP from an L2 gateway: deliver to the target MAC.
     const net::VnEid mac_eid{frame.vn, net::Eid{frame.inner.destination_mac}};
@@ -298,7 +298,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   net::OverlayFrame inner = frame.inner;
   if (inner.hop_limit() <= 1) {
     ++counters_.ttl_drops;  // transient edge<->border loop protection (§5.2)
-    trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "ttl");
+    trace_hop(frame.vn, inner, "drop");
     return;
   }
   inner.set_hop_limit(static_cast<std::uint8_t>(inner.hop_limit() - 1));
@@ -306,7 +306,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
   const lisp::MapCacheEntry* entry = cache_.lookup(destination, simulator_.now());
   if (entry != nullptr && !entry->negative() && entry->primary_rloc() != config_.rloc) {
     ++counters_.stale_forwards;
-    trace_hop(frame.vn, inner, telemetry::HopKind::StaleForward);
+    trace_hop(frame.vn, inner, "stale-forward");
     encap_to(entry->primary_rloc(), destination, frame.source_group, frame.policy_applied,
              inner);
     return;
@@ -316,7 +316,7 @@ void EdgeRouter::receive_fabric_frame(const net::FabricFrame& frame) {
     // Came *from* a border and we have no better idea: bouncing it back
     // would loop (§5.2); hold the line and drop after resolution kicks in.
     ++counters_.no_route_drops;
-    trace_hop(frame.vn, inner, telemetry::HopKind::Drop, "no-route");
+    trace_hop(frame.vn, inner, "drop");
     return;
   }
   ++counters_.default_routed;
@@ -329,14 +329,13 @@ void EdgeRouter::egress_deliver(const AttachedEndpoint& destination, net::GroupI
   if (!policy_already_applied &&
       sgacl_.evaluate(destination.vn, source_group, destination.group) == policy::Action::Deny) {
     ++counters_.policy_drops;
-    trace_hop(destination.vn, frame, telemetry::HopKind::SgaclDeny, "stage2");
+    trace_hop(destination.vn, frame, "sgacl-deny");
     return;
   }
-  trace_hop(destination.vn, frame, telemetry::HopKind::SgaclPermit,
-            policy_already_applied ? "policy-bit" : "stage2");
+  trace_hop(destination.vn, frame, "sgacl-permit");
 
   ++counters_.frames_delivered;
-  trace_hop(destination.vn, frame, telemetry::HopKind::Deliver);
+  trace_hop(destination.vn, frame, "deliver");
   hand_to_port(destination, frame);
 }
 
@@ -360,9 +359,7 @@ void EdgeRouter::hand_to_port(const AttachedEndpoint& destination,
 void EdgeRouter::encap_to(net::Ipv4Address rloc, const net::VnEid& destination,
                           net::GroupId source_group, bool policy_applied,
                           const net::OverlayFrame& frame) {
-  if (tracing()) {
-    trace_hop(destination.vn, frame, telemetry::HopKind::Encap, "to " + rloc.to_string());
-  }
+  trace_hop(destination.vn, frame, "encap");
   net::FabricFrame out;
   out.outer_source = config_.rloc;
   out.outer_destination = rloc;
@@ -391,7 +388,9 @@ void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
   request.eid = eid;
   request.itr_rloc = config_.rloc;
   request.smr_invoked = attempt->smr_invoked;
-  request.trace = attempt->trace;
+  // Only an SMR's id rides the wire: a first packet's would add 8 bytes to
+  // the request and its reply, and so change the run being traced.
+  request.trace = attempt->smr_invoked ? attempt->trace : 0;
   const sim::Duration timeout = attempt->timeout;
   ++counters_.map_requests_sent;
   send_map_request_(request);

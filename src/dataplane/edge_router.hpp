@@ -31,7 +31,7 @@
 #include "policy/matrix.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/path_trace.hpp"
+#include "telemetry/causal_trace.hpp"
 #include "underlay/topology.hpp"
 
 namespace sda::telemetry {
@@ -286,10 +286,10 @@ class EdgeRouter {
   /// and SGACL ("<prefix>.sgacl"). Probes capture `this`.
   void register_metrics(telemetry::MetricsRegistry& registry, const std::string& prefix) const;
 
-  /// Attaches an opt-in packet path tracer (nullptr detaches). The tracer
-  /// records hop-by-hop transit for armed flows; while it is idle (no flow
-  /// armed or open) every hook is one inline branch and builds nothing.
-  void set_tracer(telemetry::PathTracer* tracer) { tracer_ = tracer; }
+  /// Attaches the tracer whose armed flows this edge's hooks record
+  /// (nullptr detaches); while no flow is armed or in flight every hook is
+  /// one inline branch and builds nothing.
+  void set_tracer(telemetry::CausalTracer* tracer) { tracer_ = tracer; }
 
   // --- Assurance-plane leak probes (quiesce invariants) -------------------
 
@@ -306,8 +306,9 @@ class EdgeRouter {
   [[nodiscard]] std::size_t pending_register_count() const { return pending_registers_.size(); }
   /// EIDs not attached here with mobility state kept (SMR hold or throttle).
   [[nodiscard]] std::size_t mobility_record_count() const { return mobility_.size(); }
-  /// Causal trace id riding the in-flight resolution for `eid` (0 if none).
-  /// Lets the fabric tell whether an SMR's trace was adopted by the target.
+  /// Causal trace id of the in-flight resolution for `eid` (0 if none).
+  /// Lets the fabric tell whether an SMR's trace was adopted by the target,
+  /// and nest a traced first packet's Map-Request under its operation.
   [[nodiscard]] std::uint64_t pending_request_trace(const net::VnEid& eid) const {
     const PendingRequest* pending = pending_requests_.find(eid);
     return pending == nullptr ? 0 : pending->trace;
@@ -346,8 +347,9 @@ class EdgeRouter {
                 bool policy_applied, const net::OverlayFrame& frame);
 
   /// Issues a Map-Request for `eid` unless one is already pending. A
-  /// nonzero `trace` attributes the resolution to a causal trace (e.g. the
-  /// SMR fan-out op that triggered it) and rides the Map-Request.
+  /// nonzero `trace` attributes the resolution to a causal trace: the SMR
+  /// fan-out op that triggered it, whose id rides the Map-Request, or the
+  /// traced first packet that missed, whose id stays in the pending entry.
   void resolve(const net::VnEid& eid, bool smr_invoked, std::uint64_t trace = 0);
 
   /// Sends (or resends) the Map-Request for a pending resolution and arms
@@ -405,12 +407,11 @@ class EdgeRouter {
   void reselect_border();
   [[nodiscard]] bool is_border(net::Ipv4Address rloc) const;
 
-  /// Tracer hooks: one inline branch while the tracer is idle. A hook
-  /// that formats its detail tests tracing() before building it.
-  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && !tracer_->idle(); }
-  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, telemetry::HopKind kind,
-                 std::string_view detail = {}) {
-    if (tracing()) tracer_->note(vn, frame, kind, config_.name, simulator_.now(), detail);
+  /// Tracer hooks: one inline branch while no flow is armed or in flight,
+  /// taken before any argument is built.
+  [[nodiscard]] bool tracing() const { return tracer_ != nullptr && tracer_->tracing_flows(); }
+  void trace_hop(net::VnId vn, const net::OverlayFrame& frame, const char* hop) {
+    if (tracing()) tracer_->hop(vn, frame, hop, config_.name, simulator_.now());
   }
 
   sim::Simulator& simulator_;
@@ -439,7 +440,9 @@ class EdgeRouter {
     std::uint64_t nonce = 0;
     unsigned retries_left = 0;
     bool smr_invoked = false;
-    std::uint64_t trace = 0;   // causal trace id carried by the Map-Request
+    /// The operation the resolution serves: an SMR fan-out, whose id the
+    /// Map-Request carries, or a traced first packet, whose id stays here.
+    std::uint64_t trace = 0;
     sim::Duration timeout{0};  // current RTO (grows under backoff)
     sim::EventHandle timer;    // armed retransmit (cancelled by busy/reply)
   };
@@ -488,7 +491,7 @@ class EdgeRouter {
   BroadcastHandler broadcast_handler_;
 
   Counters counters_;
-  telemetry::PathTracer* tracer_ = nullptr;
+  telemetry::CausalTracer* tracer_ = nullptr;
 };
 
 }  // namespace sda::dataplane

@@ -185,20 +185,19 @@ struct FabricConfig {
   /// model honest with the VXLAN-GPO wire format. Costly; tests only.
   bool validate_wire_format = false;
   /// Observability: own a telemetry::Telemetry (metrics registry + flight
-  /// recorder + path tracer) and register every subsystem's counters into
+  /// recorder + causal tracer) and register every subsystem's counters into
   /// it at finalize(). The registry uses pull probes, so leaving this on
   /// costs nothing on the hot path — snapshots sample on demand.
   bool telemetry = true;
   /// Flight-recorder ring capacity (control-plane events kept).
   std::size_t flight_recorder_capacity = 2048;
-  /// Opt-in per-packet path tracing: arm a trace for the first packet of
-  /// every new (source, destination) flow sent via endpoint_send_udp, so
-  /// first-packet latency decomposes hop by hop. Off by default — tracing
+  /// Opt-in first-packet tracing: arm a FirstPacket operation of the
+  /// causal tracer for the first packet of every new (source, destination)
+  /// flow sent via endpoint_send_udp, so first-packet latency decomposes
+  /// hop by hop. Independent of causal_tracing. Off by default — tracing
   /// touches the data path for armed flows only, but arming every flow has
   /// bookkeeping cost.
   bool trace_first_packets = false;
-  /// Completed path traces retained (FIFO).
-  std::size_t path_trace_keep = 256;
   /// Assurance plane (PR 8): thread causal trace ids through the LISP
   /// control messages and build a span tree per control-plane operation
   /// (registration, move, SMR fan-out, failover re-home), feeding the
@@ -206,7 +205,8 @@ struct FabricConfig {
   /// costs one predictable branch per control hook and leaves the wire
   /// format byte-identical (the trace id is a trailing optional field).
   bool causal_tracing = false;
-  /// Completed causal operations retained for export (FIFO).
+  /// Completed causal operations retained for export (FIFO), first packets
+  /// included.
   std::size_t causal_trace_keep = 256;
   /// Debug/chaos knob: artificial delay inserted before each SMR leaves
   /// the old edge. Used by the assurance gate to inject a demonstrable

@@ -26,8 +26,7 @@ SdaFabric::SdaFabric(sim::Simulator& simulator, FabricConfig config)
     : simulator_(simulator),
       config_(std::move(config)),
       rng_(config_.seed),
-      telemetry_(config_.flight_recorder_capacity, config_.path_trace_keep,
-                 config_.causal_trace_keep) {
+      telemetry_(config_.flight_recorder_capacity, config_.causal_trace_keep) {
   underlay_ = std::make_unique<underlay::UnderlayNetwork>(simulator_, topology_,
                                                           config_.underlay);
   policy_cpu_free_.assign(std::max(1u, config_.timings.policy_workers), sim::SimTime::zero());
@@ -423,11 +422,11 @@ void SdaFabric::register_telemetry() {
 
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     edges_[i]->register_metrics(reg, "edge[" + std::to_string(i) + "]");
-    edges_[i]->set_tracer(&telemetry_.tracer);
+    edges_[i]->set_tracer(&telemetry_.causal);
   }
   for (std::size_t i = 0; i < borders_.size(); ++i) {
     borders_[i]->register_metrics(reg, "border[" + std::to_string(i) + "]");
-    borders_[i]->set_tracer(&telemetry_.tracer);
+    borders_[i]->set_tracer(&telemetry_.causal);
   }
 
   // Fabric-level latency decomposition. Onboarding runs tens to hundreds of
@@ -450,15 +449,11 @@ void SdaFabric::register_telemetry() {
   onboard_ms_ = &reg.histogram("fabric.onboard_ms", {0.0, 500.0, 50});
   roam_ms_ = &reg.histogram("fabric.roam_ms", {0.0, 500.0, 50});
   first_packet_us_ = &reg.histogram("fabric.first_packet_us", {0.0, 20'000.0, 50});
-  telemetry_.tracer.set_completion_callback([this](const telemetry::PacketTrace& trace) {
-    if (!trace.delivered || first_packet_us_ == nullptr) return;
-    first_packet_us_->observe(
-        std::chrono::duration<double, std::micro>(trace.latency()).count());
-  });
 
   // Assurance plane (PR 8): every completed causal operation lands in the
-  // convergence histogram for its kind. The histograms exist even with
-  // tracing off (empty), so dashboards and SLO specs never dangle.
+  // histogram for its kind, a first packet only when it was delivered. The
+  // histograms exist even with tracing off (empty), so dashboards and SLO
+  // specs never dangle.
   register_rtt_us_ = &reg.histogram("assurance.register_rtt_us", {0.0, 100'000.0, 50});
   move_convergence_us_ = &reg.histogram("assurance.move_convergence_us", {0.0, 500'000.0, 50});
   failover_rehome_us_ = &reg.histogram("assurance.failover_rehome_us", {0.0, 500'000.0, 50});
@@ -474,6 +469,9 @@ void SdaFabric::register_telemetry() {
       case telemetry::OpKind::SmrFanout: hist = smr_fanout_us_; break;
       case telemetry::OpKind::FailoverRehome: hist = failover_rehome_us_; break;
       case telemetry::OpKind::Catchup: hist = catchup_convergence_us_; break;
+      case telemetry::OpKind::FirstPacket:
+        if (!op.dropped) hist = first_packet_us_;
+        break;
     }
     if (hist) {
       hist->observe(std::chrono::duration<double, std::micro>(op.duration()).count());
@@ -537,15 +535,13 @@ void SdaFabric::register_invariants() {
     });
   }
 
-  // Every causal operation and armed packet trace must resolve: an open
-  // trace at quiesce means a control-plane flow started but never
-  // converged (or an instrumentation hook leaked its operation).
+  // Every causal operation, first packets included, must resolve: an open
+  // trace at quiesce means a flow started but never converged or arrived
+  // (or an instrumentation hook leaked its operation).
   eng.add_invariant("no-pending-trace-leak", [this] {
-    const std::size_t open =
-        telemetry_.causal.open_count() + telemetry_.tracer.open_count();
-    std::string detail = "open_ops=" + std::to_string(telemetry_.causal.open_count());
-    detail += " open_packet_traces=" + std::to_string(telemetry_.tracer.open_count());
-    if (telemetry_.causal.open_count() > 0) {
+    const std::size_t open = telemetry_.causal.open_count();
+    std::string detail = "open_ops=" + std::to_string(open);
+    if (open > 0) {
       detail += " [";
       bool first = true;
       for (const auto& label : telemetry_.causal.open_labels()) {
@@ -587,7 +583,7 @@ void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
 }
 
 std::uint64_t SdaFabric::trace_flow(const net::VnEid& source, const net::VnEid& destination) {
-  return telemetry_.tracer.arm(source, destination);
+  return telemetry_.causal.arm_flow(source, destination);
 }
 
 std::size_t SdaFabric::active_server_index(net::Ipv4Address edge_rloc) const {
@@ -1108,11 +1104,11 @@ bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address d
   dgram.payload_size = payload_bytes;
   frame.l3 = dgram;
   if (config_.trace_first_packets) {
-    // Arm a path trace for the first packet of every new flow so the
-    // first-packet latency histogram decomposes hop by hop.
+    // Arm a first-packet operation for every new flow so the first-packet
+    // latency histogram decomposes hop by hop.
     const std::pair flow{net::VnEid{attached->vn, net::Eid{attached->ip}},
                          net::VnEid{attached->vn, net::Eid{destination}}};
-    if (traced_flows_.insert(flow).second) telemetry_.tracer.arm(flow.first, flow.second);
+    if (traced_flows_.insert(flow).second) telemetry_.causal.arm_flow(flow.first, flow.second);
   }
   edge->endpoint_transmit(*attached, frame);
   return true;
@@ -1424,11 +1420,8 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
     // Move the frame out first: receiving it can dispatch again and grow
     // the slab.
     const net::FabricFrame arrived = release_frame(slot);
-    if (!telemetry_.tracer.idle()) {
-      telemetry_.tracer.note(arrived.vn, arrived.inner, telemetry::HopKind::Transit, "underlay",
-                             simulator_.now(),
-                             arrived.outer_source.to_string() + " -> " +
-                                 arrived.outer_destination.to_string());
+    if (telemetry_.causal.tracing_flows()) {
+      telemetry_.causal.hop(arrived.vn, arrived.inner, "transit", "underlay", simulator_.now());
     }
     if (border) {
       borders_[index]->receive_fabric_frame(arrived);
@@ -1445,9 +1438,8 @@ void SdaFabric::dispatch_fabric_frame(const net::FabricFrame& frame) {
     return;
   }
   (void)release_frame(slot);
-  if (!telemetry_.tracer.idle()) {
-    telemetry_.tracer.note(frame.vn, frame.inner, telemetry::HopKind::Drop, "underlay",
-                           simulator_.now(), "unreachable-or-fault");
+  if (telemetry_.causal.tracing_flows()) {
+    telemetry_.causal.hop(frame.vn, frame.inner, "drop", "underlay", simulator_.now());
   }
 }
 
@@ -1493,7 +1485,11 @@ void SdaFabric::send_map_request(std::uint32_t edge_index, const lisp::MapReques
   c.server = static_cast<std::uint32_t>(server);
   c.edge = edge_index;
   c.requester = edge.rloc();
-  c.span = telemetry_.causal.span_begin(request.trace, 0, "map-request", edge.name(),
+  // A traced first packet's id stays in the edge's pending entry, off the
+  // wire; an SMR's rides the request too.
+  c.trace = telemetry_.causal.tracing_flows() ? edge.pending_request_trace(request.eid)
+                                              : request.trace;
+  c.span = telemetry_.causal.span_begin(c.trace, 0, "map-request", edge.name(),
                                         simulator_.now());
   send_request_leg(slot);
 }
@@ -1523,8 +1519,8 @@ void SdaFabric::on_map_reply(std::uint32_t slot, const lisp::MapReply& reply) {
                  reply.negative() ? telemetry::DetailForm::NegativeForEid
                                   : telemetry::DetailForm::ForEid,
                  reply.eid);
-    telemetry_.causal.span_end(reply.trace, c.span, simulator_.now());
-    c.span = telemetry_.causal.span_begin(reply.trace, c.span, "map-reply", edge_name,
+    telemetry_.causal.span_end(c.trace, c.span, simulator_.now());
+    c.span = telemetry_.causal.span_begin(c.trace, c.span, "map-reply", edge_name,
                                           simulator_.now());
   }
   auto arrive = [this, slot] { on_map_reply_arrival(slot); };
@@ -1567,6 +1563,7 @@ void SdaFabric::on_map_reply_arrival(std::uint32_t slot) {
   // resolve again and grow the slab.
   std::swap(arrived_reply_, c.reply);
   const std::uint32_t edge = c.edge;
+  const std::uint64_t trace = c.trace;
   const std::uint64_t span = c.span;
   const bool smr_invoked = c.request.smr_invoked;
   release_control(slot);
@@ -1574,12 +1571,10 @@ void SdaFabric::on_map_reply_arrival(std::uint32_t slot) {
   if (smr_invoked && peer_sync_listener_ && !arrived_reply_.negative()) {
     peer_sync_listener_(edges_[edge]->name(), arrived_reply_.eid);
   }
+  telemetry_.causal.span_end(trace, span, simulator_.now());
   // An SMR-invoked resolution landing at the stale sender closes the SMR
-  // fan-out operation.
-  if (arrived_reply_.trace != 0) {
-    telemetry_.causal.span_end(arrived_reply_.trace, span, simulator_.now());
-    telemetry_.causal.finish(arrived_reply_.trace, simulator_.now());
-  }
+  // fan-out operation; a first packet's closes at its terminal hop.
+  if (smr_invoked) telemetry_.causal.finish(trace, simulator_.now());
 }
 
 underlay::NodeId SdaFabric::node_of_rloc(net::Ipv4Address rloc) const {

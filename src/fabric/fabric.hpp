@@ -258,17 +258,16 @@ class SdaFabric {
   /// The fabric-wide telemetry bundle. The metrics registry is populated at
   /// finalize() with every subsystem's counters under hierarchical names
   /// ("edge[i].map_cache.miss", "map_server.requests", ...); the flight
-  /// recorder collects control-plane events; the path tracer holds armed /
-  /// completed per-packet traces.
+  /// recorder collects control-plane events; the causal tracer holds the
+  /// open and completed operations, armed first packets among them.
   [[nodiscard]] telemetry::Telemetry& telemetry() { return telemetry_; }
   [[nodiscard]] const telemetry::Telemetry& telemetry() const { return telemetry_; }
   [[nodiscard]] telemetry::MetricsRegistry& metrics() { return telemetry_.metrics; }
   [[nodiscard]] telemetry::FlightRecorder& flight_recorder() { return telemetry_.recorder; }
-  [[nodiscard]] telemetry::PathTracer& path_tracer() { return telemetry_.tracer; }
 
-  /// Arms a one-shot path trace for the next packet of (source ->
-  /// destination EID) in `vn`; completed traces land in path_tracer().
-  /// Returns the trace id.
+  /// Arms a one-shot FirstPacket operation for the next packet of (source
+  /// -> destination EID), traced whether or not causal_tracing is on; it
+  /// completes into telemetry().causal.completed(). Returns the trace id.
   std::uint64_t trace_flow(const net::VnEid& source, const net::VnEid& destination);
 
  private:
@@ -352,6 +351,7 @@ class SdaFabric {
     std::uint32_t server = 0;          // index into server_nodes_
     std::uint32_t edge = kDetached;    // requesting edge; kDetached = L2 gateway
     net::Ipv4Address requester;        // where the reply goes
+    std::uint64_t trace = 0;           // causal operation the request serves
     std::uint64_t span = 0;            // open causal span of the current leg
     /// The L2 gateway's MAC lookup answers this instead of an edge.
     std::function<void(std::optional<net::Ipv4Address>)> l2_done;
@@ -471,7 +471,7 @@ class SdaFabric {
   bool finalized_ = false;
 
   telemetry::Telemetry telemetry_;
-  /// Flows already traced by the first-packet tracer: (source, destination).
+  /// Flows whose first packet trace_first_packets armed: (source, destination).
   struct FlowHash {
     std::size_t operator()(const std::pair<net::VnEid, net::VnEid>& flow) const noexcept {
       return net::hash_combine(std::hash<net::VnEid>{}(flow.first),
@@ -479,8 +479,8 @@ class SdaFabric {
     }
   };
   std::unordered_set<std::pair<net::VnEid, net::VnEid>, FlowHash> traced_flows_;
-  /// First-packet latency decomposition (microseconds), fed by completed
-  /// path traces when config_.trace_first_packets is on.
+  /// First-packet latency (microseconds), fed by delivered FirstPacket
+  /// operations (trace_flow, or config_.trace_first_packets).
   telemetry::LatencyHistogram* first_packet_us_ = nullptr;
   /// Onboarding / roaming latency (milliseconds), fed by the Map-Register
   /// completion waiters.

@@ -1,6 +1,7 @@
 #include "telemetry/causal_trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 namespace sda::telemetry {
@@ -27,6 +28,10 @@ std::string chrome_escape(const std::string& s) {
   }
   return out;
 }
+
+// The hops that end a first packet; the first two deliver it.
+constexpr std::array<std::string_view, 4> kTerminalHops = {"deliver", "external-out",
+                                                           "sgacl-deny", "drop"};
 
 double to_us(sim::SimTime t) { return static_cast<double>(t.nanoseconds()) / 1e3; }
 
@@ -56,6 +61,7 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::SmrFanout: return "smr-fanout";
     case OpKind::FailoverRehome: return "failover-rehome";
     case OpKind::Catchup: return "catchup";
+    case OpKind::FirstPacket: return "first-packet";
   }
   return "unknown";
 }
@@ -67,26 +73,25 @@ std::string CausalTracer::key_of(OpKind kind, const std::string& label) {
   return key;
 }
 
+Operation& CausalTracer::open(std::uint64_t id, OpKind kind, std::string label,
+                              sim::SimTime now) {
+  Operation& op = open_[id];
+  op.trace = id;
+  op.kind = kind;
+  op.label = std::move(label);
+  op.start = now;
+  op.end = now;
+  return op;
+}
+
 std::uint64_t CausalTracer::begin(OpKind kind, const std::string& label, sim::SimTime now) {
   if (!enabled_) return 0;
   const std::string key = key_of(kind, label);
   if (const auto it = open_by_key_.find(key); it != open_by_key_.end()) return it->second;
   const std::uint64_t id = next_id_++;
-  Operation op;
-  op.trace = id;
-  op.kind = kind;
-  op.label = label;
-  op.start = now;
-  op.end = now;
-  open_.emplace(id, std::move(op));
+  open(id, kind, label, now);
   open_by_key_.emplace(key, id);
   return id;
-}
-
-std::uint64_t CausalTracer::find_open(OpKind kind, const std::string& label) const {
-  if (!enabled_) return 0;
-  const auto it = open_by_key_.find(key_of(kind, label));
-  return it == open_by_key_.end() ? 0 : it->second;
 }
 
 std::uint64_t CausalTracer::span_begin(std::uint64_t trace, std::uint64_t parent,
@@ -146,6 +151,51 @@ void CausalTracer::abandon(std::uint64_t trace) {
   open_by_key_.erase(key_of(it->second.kind, it->second.label));
   open_.erase(it);
   ++abandoned_count_;
+}
+
+std::uint64_t CausalTracer::arm_flow(const net::VnEid& source, const net::VnEid& destination) {
+  const std::uint64_t id = next_id_++;
+  const auto [it, fresh] = flows_.try_emplace(Flow{source, destination}, id);
+  if (!fresh) {
+    abandon(it->second);  // a no-op while the old id was only armed
+    it->second = id;
+  }
+  return id;
+}
+
+CausalTracer::Flows::iterator CausalTracer::flow_of(net::VnId vn,
+                                                    const net::OverlayFrame& frame) {
+  if (!frame.is_ipv4() && !frame.is_ipv6()) return flows_.end();
+  return flows_.find(
+      Flow{net::VnEid{vn, frame.source_eid()}, net::VnEid{vn, frame.destination_eid()}});
+}
+
+std::uint64_t CausalTracer::ingress(net::VnId vn, const net::OverlayFrame& frame,
+                                    std::string_view node, sim::SimTime now) {
+  const auto flow = flow_of(vn, frame);
+  if (flow == flows_.end()) return 0;
+  const std::uint64_t trace = flow->second;
+  if (open_.contains(trace)) return trace;  // a later frame of a flow in flight
+  Operation& op = open(trace, OpKind::FirstPacket,
+                       flow->first.source.to_string() + " -> " +
+                           flow->first.destination.to_string(),
+                       now);
+  op.spans.push_back(Span{next_id_++, 0, "ingress", std::string{node}, now, now, false});
+  return trace;
+}
+
+void CausalTracer::hop(net::VnId vn, const net::OverlayFrame& frame, const char* hop,
+                       std::string_view node, sim::SimTime now) {
+  const auto flow = flow_of(vn, frame);
+  if (flow == flows_.end()) return;
+  const auto it = open_.find(flow->second);
+  if (it == open_.end()) return;  // armed, not yet entered
+  it->second.spans.push_back(Span{next_id_++, 0, hop, std::string{node}, now, now, false});
+  const auto terminal = std::find(kTerminalHops.begin(), kTerminalHops.end(), hop);
+  if (terminal == kTerminalHops.end()) return;
+  it->second.dropped = terminal - kTerminalHops.begin() >= 2;
+  flows_.erase(flow);
+  finish(it->first, now);
 }
 
 std::vector<std::string> CausalTracer::open_labels() const {

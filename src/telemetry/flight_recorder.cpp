@@ -24,7 +24,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::LinkState: return "link-state";
     case EventKind::FeedState: return "feed-state";
     case EventKind::Fault: return "fault";
-    case EventKind::Trace: return "trace";
     case EventKind::Failover: return "failover";
     case EventKind::Failback: return "failback";
     case EventKind::AntiEntropy: return "anti-entropy";

@@ -48,7 +48,6 @@ enum class EventKind : std::uint8_t {
   LinkState,
   FeedState,
   Fault,
-  Trace,
   Failover,     // edge group's requests repointed at a replica server
   Failback,     // hysteresis satisfied: back on the home server
   AntiEntropy,  // replica digest exchange / reconciliation round

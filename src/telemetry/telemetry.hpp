@@ -1,9 +1,9 @@
-// The fabric-wide telemetry plane: one object bundling the five surfaces.
+// The fabric-wide telemetry plane: one object bundling the four surfaces.
 //
 //  * metrics — MetricsRegistry federating every subsystem's counters;
 //  * recorder — control-plane flight recorder (bounded event ring);
-//  * tracer — opt-in per-packet path tracing;
-//  * causal — opt-in control-plane span trees (operation-level tracing);
+//  * causal — opt-in span trees, one per operation: control-plane ones and
+//    the first packets of armed flows;
 //  * assurance — declarative SLOs and continuous invariants over the rest.
 //
 // SdaFabric owns one; standalone subsystems (FaultPlane, WlanController,
@@ -14,20 +14,17 @@
 #include "telemetry/causal_trace.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/path_trace.hpp"
 
 namespace sda::telemetry {
 
 struct Telemetry {
   MetricsRegistry metrics;
   FlightRecorder recorder;
-  PathTracer tracer;
   CausalTracer causal;
   AssuranceEngine assurance;
 
-  explicit Telemetry(std::size_t recorder_capacity = 2048, std::size_t trace_keep = 256,
-                     std::size_t causal_keep = 256)
-      : recorder(recorder_capacity), tracer(trace_keep), causal(causal_keep) {}
+  explicit Telemetry(std::size_t recorder_capacity = 2048, std::size_t causal_keep = 256)
+      : recorder(recorder_capacity), causal(causal_keep) {}
 };
 
 }  // namespace sda::telemetry

@@ -47,8 +47,8 @@ struct WarehouseSpec {
   };
   bgp::ReflectorConfig reflector;  // proactive-baseline knobs
   std::uint64_t seed = 11;
-  /// Arm a path trace for the first packet of every flow in the reactive
-  /// run (feeds the fabric.first_packet_us histogram and the trace log).
+  /// Trace the first packet of every flow in the reactive run (feeds the
+  /// fabric.first_packet_us histogram and the causal tracer's ring).
   bool trace_first_packets = false;
   /// Called with the reactive fabric after the run completes but before it
   /// is destroyed — the hook for exporting its telemetry snapshot.

@@ -2,7 +2,8 @@
 // telemetry on or off:
 //  * cached packet: once every destination sits in the map-cache, a send ->
 //    encap -> underlay -> egress VRF + SGACL -> delivery round makes no heap
-//    allocation and costs exactly one simulator event;
+//    allocation and costs exactly one simulator event, also while a traced
+//    flow is armed that never sends (every tracer hook runs its lookup);
 //  * first packet (§3.2.2): a map-cache miss — border hairpin, Map-Request,
 //    map-server job, Map-Reply, and a cache install that evicts — makes no
 //    heap allocation and costs exactly five simulator events, and the
@@ -146,10 +147,15 @@ FabricConfig campus_config(bool telemetry) {
 
 // Host h sends to the host in the same slot on the next edge. Returns the
 // counts of `rounds` rounds of one cached send per host, each round run to
-// quiesce.
-PathRun run_cached(bool telemetry, int rounds) {
+// quiesce. With `arm_unmatched`, a first-packet trace is armed for a flow
+// that never sends, so the tracer is not idle.
+PathRun run_cached(bool telemetry, int rounds, bool arm_unmatched = false) {
   Campus campus(campus_config(telemetry));
   SdaFabric& fabric = campus.fabric;
+  if (arm_unmatched) {
+    fabric.trace_flow(net::VnEid{kVn, net::Eid{net::Ipv4Address{10, 67, 0, 1}}},
+                      net::VnEid{kVn, net::Eid{net::Ipv4Address{10, 67, 0, 2}}});
+  }
   const auto round = [&] {
     for (std::size_t h = 0; h < kHosts; ++h) {
       EXPECT_TRUE(fabric.endpoint_send_udp(campus.macs[h],
@@ -259,6 +265,14 @@ TEST(PacketPathAlloc, CachedSendsAllocateNothingWithTelemetryOff) {
   EXPECT_EQ(run.delivered, run.sends);
   EXPECT_EQ(run.allocations, 0u);
   EXPECT_EQ(run.events, run.delivered);
+}
+
+TEST(PacketPathAlloc, CachedSendsAllocateNothingWithAnUnmatchedFlowArmed) {
+  const PathRun run = run_cached(/*telemetry=*/true, 40, /*arm_unmatched=*/true);
+  EXPECT_EQ(run.delivered, run.sends);
+  EXPECT_EQ(run.allocations, 0u);
+  EXPECT_EQ(run.events, run.delivered);
+  EXPECT_EQ(run.frames_in_flight, 0u);
 }
 
 // Five events per miss: the frame to the border, the border's hairpin to

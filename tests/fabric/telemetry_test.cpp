@@ -1,10 +1,13 @@
 // Fabric-level telemetry: metrics registration, flight recorder wiring,
-// inspect(include_telemetry), and end-to-end path traces over the real
-// encap -> underlay -> decap -> two-stage SGACL pipeline.
+// inspect(include_telemetry), and first packets traced end to end as causal
+// operations over the real encap -> underlay -> decap -> two-stage SGACL
+// pipeline.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "fabric/inspect.hpp"
@@ -18,6 +21,19 @@ using net::MacAddress;
 using net::VnId;
 
 constexpr VnId kVn{100};
+
+const telemetry::Operation* completed_op(const SdaFabric& fabric, std::uint64_t trace) {
+  for (const telemetry::Operation& op : fabric.telemetry().causal.completed()) {
+    if (op.trace == trace) return &op;
+  }
+  return nullptr;
+}
+
+std::vector<std::string> span_names(const telemetry::Operation& op) {
+  std::vector<std::string> names;
+  for (const telemetry::Span& span : op.spans) names.push_back(span.name + "@" + span.node);
+  return names;
+}
 
 class TelemetryFabric : public ::testing::Test {
  protected:
@@ -104,35 +120,30 @@ TEST_F(TelemetryFabric, PathTraceDecomposesDeliveredFirstPacket) {
   fabric_->endpoint_send_udp(MacAddress::from_u64(0x02AA), bob_ip_, 443, 200);
   sim_.run();
 
-  const telemetry::PacketTrace* trace = fabric_->path_tracer().find_completed(id);
-  ASSERT_NE(trace, nullptr);
-  EXPECT_TRUE(trace->delivered);
-  ASSERT_GE(trace->hops.size(), 4u);
-  EXPECT_EQ(trace->hops.front().kind, telemetry::HopKind::Ingress);
-  EXPECT_EQ(trace->hops.front().node, "e0");
-  EXPECT_EQ(trace->hops.back().kind, telemetry::HopKind::Deliver);
-  EXPECT_EQ(trace->hops.back().node, "e1");
-  // The egress SGACL stage ran and permitted, and the frame crossed the
-  // underlay: the per-packet pipeline is visible hop by hop.
-  bool saw_permit = false, saw_transit = false, saw_decap = false;
-  for (const auto& hop : trace->hops) {
-    saw_permit |= hop.kind == telemetry::HopKind::SgaclPermit;
-    saw_transit |= hop.kind == telemetry::HopKind::Transit;
-    saw_decap |= hop.kind == telemetry::HopKind::Decap;
+  // One operation, causal tracing off: the first packet, hop by hop, with
+  // the resolution its miss sent nested in the same tree while the packet
+  // rode the border default route (§3.2.2).
+  const telemetry::Operation* op = completed_op(*fabric_, id);
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(op->kind, telemetry::OpKind::FirstPacket);
+  EXPECT_FALSE(op->dropped);
+  EXPECT_EQ(span_names(*op),
+            (std::vector<std::string>{
+                "ingress@e0", "map-request@e0", "default-route@e0", "encap@e0",
+                "transit@underlay", "hairpin@b0", "map-reply@e0",
+                "transit@underlay", "decap@e1", "sgacl-permit@e1", "deliver@e1"}));
+  // Spans start in order, so the latency decomposition is sound.
+  for (std::size_t i = 1; i < op->spans.size(); ++i) {
+    EXPECT_GE(op->spans[i].start, op->spans[i - 1].start) << op->spans[i].name;
   }
-  EXPECT_TRUE(saw_permit);
-  EXPECT_TRUE(saw_transit);
-  EXPECT_TRUE(saw_decap);
-  // Hop timestamps are monotonic, so the latency decomposition is sound.
-  for (std::size_t i = 1; i < trace->hops.size(); ++i) {
-    EXPECT_GE(trace->hops[i].at, trace->hops[i - 1].at);
-  }
+  EXPECT_EQ(op->spans[6].parent, op->spans[1].id);  // the reply answers the request
+  EXPECT_LT(op->spans[1].start, op->spans[1].end);
   // The first packet's latency is sim time, so it is exact on every
   // machine: border hairpin and resolution included, 110.444 us. The
   // completion fed the fabric-wide first-packet histogram, whose 400 us
   // buckets read that one sample as a p50 of 200 us (half the first
   // bucket); the exact latency and the histogram's sum are the sharp checks.
-  EXPECT_EQ(trace->latency(), std::chrono::nanoseconds{110'444});
+  EXPECT_EQ(op->duration(), std::chrono::nanoseconds{110'444});
   const telemetry::Snapshot snap = fabric_->metrics().snapshot();
   const telemetry::HistogramSnapshot& first_packet = snap.histograms.at("fabric.first_packet_us");
   EXPECT_EQ(first_packet.total, 1u);
@@ -152,13 +163,17 @@ TEST_F(TelemetryFabric, PathTraceEndsAtEgressSgaclDeny) {
   fabric_->endpoint_send_udp(MacAddress::from_u64(0x02AA), bob_ip_, 443, 200);
   sim_.run();
 
-  const telemetry::PacketTrace* trace = fabric_->path_tracer().find_completed(id);
-  ASSERT_NE(trace, nullptr);
-  EXPECT_FALSE(trace->delivered);
-  EXPECT_EQ(trace->hops.back().kind, telemetry::HopKind::SgaclDeny);
-  EXPECT_EQ(trace->hops.back().node, "e1");  // enforced at egress, not ingress
+  const telemetry::Operation* op = completed_op(*fabric_, id);
+  ASSERT_NE(op, nullptr);
+  EXPECT_TRUE(op->dropped);
+  ASSERT_FALSE(op->spans.empty());
+  EXPECT_EQ(op->spans.back().name, "sgacl-deny");
+  EXPECT_EQ(op->spans.back().node, "e1");  // enforced at egress, not ingress
   // The drop is attributable: the policy counter moved on the egress edge.
-  EXPECT_GE(fabric_->metrics().snapshot().counters.at("edge[1].policy_drops"), 1u);
+  const telemetry::Snapshot snap = fabric_->metrics().snapshot();
+  EXPECT_GE(snap.counters.at("edge[1].policy_drops"), 1u);
+  // A dropped first packet is kept but adds no latency sample.
+  EXPECT_EQ(snap.histograms.at("fabric.first_packet_us").total, 0u);
 }
 
 TEST_F(TelemetryFabric, InspectIncludesTelemetryOnRequest) {
@@ -190,15 +205,25 @@ TEST_F(TelemetryFabric, SnapshotDeltaIsolatesTrafficWindow) {
 }
 
 
-// trace_first_packets arms one trace per (vn, source, destination) flow: on a
-// fixed scenario the first-packet histogram gets exactly one sample per
-// delivered flow, however many packets each flow sends or interleaves.
-TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
+// Every ordered pair of six hosts on three edges sends three packets: two
+// back to back (the second leaves before the first arrives) and one after
+// the flow has settled. Then one packet goes to a destination nobody holds,
+// which the border drops.
+struct FlowScenario {
+  std::uint64_t events = 0;
+  sim::SimTime end;
+  /// Per edge: frames_delivered, map_requests_sent, default_routed.
+  std::vector<std::array<std::uint64_t, 3>> edges;
+  std::uint64_t first_packet_samples = 0;
+  std::size_t open_ops = 0;
+};
+
+FlowScenario run_flow_scenario(bool trace_first_packets) {
   sim::Simulator sim;
   FabricConfig config;
   config.l2_gateway = false;
   config.seed = 7;
-  config.trace_first_packets = true;
+  config.trace_first_packets = trace_first_packets;
   SdaFabric fabric(sim, config);
   fabric.add_border("b0");
   for (int e = 0; e < 3; ++e) {
@@ -217,8 +242,6 @@ TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
   }
   sim.run();
 
-  // Every ordered pair sends three packets: two back to back (the second
-  // leaves before the first arrives) and one after the flow has settled.
   for (int round = 0; round < 2; ++round) {
     for (std::size_t a = 0; a < 6; ++a) {
       for (std::size_t b = 0; b < 6; ++b) {
@@ -229,13 +252,46 @@ TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
     }
     sim.run();
   }
-  // A destination nobody holds is dropped at the border: no sample.
   fabric.endpoint_send_udp(macs[0], *net::Ipv4Address::parse("10.100.250.250"), 443, 100);
   sim.run();
 
-  const telemetry::Snapshot snap = fabric.metrics().snapshot();
-  EXPECT_EQ(snap.histograms.at("fabric.first_packet_us").total, 30u);
-  EXPECT_EQ(fabric.path_tracer().open_count(), 0u);
+  FlowScenario run;
+  run.events = sim.executed_events();
+  run.end = sim.now();
+  for (const auto& name : fabric.edge_names()) {
+    const auto& counters = fabric.edge(name).counters();
+    run.edges.push_back(
+        {counters.frames_delivered, counters.map_requests_sent, counters.default_routed});
+  }
+  run.first_packet_samples =
+      fabric.metrics().snapshot().histograms.at("fabric.first_packet_us").total;
+  run.open_ops = fabric.telemetry().causal.open_count();
+  return run;
+}
+
+// trace_first_packets arms one first-packet operation per (vn, source,
+// destination) flow: on a fixed scenario the first-packet histogram gets
+// exactly one sample per delivered flow, however many packets each flow
+// sends or interleaves; the packet the border drops adds none.
+TEST(FirstPacketTracing, OneSamplePerDeliveredFlow) {
+  const FlowScenario run = run_flow_scenario(true);
+  EXPECT_EQ(run.first_packet_samples, 30u);
+  EXPECT_EQ(run.open_ops, 0u);
+}
+
+// Tracing observes the run, it does not change it: the first packet's id
+// stays off the wire, so every message keeps its size and every event its
+// time.
+TEST(FirstPacketTracing, TracingDoesNotChangeTheRun) {
+  const FlowScenario traced = run_flow_scenario(true);
+  const FlowScenario untraced = run_flow_scenario(false);
+  EXPECT_EQ(untraced.first_packet_samples, 0u);
+  EXPECT_EQ(traced.events, untraced.events);
+  EXPECT_EQ(traced.end, untraced.end);
+  EXPECT_EQ(traced.edges, untraced.edges);
+  std::uint64_t requests = 0;
+  for (const auto& edge : traced.edges) requests += edge[1];
+  EXPECT_GT(requests, 0u);  // the runs resolved, so a stamped id would show
 }
 
 // The schema every metric-bearing subsystem exports: scale-out routing
