@@ -6,6 +6,8 @@
 # simulated work is fixed by --seconds, not by wall time, so the digest is the
 # same on any machine and in the sanitizer tree. A change that alters the
 # simulated run on purpose updates the value here and says why in CHANGES.md.
+# Each workload also runs at seed 2, whose digest must differ from seed 1's:
+# a digest that ignores the seed would pin nothing.
 #
 #   cmake -DFABRICBENCH=<path to fabricbench> -P bench/check_digests.cmake
 if(NOT FABRICBENCH)
@@ -24,21 +26,27 @@ foreach(i RANGE 0 ${last} 2)
   math(EXPR j "${i} + 1")
   list(GET pinned ${i} workload)
   list(GET pinned ${j} expected)
-  execute_process(
-    COMMAND ${FABRICBENCH} --workload ${workload} --seed 1 --seconds 3 --trace 0
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc)
-  string(REGEX MATCH "digest: ([0-9a-f]+)" matched "${out}")
-  set(actual "${CMAKE_MATCH_1}")
-  if(NOT rc EQUAL 0)
-    message(SEND_ERROR "${workload}: fabricbench exited with ${rc}\n${err}")
+  foreach(seed 1 2)
+    execute_process(
+      COMMAND ${FABRICBENCH} --workload ${workload} --seed ${seed} --seconds 3 --trace 0
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err
+      RESULT_VARIABLE rc)
+    string(REGEX MATCH "digest: ([0-9a-f]+)" matched "${out}")
+    set(digest_${seed} "${CMAKE_MATCH_1}")
+    if(NOT rc EQUAL 0)
+      message(SEND_ERROR "${workload}: fabricbench --seed ${seed} exited with ${rc}\n${err}")
+      set(failed TRUE)
+    endif()
+  endforeach()
+  if(NOT digest_1 STREQUAL expected)
+    message(SEND_ERROR "${workload}: digest '${digest_1}', pinned ${expected}")
     set(failed TRUE)
-  elseif(NOT actual STREQUAL expected)
-    message(SEND_ERROR "${workload}: digest '${actual}', pinned ${expected}")
+  elseif(digest_2 STREQUAL digest_1)
+    message(SEND_ERROR "${workload}: seed 2 gives seed 1's digest ${digest_1}")
     set(failed TRUE)
   else()
-    message(STATUS "${workload}: digest ${actual}")
+    message(STATUS "${workload}: digest ${digest_1}, seed 2 ${digest_2}")
   endif()
 endforeach()
 if(failed)

@@ -45,13 +45,15 @@ bool BorderRouter::receive_publish(const lisp::Publish& publish) {
     ++next_publish_seq_;
   }
   if (publish.withdrawal()) {
-    if (synced_.erase(publish.eid) > 0) ++counters_.withdrawals_applied;
+    if (synced_.erase(publish.eid)) ++counters_.withdrawals_applied;
     return true;
   }
-  lisp::MappingRecord record;
-  record.rlocs = publish.rlocs;
+  // A recycled slot keeps its locator capacity; every field is rewritten.
+  lisp::MappingRecord& record = *synced_.find_or_insert_reused(publish.eid).first;
+  record.rlocs.assign(publish.rlocs.begin(), publish.rlocs.end());
   record.ttl_seconds = publish.ttl_seconds;
-  synced_[publish.eid] = std::move(record);
+  record.group = {};
+  record.refreshed_at = {};
   ++counters_.publishes_applied;
   return true;
 }
@@ -59,7 +61,7 @@ bool BorderRouter::receive_publish(const lisp::Publish& publish) {
 void BorderRouter::bootstrap_sync(const lisp::MapServer& server) {
   synced_.clear();
   server.walk([this](const net::VnEid& eid, const lisp::MappingRecord& record) {
-    synced_[eid] = record;
+    synced_.insert(eid, record);
   });
 }
 
@@ -67,7 +69,7 @@ void BorderRouter::apply_snapshot(
     const std::vector<std::pair<net::VnEid, lisp::MappingRecord>>& entries,
     std::uint64_t next_seq, std::uint64_t epoch) {
   synced_.clear();
-  for (const auto& [eid, record] : entries) synced_[eid] = record;
+  for (const auto& [eid, record] : entries) *synced_.find_or_insert_reused(eid).first = record;
   next_publish_seq_ = next_seq;
   feed_epoch_ = std::max(feed_epoch_, epoch);
   resync_in_flight_ = false;
@@ -121,12 +123,12 @@ void BorderRouter::external_receive(net::VnId vn, net::GroupId source_group,
                                     const net::OverlayFrame& frame) {
   ++counters_.external_in;
   const net::VnEid destination{vn, frame.destination_eid()};
-  const auto it = synced_.find(destination);
-  if (it == synced_.end() || it->second.rlocs.empty()) {
+  const lisp::MappingRecord* record = synced_.find(destination);
+  if (record == nullptr || record->rlocs.empty()) {
     ++counters_.no_route_drops;
     return;
   }
-  encap_to(it->second.primary_rloc(), vn, source_group, false, frame);
+  encap_to(record->primary_rloc(), vn, source_group, false, frame);
 }
 
 net::GroupId BorderRouter::rewritten_group(net::VnId vn, net::GroupId group) {
@@ -157,9 +159,9 @@ void BorderRouter::receive_fabric_frame(const net::FabricFrame& frame_in) {
   const net::VnEid destination{frame.vn, frame.inner.destination_eid()};
 
   // Overlay endpoint known via the synchronized table? Hairpin to its edge.
-  const auto it = synced_.find(destination);
-  if (it != synced_.end() && !it->second.rlocs.empty()) {
-    const net::Ipv4Address target = it->second.primary_rloc();
+  const lisp::MappingRecord* record = synced_.find(destination);
+  if (record != nullptr && !record->rlocs.empty()) {
+    const net::Ipv4Address target = record->primary_rloc();
     if (target == config_.rloc) {
       ++counters_.no_route_drops;  // registered to us but not external: stale
       return;

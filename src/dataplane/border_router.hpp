@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "dataplane/sgacl.hpp"
+#include "lisp/flat_index.hpp"
 #include "lisp/map_server.hpp"
 #include "lisp/messages.hpp"
 #include "net/packet.hpp"
@@ -93,9 +94,10 @@ class BorderRouter {
   /// Highest election epoch observed on the feed (0 until elections run).
   [[nodiscard]] std::uint64_t feed_epoch() const { return feed_epoch_; }
 
-  /// The synchronized table (for entry-by-entry verification in tests).
-  [[nodiscard]] const std::unordered_map<net::VnEid, lisp::MappingRecord>& synced() const {
-    return synced_;
+  /// The synchronized mapping of `eid`, or nullptr (for entry-by-entry
+  /// verification in tests; fib_size() counts the entries).
+  [[nodiscard]] const lisp::MappingRecord* synced(const net::VnEid& eid) const {
+    return synced_.find(eid);
   }
 
   // --- External connectivity ----------------------------------------------
@@ -188,7 +190,8 @@ class BorderRouter {
   DeliverExternal deliver_external_;
   RequestResync request_resync_;
 
-  std::unordered_map<net::VnEid, lisp::MappingRecord> synced_;
+  /// The pub/sub-synced FIB: one flat probe per hairpinned frame.
+  lisp::FlatMap<net::VnEid, lisp::MappingRecord, net::VnEidHash> synced_;
   std::uint64_t next_publish_seq_ = 1;
   std::uint64_t feed_epoch_ = 0;  // split-brain fence for the pub/sub feed
   bool resync_in_flight_ = false;

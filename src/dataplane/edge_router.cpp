@@ -373,26 +373,25 @@ void EdgeRouter::encap_to(net::Ipv4Address rloc, const net::VnEid& destination,
 
 void EdgeRouter::resolve(const net::VnEid& eid, bool smr_invoked, std::uint64_t trace) {
   if (!send_map_request_) return;
-  if (pending_requests_.contains(eid)) return;
-  pending_requests_.insert(eid, PendingRequest{next_nonce_++, config_.map_request_retries,
-                                               smr_invoked, trace, config_.map_request_timeout});
-  transmit_map_request(eid);
+  const auto [pending, fresh] = pending_requests_.find_or_insert_reused(eid);
+  if (!fresh) return;  // already resolving
+  *pending = PendingRequest{next_nonce_++, config_.map_request_retries, smr_invoked, trace,
+                            config_.map_request_timeout};
+  transmit_map_request(eid, *pending);
 }
 
-void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
-  const PendingRequest* attempt = pending_requests_.find(eid);
-  if (attempt == nullptr) return;  // answered meanwhile
-
+void EdgeRouter::transmit_map_request(const net::VnEid& eid, PendingRequest& attempt) {
   lisp::MapRequest request;
-  request.nonce = attempt->nonce;
+  request.nonce = attempt.nonce;
   request.eid = eid;
   request.itr_rloc = config_.rloc;
-  request.smr_invoked = attempt->smr_invoked;
+  request.smr_invoked = attempt.smr_invoked;
   // Only an SMR's id rides the wire: a first packet's would add 8 bytes to
   // the request and its reply, and so change the run being traced.
-  request.trace = attempt->smr_invoked ? attempt->trace : 0;
-  const sim::Duration timeout = attempt->timeout;
+  request.trace = attempt.smr_invoked ? attempt.trace : 0;
   ++counters_.map_requests_sent;
+  // The hook queues the request and never re-enters this edge, so
+  // `attempt` stays valid across it.
   send_map_request_(request);
 
   // Arm the retransmission timer: fires only if still unanswered. When no
@@ -414,14 +413,14 @@ void EdgeRouter::transmit_map_request(const net::VnEid& eid) {
     pending->timeout = next_backoff(pending->timeout, config_.map_request_timeout,
                                     config_.map_request_timeout_cap);
     ++counters_.map_request_retries;
-    transmit_map_request(eid);
+    transmit_map_request(eid, *pending);
   };
   // Per-resolution timer: must stay in the scheduler's inline buffer. If a
   // future capture (a Packet, a MapReply) pushes it past the SBO threshold,
   // fail the build here instead of silently allocating per miss.
   static_assert(sim::InlineAction::fits_inline<decltype(retransmit)>,
                 "map-request retransmit timer must not heap-allocate");
-  pending_requests_.find(eid)->timer = simulator_.schedule_after(timeout, std::move(retransmit));
+  attempt.timer = simulator_.schedule_after(attempt.timeout, std::move(retransmit));
 }
 
 void EdgeRouter::receive_map_request_busy(const net::VnEid& eid, sim::Duration retry_after) {
@@ -439,8 +438,12 @@ void EdgeRouter::receive_map_request_busy(const net::VnEid& eid, sim::Duration r
   // Honor the server's retry-after instead of the local RTO — but jitter
   // it: every shed client hears the same hint, and retrying at the exact
   // deadline re-synchronizes the stampede the shed was deflecting.
-  pending->timer = simulator_.schedule_after(jittered_retry_after(retry_after),
-                                             [this, eid] { transmit_map_request(eid); });
+  pending->timer =
+      simulator_.schedule_after(jittered_retry_after(retry_after), [this, eid] {
+        if (PendingRequest* attempt = pending_requests_.find(eid)) {
+          transmit_map_request(eid, *attempt);  // unless answered meanwhile
+        }
+      });
 }
 
 void EdgeRouter::receive_map_register_busy(const net::VnEid& eid, sim::Duration retry_after) {
@@ -467,8 +470,13 @@ sim::Duration EdgeRouter::jittered_retry_after(sim::Duration retry_after) {
 void EdgeRouter::drop_parked(const net::VnEid& eid) {
   const auto it = pending_l3_.find(eid);
   if (it == pending_l3_.end()) return;
-  counters_.resolution_drops += it->second.size();
+  drop_unresolved(eid.vn, it->second);
   pending_l3_.erase(it);
+}
+
+void EdgeRouter::drop_unresolved(net::VnId vn, const ParkedFrames& held) {
+  counters_.resolution_drops += held.size();
+  for (const auto& [group, frame] : held) trace_hop(vn, frame, "drop");
 }
 
 void EdgeRouter::solicit(const net::VnEid& eid, net::Ipv4Address sender_rloc) {
@@ -627,9 +635,8 @@ void EdgeRouter::run_probe_sweep() {
 }
 
 void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
-  if (const PendingRequest* pending = pending_requests_.find(reply.eid)) {
-    simulator_.cancel(pending->timer);
-    pending_requests_.erase(reply.eid);
+  if (const PendingRequest* answered = pending_requests_.take(reply.eid)) {
+    simulator_.cancel(answered->timer);
   }
   cache_.install(reply.eid, reply, simulator_.now());
   maybe_schedule_probe_sweep();
@@ -649,7 +656,7 @@ void EdgeRouter::receive_map_reply(const lisp::MapReply& reply) {
         encap_to(entry->primary_rloc(), reply.eid, group, false, frame);
       }
     } else {
-      counters_.resolution_drops += held.size();
+      drop_unresolved(reply.eid.vn, held);
     }
   }
 

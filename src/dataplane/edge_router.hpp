@@ -315,6 +315,9 @@ class EdgeRouter {
   }
 
  private:
+  struct PendingRequest;
+  /// L3 frames parked on an EID while it resolves, with their source groups.
+  using ParkedFrames = std::vector<std::pair<net::GroupId, net::OverlayFrame>>;
   /// Mobility state of an EID that is not attached here (Fig. 6). An EID
   /// that left for a roam holds its SMRs until the Map-Notify brings the new
   /// location (at most smr_min_interval, in case the notify is lost); after
@@ -354,7 +357,7 @@ class EdgeRouter {
 
   /// Sends (or resends) the Map-Request for a pending resolution and arms
   /// the retransmission timer.
-  void transmit_map_request(const net::VnEid& eid);
+  void transmit_map_request(const net::VnEid& eid, PendingRequest& attempt);
 
   /// Data-triggered SMR to a sender holding a stale mapping: held while a
   /// roamed-away EID awaits its Map-Notify, then rate-limited per sender.
@@ -402,6 +405,9 @@ class EdgeRouter {
 
   /// Drops (and counts) every frame parked on `eid` — resolution failed.
   void drop_parked(const net::VnEid& eid);
+  /// Drops frames whose destination did not resolve: counted, and a "drop"
+  /// hop each, so a traced first packet among them completes.
+  void drop_unresolved(net::VnId vn, const ParkedFrames& held);
 
   /// Repoints the default route at the first live border candidate.
   void reselect_border();
@@ -467,8 +473,7 @@ class EdgeRouter {
   /// L3 frames parked while resolution runs (classic-LISP mode with
   /// pending_packet_limit > 0); flushed on a positive Map-Reply, dropped
   /// on a negative one or when resolution gives up.
-  std::unordered_map<net::VnEid, std::vector<std::pair<net::GroupId, net::OverlayFrame>>>
-      pending_l3_;
+  std::unordered_map<net::VnEid, ParkedFrames> pending_l3_;
   /// (vn, group) pairs whose rule download the policy server refused —
   /// retried on a timer while the group is still hosted here.
   std::unordered_map<std::uint64_t, std::pair<net::VnId, net::GroupId>> pending_rule_downloads_;

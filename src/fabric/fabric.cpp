@@ -53,6 +53,7 @@ SdaFabric::RlocOwner SdaFabric::add_fabric_node(const std::string& name, RlocOwn
   const std::uint32_t suffix = next_rloc_suffix_++ & 0xFFFF;
   owner.rloc = net::Ipv4Address{(10u << 24) | suffix};
   owner.node = topology_.add_node(name, owner.rloc);
+  if (owner.index != kDetached) owner.recorder_ref = telemetry_.recorder.intern(name);
   nodes_by_name_[name] = owner.node;
   if (rloc_owner_.size() <= suffix) rloc_owner_.resize(suffix + 1);
   rloc_owner_[suffix] = owner;
@@ -142,6 +143,8 @@ void SdaFabric::finalize() {
     }
     server_nodes_.push_back(std::make_unique<lisp::MapServerNode>(
         simulator_, *database, ms_cfg, config_.seed ^ (0x5D + i)));
+    server_refs_.push_back(telemetry_.recorder.intern(
+        i == 0 ? "map_server" : "routing_server[" + std::to_string(i) + "]"));
     // Every Map-Request job completes into the control slab slot it came
     // from (the ticket).
     server_nodes_.back()->set_request_sink(
@@ -231,8 +234,7 @@ void SdaFabric::finalize() {
       }
       const net::Ipv4Address feed_rloc = server_nodes_[srv]->rloc();
       if (telemetry_.recorder.enabled()) {
-        record_event(telemetry::EventKind::Publish,
-                     srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
+        record_event(telemetry::EventKind::Publish, server_refs_[srv],
                      publish.withdrawal() ? telemetry::DetailForm::WithdrawSeq
                                           : telemetry::DetailForm::PublishSeq,
                      eid, {}, publish.seq);
@@ -248,7 +250,7 @@ void SdaFabric::finalize() {
         const std::uint64_t pub_span = telemetry_.causal.span_begin(
             publish.trace, 0, "publish", name, simulator_.now());
         control_send(feed_rloc, border.rloc(),
-                     lisp::message_wire_size(lisp::Message{publish}),
+                     publish.wire_size(),
                      [this, name, publish, pub_span, &border] {
                        if (!border_feeds_.at(name).connected) {
                          ++border_feeds_.at(name).dropped_publishes;
@@ -288,14 +290,13 @@ void SdaFabric::finalize() {
       }
       const std::string& edge_name = edges_[*old_edge]->name();
       if (telemetry_.recorder.enabled()) {
-        record_event(telemetry::EventKind::MapNotify,
-                     srv == 0 ? "map_server" : "routing_server[" + std::to_string(srv) + "]",
+        record_event(telemetry::EventKind::MapNotify, server_refs_[srv],
                      telemetry::DetailForm::MoveNotify, eid, {}, 0, edge_name);
       }
       const std::uint64_t mv_span = telemetry_.causal.span_begin(
           notify.trace, 0, "mobility-notify", edge_name, simulator_.now());
       control_send(server_nodes_[srv]->rloc(), previous,
-                   lisp::message_wire_size(lisp::Message{notify}),
+                   notify.wire_size(),
                    [this, old = *old_edge, notify, mv_span] {
                      dataplane::EdgeRouter& notified = *edges_[old];
                      const bool applied = notified.receive_map_notify(notify);
@@ -575,7 +576,7 @@ void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
   telemetry_.recorder.record(simulator_.now(), kind, node, detail);
 }
 
-void SdaFabric::record_event(telemetry::EventKind kind, std::string_view node,
+void SdaFabric::record_event(telemetry::EventKind kind, telemetry::NodeRef node,
                              telemetry::DetailForm form, const net::VnEid& eid,
                              net::Ipv4Address rloc, std::uint64_t number,
                              std::string_view name) {
@@ -617,7 +618,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
       registration.trace = telemetry_.causal.begin(
           telemetry::OpKind::Register, registration.eid.to_string(), simulator_.now());
     }
-    record_event(telemetry::EventKind::MapRegister, edge.name(), telemetry::DetailForm::ForEid,
+    record_event(telemetry::EventKind::MapRegister, recorder_ref(edge.rloc()),
+                 telemetry::DetailForm::ForEid,
                  registration.eid);
     // Route updates go to *all* routing servers so replicas stay complete
     // (§4.1). Onboarding completion is tied to the acking server's
@@ -646,7 +648,7 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                     registration.trace, 0, "map-register",
                     "routing_server[" + std::to_string(i) + "]", simulator_.now());
       control_send(edge.rloc(), node.rloc(),
-                   lisp::message_wire_size(lisp::Message{registration}),
+                   registration.wire_size(),
                    [this, &edge, &node, registration, i, is_acker, reg_span] {
                      node.submit_register(
                          registration,
@@ -672,7 +674,7 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                                     ack.trace, reg_span, "notify-ack",
                                                     edge.name(), simulator_.now());
                            control_send(node.rloc(), edge.rloc(),
-                                        lisp::message_wire_size(lisp::Message{ack}),
+                                        ack.wire_size(),
                                         [this, &edge, ack, ack_span] {
                                           const bool accepted = edge.receive_map_notify(ack);
                                           if (accepted && ack.epoch != 0 && ha_ &&
@@ -712,7 +714,8 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                    : lisp::MapServerNode::ShedCallback{
                                      [this, &edge, &node, eid = registration.eid](
                                          sim::Duration retry_after) {
-                                       record_event(telemetry::EventKind::Shed, edge.name(),
+                                       record_event(telemetry::EventKind::Shed,
+                                                    recorder_ref(edge.rloc()),
                                                     telemetry::DetailForm::RegisterForEid, eid);
                                        control_send(node.rloc(), edge.rloc(), 32,
                                                     [&edge, eid, retry_after] {
@@ -736,14 +739,15 @@ void SdaFabric::wire_edge(dataplane::EdgeRouter& edge) {
                                           smr.eid.to_string() + "->" + target,
                                           simulator_.now());
     }
-    record_event(telemetry::EventKind::Smr, edge.name(), telemetry::DetailForm::ForEidToName,
+    record_event(telemetry::EventKind::Smr, recorder_ref(edge.rloc()),
+                 telemetry::DetailForm::ForEidToName,
                  smr.eid, {}, 0, target);
     const std::uint64_t smr_span =
         smr.trace == 0 ? 0
                        : telemetry_.causal.span_begin(smr.trace, 0, "smr", target,
                                                       simulator_.now());
     auto deliver = [this, to, stale_index = *stale_edge, smr, smr_span] {
-      control_send(smr.source_rloc, to, lisp::message_wire_size(lisp::Message{smr}),
+      control_send(smr.source_rloc, to, smr.wire_size(),
                    [this, stale_index, smr, smr_span] {
                      telemetry_.causal.span_end(smr.trace, smr_span, simulator_.now());
                      dataplane::EdgeRouter& stale = *edges_[stale_index];
@@ -1043,8 +1047,8 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
         move_trace_by_eid_[ip_eid] = move_trace;
       }
       pending_onboards_[ip_eid].push_back(
-          [this, def, &edge_name = edge.name(), started, policy, ip = *ip, ipv6 = attached.ipv6,
-           callback, fast_reauth] {
+          [this, def, &edge_name = edge.name(), edge_ref = recorder_ref(edge.rloc()), started,
+           policy, ip = *ip, ipv6 = attached.ipv6, callback, fast_reauth] {
             const sim::Duration elapsed = simulator_.now() - started;
             telemetry::LatencyHistogram* hist = fast_reauth ? roam_ms_ : onboard_ms_;
             if (hist) {
@@ -1052,7 +1056,7 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
             }
             record_event(
                 fast_reauth ? telemetry::EventKind::Roam : telemetry::EventKind::Onboard,
-                edge_name,
+                edge_ref,
                 fast_reauth ? telemetry::DetailForm::RoamedTo : telemetry::DetailForm::OnboardedAt,
                 net::VnEid{policy->vn, net::Eid{ip}}, {}, 0, def.credential);
             if (!callback) return;
@@ -1318,7 +1322,7 @@ void SdaFabric::resync_border(const std::string& name) {
   const net::Ipv4Address authority_rloc = server_nodes_[leader]->rloc();
   const lisp::Subscribe subscribe{border.rloc(), 0};
   control_send(border.rloc(), authority_rloc,
-               lisp::message_wire_size(lisp::Message{subscribe}),
+               subscribe.wire_size(),
                [this, name, leader, authority_rloc, rh_span] {
     auto entries =
         std::make_shared<std::vector<std::pair<net::VnEid, lisp::MappingRecord>>>();
@@ -1477,7 +1481,7 @@ void SdaFabric::send_map_request(std::uint32_t edge_index, const lisp::MapReques
   // after a failover rides the new server.
   const dataplane::EdgeRouter& edge = *edges_[edge_index];
   const std::size_t server = active_server_index(edge.rloc());
-  record_event(telemetry::EventKind::MapRequest, edge.name(),
+  record_event(telemetry::EventKind::MapRequest, recorder_ref(edge.rloc()),
                telemetry::DetailForm::ForEidToRloc, request.eid, server_nodes_[server]->rloc());
   const std::uint32_t slot = controls_.acquire();
   ControlSlot& c = controls_[slot];
@@ -1514,8 +1518,9 @@ void SdaFabric::on_map_reply(std::uint32_t slot, const lisp::MapReply& reply) {
   ControlSlot& c = controls_[slot];
   c.reply = reply;  // reuses the slot's locator capacity
   if (c.edge != kDetached) {
-    const std::string& edge_name = edges_[c.edge]->name();
-    record_event(telemetry::EventKind::MapReply, edge_name,
+    const dataplane::EdgeRouter& edge = *edges_[c.edge];
+    const std::string& edge_name = edge.name();
+    record_event(telemetry::EventKind::MapReply, recorder_ref(edge.rloc()),
                  reply.negative() ? telemetry::DetailForm::NegativeForEid
                                   : telemetry::DetailForm::ForEid,
                  reply.eid);
@@ -1539,7 +1544,8 @@ void SdaFabric::on_request_shed(std::uint32_t slot, sim::Duration retry_after) {
   // rides back to the edge, which backs off for the server's hint instead
   // of its local RTO.
   dataplane::EdgeRouter& edge = *edges_[c.edge];
-  record_event(telemetry::EventKind::Shed, edge.name(), telemetry::DetailForm::RequestForEid,
+  record_event(telemetry::EventKind::Shed, recorder_ref(edge.rloc()),
+               telemetry::DetailForm::RequestForEid,
                c.request.eid);
   auto busy = [&edge, eid = c.request.eid, retry_after] {
     edge.receive_map_request_busy(eid, retry_after);

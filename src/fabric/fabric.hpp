@@ -288,6 +288,7 @@ class SdaFabric {
   struct RlocOwner {
     net::Ipv4Address rloc;
     bool border = false;
+    telemetry::NodeRef recorder_ref = 0;  // the router's interned name
     std::uint32_t index = kDetached;  // into borders_ or edges_
     underlay::NodeId node = underlay::kInvalidNode;
   };
@@ -330,11 +331,16 @@ class SdaFabric {
   /// should build detail strings only on the enabled path).
   void record_event(telemetry::EventKind kind, std::string_view node,
                     std::string_view detail = {});
-  /// Same, by fields: nothing is formatted until the recorder is read.
-  void record_event(telemetry::EventKind kind, std::string_view node,
+  /// Same, by fields, for a node interned up front: nothing is formatted
+  /// until the recorder is read.
+  void record_event(telemetry::EventKind kind, telemetry::NodeRef node,
                     telemetry::DetailForm form, const net::VnEid& eid,
                     net::Ipv4Address rloc = {}, std::uint64_t number = 0,
                     std::string_view name = {});
+  /// The recorder ref of the edge or border at `rloc`.
+  [[nodiscard]] telemetry::NodeRef recorder_ref(net::Ipv4Address rloc) const {
+    return owner_of(rloc)->recorder_ref;
+  }
 
   /// Underlay control-plane delivery: edge/border RLOC -> action at dest.
   /// Returns false when the underlay dropped the message at send time
@@ -421,6 +427,7 @@ class SdaFabric {
   std::vector<std::unique_ptr<lisp::MapServer>> replica_dbs_;
   /// Queueing front ends; node 0 serves the primary database.
   std::vector<std::unique_ptr<lisp::MapServerNode>> server_nodes_;
+  std::vector<telemetry::NodeRef> server_refs_;  // recorder refs, by server
   /// Health tracking / failover / anti-entropy (nullptr when disabled).
   std::unique_ptr<HaMonitor> ha_;
   net::Ipv4Address map_server_rloc_;  // where the primary routing server lives

@@ -12,12 +12,28 @@ namespace sda::faults {
 FaultPlane::FaultPlane(sim::Simulator& simulator, underlay::UnderlayNetwork& network,
                        std::uint64_t seed)
     : simulator_(simulator), network_(network), rng_(seed) {
+  sync_injector();
+}
+
+void FaultPlane::disarm() {
+  armed_ = false;
+  sync_injector();
+}
+
+void FaultPlane::sync_injector() {
+  // decide() draws from the RNG only when a loss or jitter model can act,
+  // so leaving it out the rest of the time changes no run.
+  const auto can_act = [](const LossModel& m) {
+    return m.loss > 0.0 || m.per_hop_loss > 0.0 || m.extra_jitter_max.count() > 0;
+  };
+  if (!armed_ || !(can_act(data_) || can_act(control_))) {
+    network_.set_fault_injector(nullptr);
+    return;
+  }
   network_.set_fault_injector(
       [this](underlay::NodeId, underlay::NodeId, std::size_t, std::uint32_t hops,
              underlay::TrafficClass cls) { return decide(hops, cls); });
 }
-
-void FaultPlane::disarm() { network_.set_fault_injector(nullptr); }
 
 underlay::FaultDecision FaultPlane::decide(std::uint32_t hops, underlay::TrafficClass cls) {
   const LossModel& model = cls == underlay::TrafficClass::Control ? control_ : data_;

@@ -59,17 +59,24 @@ struct FlapSchedule {
 
 class FaultPlane {
  public:
-  /// Installs itself as the network's fault injector on construction.
+  /// The plane is the network's fault injector, installed while a loss or
+  /// jitter model can act: with none set, deliveries skip the call.
   FaultPlane(sim::Simulator& simulator, underlay::UnderlayNetwork& network,
              std::uint64_t seed);
 
-  /// Detaches the injector (deliveries become lossless again).
+  /// Detaches the injector for good (deliveries become lossless again).
   void disarm();
 
   // --- Stochastic loss / jitter ------------------------------------------
 
-  void set_data_loss(const LossModel& model) { data_ = model; }
-  void set_control_loss(const LossModel& model) { control_ = model; }
+  void set_data_loss(const LossModel& model) {
+    data_ = model;
+    sync_injector();
+  }
+  void set_control_loss(const LossModel& model) {
+    control_ = model;
+    sync_injector();
+  }
 
   // --- Scheduled link / node flaps ---------------------------------------
 
@@ -138,6 +145,9 @@ class FaultPlane {
 
  private:
   [[nodiscard]] underlay::FaultDecision decide(std::uint32_t hops, underlay::TrafficClass cls);
+  /// Installs the injector while armed and a model can act; removes it
+  /// otherwise.
+  void sync_injector();
 
   /// Logs a Fault event on the attached recorder (no-op when detached).
   void record_fault(const char* what, const std::string& subject);
@@ -149,6 +159,7 @@ class FaultPlane {
   LossModel control_;
   Counters counters_;
   telemetry::FlightRecorder* recorder_ = nullptr;
+  bool armed_ = true;  // until disarm()
 };
 
 }  // namespace sda::faults

@@ -44,6 +44,30 @@ class FlatIndex {
     return i == kAbsent ? kNone : table_[i].slot;
   }
 
+  /// The slot holding `key` and false; or, when absent, indexes the slot
+  /// `make_slot()` returns under `key` and returns it and true. One probe
+  /// sequence either way (unless the table must grow): the empty position
+  /// that ends a miss is where insert() would place the key.
+  template <typename KeyOf, typename MakeSlot>
+  std::pair<std::uint32_t, bool> find_or_insert(const Key& key, KeyOf key_of,
+                                                MakeSlot make_slot) {
+    const std::uint32_t hash = hash_of(key);
+    std::size_t i = hash & mask_;
+    for (; !table_.empty(); i = (i + 1) & mask_) {
+      const Entry e = table_[i];
+      if (e.slot == kNone) break;
+      if (e.hash == hash && key_of(e.slot) == key) return {e.slot, false};
+    }
+    const std::uint32_t slot = make_slot();
+    if ((size_ + 1) * 10 > table_.size() * 7) {
+      insert(key, slot);
+    } else {
+      table_[i] = Entry{hash, slot};
+      ++size_;
+    }
+    return {slot, true};
+  }
+
   /// Indexes `slot` under `key`; the key must not already be present.
   void insert(const Key& key, std::uint32_t slot) {
     // Keep the load factor under 70% so probe chains stay short.
@@ -167,6 +191,17 @@ class FlatMap {
     return slots_[i].value;
   }
 
+  /// The value at `key` and false; or, when absent, a new entry's value as
+  /// its recycled slot left it (see insert_reused()) and true. One probe.
+  std::pair<Value*, bool> find_or_insert_reused(const Key& key) {
+    const auto [i, inserted] = index_.find_or_insert(key, key_of(), [&] {
+      const std::uint32_t slot = slots_.acquire();
+      slots_[slot].key = key;
+      return slot;
+    });
+    return {&slots_[i].value, inserted};
+  }
+
   /// Whether the next insert reuses an erased slot rather than growing.
   [[nodiscard]] bool has_free_slot() const { return slots_.has_free(); }
 
@@ -183,11 +218,15 @@ class FlatMap {
   }
 
   /// Removes `key`; returns whether it was present.
-  bool erase(const Key& key) {
+  bool erase(const Key& key) { return take(key) != nullptr; }
+
+  /// Removes `key` and returns its value, which stays in the released slot
+  /// until the next insert; nullptr when absent. One probe.
+  Value* take(const Key& key) {
     const std::uint32_t i = index_.erase(key, key_of());
-    if (i == kNone) return false;
+    if (i == kNone) return nullptr;
     slots_.release(i);
-    return true;
+    return &slots_[i].value;
   }
 
   /// Visits every (key, value) in slot order.

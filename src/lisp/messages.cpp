@@ -47,6 +47,10 @@ std::size_t vn_eid_wire_size(const net::VnEid& eid) {
 
 std::size_t trace_wire_size(std::uint64_t trace) { return trace != 0 ? 8 : 0; }
 
+std::size_t rlocs_wire_size(const std::vector<net::Rloc>& rlocs) {
+  return 1 + kRlocBytes * rlocs.size();  // count byte, then the locators
+}
+
 }  // namespace
 
 std::size_t MapRequest::wire_size() const {
@@ -54,7 +58,28 @@ std::size_t MapRequest::wire_size() const {
 }
 
 std::size_t MapReply::wire_size() const {
-  return kTagBytes + 8 + vn_eid_wire_size(eid) + 1 + kRlocBytes * rlocs.size() + 1 + 4 + 2 +
+  return kTagBytes + 8 + vn_eid_wire_size(eid) + rlocs_wire_size(rlocs) + 1 + 4 + 2 +
+         trace_wire_size(trace);
+}
+
+std::size_t MapRegister::wire_size() const {
+  return kTagBytes + 8 + vn_eid_wire_size(eid) + rlocs_wire_size(rlocs) + 4 + 1 + 2 +
+         trace_wire_size(trace);
+}
+
+std::size_t MapNotify::wire_size() const {
+  return kTagBytes + 8 + vn_eid_wire_size(eid) + rlocs_wire_size(rlocs) + 8 +
+         trace_wire_size(trace);
+}
+
+std::size_t SolicitMapRequest::wire_size() const {
+  return kTagBytes + vn_eid_wire_size(eid) + 4 + trace_wire_size(trace);
+}
+
+std::size_t Subscribe::wire_size() const { return kTagBytes + 4 + 3; }
+
+std::size_t Publish::wire_size() const {
+  return kTagBytes + vn_eid_wire_size(eid) + rlocs_wire_size(rlocs) + 4 + 8 + 8 +
          trace_wire_size(trace);
 }
 
@@ -238,12 +263,6 @@ std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
     }
   }
   return std::nullopt;
-}
-
-std::size_t message_wire_size(const Message& message) {
-  // Exact: serialize into a scratch writer. Control messages are small and
-  // infrequent relative to data traffic, so this stays cheap.
-  return encode_message(message).size();
 }
 
 std::string message_type_name(const Message& message) {

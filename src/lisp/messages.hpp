@@ -45,7 +45,7 @@ struct MapRequest {
   /// is off. 0 = untraced.
   std::uint64_t trace = 0;
 
-  /// message_wire_size(Message{*this}), computed without encoding.
+  /// The encoded size, tag byte included, computed without encoding.
   [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapRequest> decode(net::ByteReader& r);
@@ -65,7 +65,7 @@ struct MapReply {
 
   [[nodiscard]] bool negative() const { return rlocs.empty(); }
 
-  /// message_wire_size(Message{*this}), computed without encoding.
+  /// The encoded size, tag byte included, computed without encoding.
   [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapReply> decode(net::ByteReader& r);
@@ -83,6 +83,8 @@ struct MapRegister {
   /// the wire; 0 = untraced.
   std::uint64_t trace = 0;
 
+  /// The encoded size, tag byte included, computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapRegister> decode(net::ByteReader& r);
   friend bool operator==(const MapRegister&, const MapRegister&) = default;
@@ -102,6 +104,8 @@ struct MapNotify {
   /// a mobility notify. Trailing optional on the wire; 0 = untraced.
   std::uint64_t trace = 0;
 
+  /// The encoded size, tag byte included, computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<MapNotify> decode(net::ByteReader& r);
   friend bool operator==(const MapNotify&, const MapNotify&) = default;
@@ -115,6 +119,8 @@ struct SolicitMapRequest {
   /// Causal trace id of the SMR fan-out op. Trailing optional; 0 = untraced.
   std::uint64_t trace = 0;
 
+  /// The encoded size, tag byte included, computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<SolicitMapRequest> decode(net::ByteReader& r);
   friend bool operator==(const SolicitMapRequest&, const SolicitMapRequest&) = default;
@@ -126,6 +132,8 @@ struct Subscribe {
   net::Ipv4Address subscriber_rloc;
   std::uint32_t vn = 0;  // 0 = all VNs
 
+  /// The encoded size, tag byte included, computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<Subscribe> decode(net::ByteReader& r);
   friend bool operator==(const Subscribe&, const Subscribe&) = default;
@@ -149,6 +157,8 @@ struct Publish {
 
   [[nodiscard]] bool withdrawal() const { return rlocs.empty(); }
 
+  /// The encoded size, tag byte included, computed without encoding.
+  [[nodiscard]] std::size_t wire_size() const;
   void encode(net::ByteWriter& w) const;
   [[nodiscard]] static std::optional<Publish> decode(net::ByteReader& r);
   friend bool operator==(const Publish&, const Publish&) = default;
@@ -160,9 +170,6 @@ using Message = std::variant<MapRequest, MapReply, MapRegister, MapNotify, Solic
 /// Serializes any control message with a one-byte type tag.
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& message);
 [[nodiscard]] std::optional<Message> decode_message(std::span<const std::uint8_t> bytes);
-
-/// Approximate wire size (for transit-delay modeling without serializing).
-[[nodiscard]] std::size_t message_wire_size(const Message& message);
 
 [[nodiscard]] std::string message_type_name(const Message& message);
 

@@ -1,6 +1,8 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 namespace sda::telemetry {
 
@@ -51,54 +53,70 @@ std::string FlightEvent::to_string() const {
 
 FlightRecorder::FlightRecorder(std::size_t capacity) {
   ring_.resize(std::max<std::size_t>(1, capacity));
+  text_.resize(ring_.size());
 }
 
-FlightRecorder::Slot& FlightRecorder::next_slot(sim::SimTime at, EventKind kind,
-                                                std::string_view node) {
-  Slot& slot = ring_[seq_ % ring_.size()];
+NodeRef FlightRecorder::intern(std::string_view node) {
+  const auto it = std::find(names_.begin(), names_.end(), node);
+  if (it != names_.end()) return static_cast<NodeRef>(it - names_.begin());
+  assert(names_.size() <= std::numeric_limits<NodeRef>::max());
+  names_.emplace_back(node);
+  return static_cast<NodeRef>(names_.size() - 1);
+}
+
+std::size_t FlightRecorder::next_slot(sim::SimTime at, EventKind kind, NodeRef node,
+                                      DetailForm form) {
+  const std::size_t index = seq_ % ring_.size();
+  Slot& slot = ring_[index];
   slot.seq = ++seq_;
   slot.at = at;
   slot.kind = kind;
-  slot.node.assign(node);
-  return slot;
+  slot.node = node;
+  slot.form = form;
+  return index;
 }
 
 void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view node,
                             std::string_view detail) {
   if (!enabled_) return;
-  Slot& slot = next_slot(at, kind, node);
-  slot.form = DetailForm::Text;
-  slot.text.assign(detail);
+  text_[next_slot(at, kind, intern(node), DetailForm::Text)].assign(detail);
 }
 
-void FlightRecorder::record(sim::SimTime at, EventKind kind, std::string_view node,
-                            DetailForm form, const net::VnEid& eid, net::Ipv4Address rloc,
-                            std::uint64_t number, std::string_view name) {
+void FlightRecorder::record(sim::SimTime at, EventKind kind, NodeRef node, DetailForm form,
+                            const net::VnEid& eid, net::Ipv4Address rloc, std::uint64_t number,
+                            std::string_view name) {
   if (!enabled_) return;
-  Slot& slot = next_slot(at, kind, node);
-  slot.form = form;
+  const std::size_t index = next_slot(at, kind, node, form);
+  Slot& slot = ring_[index];
   slot.eid = eid;
   slot.rloc = rloc;
   slot.number = number;
-  if (name.empty()) {
-    slot.text.clear();  // the busy first-packet forms quote no name
-  } else {
-    slot.text.assign(name);
+  switch (form) {  // the side ring: only the forms that quote text write it
+    case DetailForm::Text:
+    case DetailForm::ForEidToName:
+    case DetailForm::MoveNotify:
+    case DetailForm::RoamedTo:
+    case DetailForm::OnboardedAt: text_[index].assign(name); break;
+    default: break;
   }
 }
 
-FlightEvent FlightRecorder::Slot::render() const {
+FlightEvent FlightRecorder::render(std::size_t index) const {
+  const Slot& slot = ring_[index];
+  const std::string& text = text_[index];
+  const net::VnEid& eid = slot.eid;
   FlightEvent event;
-  event.seq = seq;
-  event.at = at;
-  event.kind = kind;
-  event.node = node;
+  event.seq = slot.seq;
+  event.at = slot.at;
+  event.kind = slot.kind;
+  event.node = names_[slot.node];
+  const std::string& node = event.node;
   std::string& d = event.detail;
-  switch (form) {
+  switch (slot.form) {
     case DetailForm::Text: d = text; break;
     case DetailForm::ForEid: d = "for " + eid.to_string(); break;
     case DetailForm::ForEidToRloc:
-      d = "for " + eid.to_string() + " -> " + rloc.to_string();
+      d = "for " + eid.to_string() + " -> " + slot.rloc.to_string();
       break;
     case DetailForm::ForEidToName: d = "for " + eid.to_string() + " -> " + text; break;
     case DetailForm::NegativeForEid: d = "negative for " + eid.to_string(); break;
@@ -106,8 +124,8 @@ FlightEvent FlightRecorder::Slot::render() const {
     case DetailForm::RegisterForEid: d = "map-register for " + eid.to_string(); break;
     case DetailForm::PublishSeq:
     case DetailForm::WithdrawSeq:
-      d = form == DetailForm::PublishSeq ? "publish " : "withdraw ";
-      d += eid.to_string() + " seq " + std::to_string(number);
+      d = slot.form == DetailForm::PublishSeq ? "publish " : "withdraw ";
+      d += eid.to_string() + " seq " + std::to_string(slot.number);
       break;
     case DetailForm::MoveNotify:
       d = "move of " + eid.to_string() + ", notify old edge " + text;
@@ -128,25 +146,27 @@ std::uint64_t FlightRecorder::overwritten() const {
 
 std::vector<FlightEvent> FlightRecorder::events() const { return tail(ring_.size()); }
 
-std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
-  const std::size_t held = size();
-  n = std::min(n, held);
+template <typename Keep>
+std::vector<FlightEvent> FlightRecorder::collect(std::size_t n, Keep keep) const {
+  n = std::min(n, size());
   std::vector<FlightEvent> out;
-  out.reserve(n);
   // seq_ is the seq of the newest event; walk the last n slots in order.
   for (std::uint64_t s = seq_ - n; s < seq_; ++s) {
-    out.push_back(ring_[s % ring_.size()].render());
+    const std::size_t index = s % ring_.size();
+    if (keep(index)) out.push_back(render(index));
   }
   return out;
 }
 
+std::vector<FlightEvent> FlightRecorder::tail(std::size_t n) const {
+  return collect(n, [](std::size_t) { return true; });
+}
+
 std::vector<FlightEvent> FlightRecorder::for_node(const std::string& node) const {
-  std::vector<FlightEvent> out;
-  for (std::uint64_t s = seq_ - size(); s < seq_; ++s) {
-    const Slot& slot = ring_[s % ring_.size()];
-    if (slot.node == node) out.push_back(slot.render());
-  }
-  return out;
+  const auto it = std::find(names_.begin(), names_.end(), node);
+  if (it == names_.end()) return {};
+  const auto ref = static_cast<NodeRef>(it - names_.begin());
+  return collect(size(), [&](std::size_t index) { return ring_[index].node == ref; });
 }
 
 std::string FlightRecorder::dump(std::size_t max_events) const {
@@ -166,6 +186,7 @@ std::string FlightRecorder::dump(std::size_t max_events) const {
 
 void FlightRecorder::clear() {
   for (auto& slot : ring_) slot = Slot{};
+  for (auto& text : text_) text.clear();
   seq_ = 0;
 }
 

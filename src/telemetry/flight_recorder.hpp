@@ -12,9 +12,11 @@
 // miss, and the Map-Notify, SMR and completion of every roam) record
 // fields — an EID, an RLOC, a number, a name and a DetailForm saying how
 // to phrase them — and the text is rendered only when the ring is read,
-// so recording formats nothing and, once each slot has held its longest
-// node name and quoted name, allocates nothing. Rare call sites still pass
-// free text through the same record() call.
+// so recording formats nothing. Each slot is one 64-byte line: the node is
+// a 16-bit ref to a name interned once (edges, borders and servers intern
+// theirs up front and pass the ref), and text lives in a side ring that is
+// written only when a form quotes a name or free text. Rare call sites
+// still pass a node name and free text, interned on the way in.
 #pragma once
 
 #include <cstddef>
@@ -92,9 +94,16 @@ struct FlightEvent {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// A node name interned in a FlightRecorder.
+using NodeRef = std::uint16_t;
+
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 2048);
+
+  /// The ref of `node`'s name, interned on first use (a scan of the names
+  /// so far: intern busy names once and keep the ref).
+  [[nodiscard]] NodeRef intern(std::string_view node);
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   [[nodiscard]] bool enabled() const { return enabled_; }
@@ -105,9 +114,14 @@ class FlightRecorder {
               std::string_view detail = {});
   /// Records one event by its fields; the detail is rendered from `form`
   /// when the ring is read.
-  void record(sim::SimTime at, EventKind kind, std::string_view node, DetailForm form,
+  void record(sim::SimTime at, EventKind kind, NodeRef node, DetailForm form,
               const net::VnEid& eid, net::Ipv4Address rloc = {}, std::uint64_t number = 0,
               std::string_view name = {});
+  void record(sim::SimTime at, EventKind kind, std::string_view node, DetailForm form,
+              const net::VnEid& eid, net::Ipv4Address rloc = {}, std::uint64_t number = 0,
+              std::string_view name = {}) {
+    if (enabled_) record(at, kind, intern(node), form, eid, rloc, number, name);
+  }
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   /// Events currently held (<= capacity).
@@ -130,26 +144,32 @@ class FlightRecorder {
   void clear();
 
  private:
-  /// One ring slot: the event's fields. The strings keep their capacity
-  /// across overwrites.
-  struct Slot {
+  /// One ring slot, one cache line: the event's fields, its node by ref.
+  struct alignas(64) Slot {
     std::uint64_t seq = 0;
     sim::SimTime at;
+    net::VnEid eid;
+    std::uint64_t number = 0;
+    net::Ipv4Address rloc;
+    NodeRef node = 0;
     EventKind kind = EventKind::Custom;
     DetailForm form = DetailForm::Text;
-    net::VnEid eid;
-    net::Ipv4Address rloc;
-    std::uint64_t number = 0;
-    std::string node;
-    std::string text;  // the free text, or the <name> a form quotes
-
-    [[nodiscard]] FlightEvent render() const;
   };
+  static_assert(sizeof(Slot) == 64);
 
-  /// The slot the next event goes to; advances the sequence.
-  Slot& next_slot(sim::SimTime at, EventKind kind, std::string_view node);
+  /// The index of the slot the next event goes to; fills in its header and
+  /// advances the sequence.
+  std::size_t next_slot(sim::SimTime at, EventKind kind, NodeRef node, DetailForm form);
+  [[nodiscard]] FlightEvent render(std::size_t index) const;
+  /// The held events whose index passes `keep`, oldest -> newest.
+  template <typename Keep>
+  [[nodiscard]] std::vector<FlightEvent> collect(std::size_t n, Keep keep) const;
 
   std::vector<Slot> ring_;  // capacity slots; slot = (seq - 1) % capacity
+  /// The side ring: text_[i] is slot i's free text, or the <name> its form
+  /// quotes. The strings keep their capacity across overwrites.
+  std::vector<std::string> text_;
+  std::vector<std::string> names_;  // names_[ref] is an interned node name
   std::uint64_t seq_ = 0;
   bool enabled_ = true;
 };

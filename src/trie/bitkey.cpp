@@ -1,7 +1,6 @@
 #include "trie/bitkey.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -56,26 +55,6 @@ BitKey BitKey::from_eid(const net::Eid& e) {
     case net::EidFamily::Mac: return from_mac(e.mac());
   }
   return {};
-}
-
-std::uint16_t BitKey::common_prefix_len(const BitKey& other) const {
-  const std::uint16_t limit = std::min(prefix_len_, other.prefix_len_);
-  std::uint16_t matched = 0;
-  const std::uint16_t full_bytes = limit / 8;
-  for (std::uint16_t i = 0; i < full_bytes; ++i) {
-    const std::uint8_t diff = bytes_[i] ^ other.bytes_[i];
-    if (diff != 0) {
-      matched = static_cast<std::uint16_t>(i * 8 + std::countl_zero(diff));
-      return std::min(matched, limit);
-    }
-  }
-  matched = static_cast<std::uint16_t>(full_bytes * 8);
-  if (matched < limit) {
-    const std::uint8_t diff = bytes_[full_bytes] ^ other.bytes_[full_bytes];
-    matched = static_cast<std::uint16_t>(
-        matched + (diff == 0 ? 8 : std::countl_zero(diff)));
-  }
-  return std::min(matched, limit);
 }
 
 bool BitKey::contains(const BitKey& other) const {

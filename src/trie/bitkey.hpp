@@ -5,7 +5,9 @@
 // the natural network-order interpretation of an address.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -47,8 +49,15 @@ class BitKey {
   }
 
   /// Length of the longest common prefix with `other`, capped at
-  /// min(prefix_len(), other.prefix_len()).
-  [[nodiscard]] std::uint16_t common_prefix_len(const BitKey& other) const;
+  /// min(prefix_len(), other.prefix_len()): the 128 bits compare as two
+  /// big-endian words, one XOR and one leading-zero count each.
+  [[nodiscard]] std::uint16_t common_prefix_len(const BitKey& other) const {
+    const std::uint64_t high = word(0) ^ other.word(0);
+    const std::uint64_t low = word(8) ^ other.word(8);
+    const int matched = high != 0 ? std::countl_zero(high) : 64 + std::countl_zero(low);
+    return static_cast<std::uint16_t>(
+        std::min(matched, int{std::min(prefix_len_, other.prefix_len_)}));
+  }
 
   /// True when this prefix covers `other` (other's first prefix_len() bits
   /// equal ours and other is at least as long). Families must match.
@@ -64,6 +73,14 @@ class BitKey {
   friend auto operator<=>(const BitKey&, const BitKey&) = default;
 
  private:
+  /// Bytes [at, at + 8) as a big-endian word (the compiler folds the loop
+  /// into one load and a byte swap).
+  [[nodiscard]] std::uint64_t word(std::size_t at) const {
+    std::uint64_t w = 0;
+    for (std::size_t i = at; i < at + 8; ++i) w = (w << 8) | bytes_[i];
+    return w;
+  }
+
   std::array<std::uint8_t, 16> bytes_{};
   std::uint16_t width_ = 0;
   std::uint16_t prefix_len_ = 0;

@@ -497,12 +497,13 @@ RoamRun run_roams(bool telemetry, int warmup, int rounds) {
 // the old edge, its stale forward to the new edge, the SMR, and the
 // sender's Map-Request leg, server job and Map-Reply leg.
 constexpr std::uint64_t kEventsPerRoam = 13;
-// Allocations per roam, a ceiling at today's count (37.15, telemetry on or
+// Allocations per roam, a ceiling at today's count (27.15, telemetry on or
 // off). The edges' endpoint records, pending registrations and map-cache
-// free lists no longer allocate; onboarding closures, the Map-Notify's
-// locator vector and the access request's strings still do. The ceiling
-// only comes down.
-constexpr double kAllocsPerRoamCeiling = 37.2;
+// free lists no longer allocate, nor does sizing a control message or
+// updating the border's FIB; onboarding closures, the Map-Notify's locator
+// vector and the access request's strings still do. The ceiling only
+// comes down.
+constexpr double kAllocsPerRoamCeiling = 27.2;
 
 void expect_roams_pinned(const RoamRun& run, int rounds) {
   const auto roams = static_cast<std::uint64_t>(rounds);
@@ -570,11 +571,11 @@ OnboardRun run_onboardings(bool telemetry, int warmup, int onboardings) {
 // attach and Map-Register), the Map-Register leg, the map-server job, the
 // border publish and the edge's Map-Notify ack.
 constexpr std::uint64_t kEventsPerOnboarding = 6;
-// Allocations per onboarding, a ceiling at today's count (34.26, telemetry
+// Allocations per onboarding, a ceiling at today's count (25.29, telemetry
 // on or off): the onboarding closures, the access request's and the
 // endpoint record's strings, and the map server's and edge's tables
 // growing with the population. The ceiling only comes down.
-constexpr double kAllocsPerOnboardingCeiling = 34.3;
+constexpr double kAllocsPerOnboardingCeiling = 25.3;
 
 void expect_onboardings_pinned(const OnboardRun& run, int onboardings) {
   const auto n = static_cast<std::uint64_t>(onboardings);

@@ -294,6 +294,66 @@ TEST(FirstPacketTracing, TracingDoesNotChangeTheRun) {
   EXPECT_GT(requests, 0u);  // the runs resolved, so a stamped id would show
 }
 
+// Classic LISP with a pending-packet queue: the first packet to an EID that
+// nobody holds parks while it resolves, and is dropped when the resolution
+// fails, by a negative reply or by running out of retries against a
+// silent server. Each drop is a hop, so the traced first packet completes.
+struct ParkedDropRun {
+  std::uint64_t parked = 0;
+  std::uint64_t resolution_drops = 0;
+  std::size_t open_ops = 0;
+  std::vector<telemetry::Verdict> leak_verdicts;
+};
+
+ParkedDropRun run_parked_drop(bool server_silent) {
+  sim::Simulator sim;
+  FabricConfig config;
+  config.l2_gateway = false;
+  config.trace_first_packets = true;
+  config.default_route_fallback = false;
+  config.pending_packet_limit = 4;
+  SdaFabric fabric(sim, config);
+  fabric.add_border("b0");
+  fabric.add_edge("e0");
+  fabric.link("e0", "b0");
+  fabric.finalize();
+  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
+  fabric.provision_endpoint({"alice", "pw", MacAddress::from_u64(0x02AA), kVn, GroupId{10}});
+  fabric.connect_endpoint("alice", "e0", 1, [](const OnboardResult&) {});
+  sim.run();
+  fabric.map_server_node().set_online(!server_silent);
+  fabric.endpoint_send_udp(MacAddress::from_u64(0x02AA),
+                           *net::Ipv4Address::parse("10.100.250.250"), 443, 100);
+  sim.run();
+
+  ParkedDropRun run;
+  run.parked = fabric.edge("e0").counters().packets_parked;
+  run.resolution_drops = fabric.edge("e0").counters().resolution_drops;
+  run.open_ops = fabric.telemetry().causal.open_count();
+  for (auto& verdict : fabric.telemetry().assurance.evaluate_invariants()) {
+    if (verdict.name == "no-pending-trace-leak") run.leak_verdicts.push_back(std::move(verdict));
+  }
+  return run;
+}
+
+TEST(FirstPacketTracing, ParkedFrameDroppedOnANegativeReplyCompletes) {
+  const ParkedDropRun run = run_parked_drop(/*server_silent=*/false);
+  EXPECT_EQ(run.parked, 1u);
+  EXPECT_EQ(run.resolution_drops, 1u);
+  EXPECT_EQ(run.open_ops, 0u);
+  ASSERT_EQ(run.leak_verdicts.size(), 1u);
+  EXPECT_TRUE(run.leak_verdicts[0].pass) << run.leak_verdicts[0].detail;
+}
+
+TEST(FirstPacketTracing, ParkedFrameDroppedWhenResolutionGivesUpCompletes) {
+  const ParkedDropRun run = run_parked_drop(/*server_silent=*/true);
+  EXPECT_EQ(run.parked, 1u);
+  EXPECT_EQ(run.resolution_drops, 1u);
+  EXPECT_EQ(run.open_ops, 0u);
+  ASSERT_EQ(run.leak_verdicts.size(), 1u);
+  EXPECT_TRUE(run.leak_verdicts[0].pass) << run.leak_verdicts[0].detail;
+}
+
 // The schema every metric-bearing subsystem exports: scale-out routing
 // servers, the full HA layer (failover, anti-entropy, election, dampening)
 // and causal tracing, on a fault-free two-edge fabric. Export's own tests

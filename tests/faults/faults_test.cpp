@@ -90,6 +90,24 @@ TEST_F(PlaneFixture, DisarmRestoresLosslessDelivery) {
   EXPECT_EQ(send_data(5, c), 5);
 }
 
+TEST_F(PlaneFixture, ModelsSwitchTheInjectorUntilDisarmed) {
+  // The plane sits on the delivery path only while a model can act; a
+  // model set after disarm() does not bring it back.
+  LossModel total;
+  total.loss = 1.0;
+  plane->set_data_loss(total);
+  EXPECT_EQ(send_data(5, c), 0);
+  plane->set_data_loss({});
+  EXPECT_EQ(send_data(5, c), 5);
+  plane->set_control_loss(total);
+  EXPECT_EQ(send_data(5, c), 5);
+  EXPECT_EQ(plane->counters().data_drops, 5u);
+  plane->disarm();
+  plane->set_data_loss(total);
+  EXPECT_EQ(send_data(5, c), 5);
+  EXPECT_EQ(net->fault_drops(), 5u);
+}
+
 TEST(FaultPlaneDeterminism, LossIsDeterministicForFixedSeed) {
   const auto run_once = [](std::uint64_t seed) {
     sim::Simulator sim;
@@ -431,14 +449,14 @@ TEST_F(ChaosFixture, BorderFeedReconnectResyncsToExactServerState) {
   fabric->map_server().walk([&](const VnEid& e, const lisp::MappingRecord& r) {
     server_state.emplace(e, r);
   });
-  const auto& synced = fabric->border("b0").synced();
-  EXPECT_EQ(synced.size(), server_state.size());
+  const auto& border = fabric->border("b0");
+  EXPECT_EQ(border.fib_size(), server_state.size());
   for (const auto& [eid, record] : server_state) {
-    const auto it = synced.find(eid);
-    ASSERT_NE(it, synced.end()) << "border missing " << eid.to_string();
-    ASSERT_EQ(it->second.rlocs.size(), record.rlocs.size());
+    const lisp::MappingRecord* synced = border.synced(eid);
+    ASSERT_NE(synced, nullptr) << "border missing " << eid.to_string();
+    ASSERT_EQ(synced->rlocs.size(), record.rlocs.size());
     for (std::size_t i = 0; i < record.rlocs.size(); ++i) {
-      EXPECT_EQ(it->second.rlocs[i].address, record.rlocs[i].address);
+      EXPECT_EQ(synced->rlocs[i].address, record.rlocs[i].address);
     }
   }
   EXPECT_GE(fabric->border("b0").counters().snapshots_applied, 1u);

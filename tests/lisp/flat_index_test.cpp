@@ -67,7 +67,12 @@ void run_against_model(std::uint64_t seed) {
     const std::uint64_t roll = rng.next_below(100);
     const std::uint64_t insert_share = op < 2000 ? 55 : 35;
     if (roll < insert_share) {
-      if (model.contains(key)) {
+      if (roll % 2 == 0) {  // the one-probe upsert
+        const auto [value, inserted] = table.find_or_insert_reused(key);
+        ASSERT_EQ(inserted, !model.contains(key)) << "op " << op;
+        *value = static_cast<std::uint64_t>(op);
+        model[key] = static_cast<std::uint64_t>(op);
+      } else if (model.contains(key)) {
         *table.find(key) = static_cast<std::uint64_t>(op);  // a hit is writable in place
         model[key] = static_cast<std::uint64_t>(op);
       } else {
@@ -75,7 +80,17 @@ void run_against_model(std::uint64_t seed) {
         model.emplace(key, static_cast<std::uint64_t>(op));
       }
     } else if (roll < 90) {
-      ASSERT_EQ(table.erase(key), model.erase(key) == 1) << "op " << op;
+      if (roll % 2 == 0) {  // erase that hands back the value
+        const std::uint64_t* taken = table.take(key);
+        const auto it = model.find(key);
+        ASSERT_EQ(taken != nullptr, it != model.end()) << "op " << op;
+        if (taken != nullptr) {
+          ASSERT_EQ(*taken, it->second);
+          model.erase(it);
+        }
+      } else {
+        ASSERT_EQ(table.erase(key), model.erase(key) == 1) << "op " << op;
+      }
     } else if (roll < 99) {
       const std::uint64_t* found = table.find(key);
       const auto it = model.find(key);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <variant>
+#include <vector>
 
 namespace sda::lisp {
 namespace {
@@ -154,8 +156,7 @@ TEST(Messages, WireSizeMatchesEncoding) {
   MapRegister m;
   m.eid = sample_eid();
   m.rlocs = {Rloc{Ipv4Address{10, 0, 0, 9}}};
-  const Message msg{m};
-  EXPECT_EQ(message_wire_size(msg), encode_message(msg).size());
+  EXPECT_EQ(m.wire_size(), encode_message(Message{m}).size());
 }
 
 TEST(Messages, TraceIdRoundTripsOnEveryCarryingMessage) {
@@ -214,9 +215,9 @@ TEST(Messages, ZeroTraceKeepsPreTraceWireFormat) {
   EXPECT_EQ(std::get<MapRegister>(*decode_message(untraced)).trace, 0u);
   // wire_size accounting agrees in both shapes.
   m.trace = 0;
-  EXPECT_EQ(message_wire_size(Message{m}), untraced.size());
+  EXPECT_EQ(m.wire_size(), untraced.size());
   m.trace = 1;
-  EXPECT_EQ(message_wire_size(Message{m}), traced.size());
+  EXPECT_EQ(m.wire_size(), traced.size());
 }
 
 TEST(Messages, RequestAndReplyWireSizeMatchesEncoding) {
@@ -239,6 +240,38 @@ TEST(Messages, RequestAndReplyWireSizeMatchesEncoding) {
       }
     }
   }
+}
+
+TEST(Messages, EveryAlternativeWireSizeMatchesEncoding) {
+  // The fabric charges every control leg wire_size() bytes instead of
+  // encoding it. The round-trip corpus: each alternative over every EID
+  // family, 0-2 locators and both trace shapes.
+  const VnEid eids[] = {sample_eid(),
+                        VnEid{VnId{7}, Eid{*net::Ipv6Address::parse("2001:db8::5")}},
+                        VnEid{VnId{9}, Eid{net::MacAddress::from_u64(0x020000000042ull)}}};
+  std::vector<Message> corpus{Message{Subscribe{Ipv4Address{10, 0, 0, 1}, 0}},
+                              Message{Subscribe{Ipv4Address{10, 0, 0, 1}, 0xABCDEF}}};
+  for (const VnEid& eid : eids) {
+    for (const std::uint64_t trace : {std::uint64_t{0}, std::uint64_t{77}}) {
+      corpus.emplace_back(MapRequest{5, eid, Ipv4Address{10, 0, 0, 5}, true, trace});
+      corpus.emplace_back(SolicitMapRequest{eid, Ipv4Address{10, 0, 0, 6}, trace});
+      std::vector<Rloc> rlocs;
+      for (std::uint8_t n = 0; n < 3; ++n) {
+        corpus.emplace_back(MapReply{7, eid, rlocs, MapReplyAction::NoAction, 60, 42, trace});
+        corpus.emplace_back(MapRegister{11, eid, rlocs, 86400, false, 30, trace});
+        corpus.emplace_back(MapNotify{3, eid, rlocs, 5, trace});
+        corpus.emplace_back(Publish{eid, rlocs, 100, 0x0123456789ABCDEFull, 2, trace});
+        rlocs.push_back(Rloc{Ipv4Address{10, 0, 0, static_cast<std::uint8_t>(n + 2)}});
+      }
+    }
+  }
+  std::vector<bool> seen(std::variant_size_v<Message>);
+  for (const Message& m : corpus) {
+    const std::size_t size = std::visit([](const auto& msg) { return msg.wire_size(); }, m);
+    EXPECT_EQ(size, encode_message(m).size()) << message_type_name(m);
+    seen[m.index()] = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), std::variant_size_v<Message>);
 }
 
 TEST(Messages, TypeNames) {

@@ -289,6 +289,25 @@ TEST(FlightRecorder, RoamEventsRenderGoldenTextAfterWraparound) {
   EXPECT_EQ(recorder.tail(1).front().to_string(), "[0:00:00.006] roam edge-1: x");
 }
 
+TEST(FlightRecorder, InternedNodeRefsNameTheirEvents) {
+  // A busy site interns its node's name once and records by ref; a rare
+  // site passing the name itself lands on the same ref.
+  FlightRecorder recorder{8};
+  const NodeRef edge = recorder.intern("edge-3");
+  const NodeRef server = recorder.intern("map_server");
+  EXPECT_NE(edge, server);
+  EXPECT_EQ(recorder.intern("edge-3"), edge);
+  const net::VnEid host{net::VnId{100}, net::Eid{net::Ipv4Address{10, 100, 0, 7}}};
+  recorder.record(at_ms(1), EventKind::MapReply, edge, DetailForm::ForEid, host);
+  recorder.record(at_ms(2), EventKind::Reboot, "edge-3", "down");
+  recorder.record(at_ms(3), EventKind::Publish, server, DetailForm::PublishSeq, host, {}, 7);
+  const auto timeline = recorder.for_node("edge-3");
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[0].to_string(), "[0:00:00.001] map-reply edge-3: for vn:100/10.100.0.7");
+  EXPECT_EQ(timeline[1].to_string(), "[0:00:00.002] reboot edge-3: down");
+  EXPECT_TRUE(recorder.for_node("edge-4").empty());
+}
+
 TEST(FlightRecorder, ZeroCapacityClampsToOne) {
   FlightRecorder recorder{0};
   recorder.record(at_ms(1), EventKind::Custom, "a");
