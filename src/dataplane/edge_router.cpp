@@ -186,8 +186,9 @@ void EdgeRouter::endpoint_transmit(const AttachedEndpoint& source,
     ++counters_.vlan_drops;
     return;
   }
-  net::OverlayFrame frame = tagged_frame;
-  frame.vlan_id.reset();
+  std::optional<net::OverlayFrame> untagged;  // a copy only where there is a tag
+  if (tagged_frame.vlan_id) untagged.emplace(tagged_frame).vlan_id.reset();
+  const net::OverlayFrame& frame = untagged ? *untagged : tagged_frame;
 
   // Broadcast traffic is absorbed by the L2 gateway (§3.5): it never floods
   // the fabric.

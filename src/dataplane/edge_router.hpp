@@ -147,10 +147,6 @@ class EdgeRouter {
   [[nodiscard]] net::Ipv4Address rloc() const { return config_.rloc; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
 
-  /// Points the default route at a single border (set late, once borders
-  /// exist). Equivalent to set_border_rlocs({rloc}).
-  void set_border_rloc(net::Ipv4Address rloc) { set_border_rlocs({rloc}); }
-
   /// Ordered border candidates for the default route: the first is the
   /// primary. Underlay reachability transitions repoint the default route
   /// at the first live candidate (border failover, and fail-back when the
@@ -300,10 +296,6 @@ class EdgeRouter {
     for (const auto& [eid, frames] : pending_l3_) parked += frames.size();
     return parked;
   }
-  /// Map-Requests still awaiting a reply.
-  [[nodiscard]] std::size_t pending_request_count() const { return pending_requests_.size(); }
-  /// Registrations still awaiting their Map-Notify ack.
-  [[nodiscard]] std::size_t pending_register_count() const { return pending_registers_.size(); }
   /// EIDs not attached here with mobility state kept (SMR hold or throttle).
   [[nodiscard]] std::size_t mobility_record_count() const { return mobility_.size(); }
   /// Causal trace id of the in-flight resolution for `eid` (0 if none).
@@ -426,17 +418,17 @@ class EdgeRouter {
 
   VrfSet local_;  // the attached endpoints, by identity and by MAC
   lisp::MapCache cache_;
-  Sgacl sgacl_;
-
   /// RLOCs currently unreachable per the IGP (LISP RLOC liveness, §5.1):
   /// mappings towards them are bypassed in favour of the border default.
-  /// Runs on every cached packet and the set is almost always empty, so
-  /// the common case costs no hash probe.
+  /// Tested after every map-cache hit, so it sits beside the cache; almost
+  /// always empty, so the common case costs no hash probe.
+  std::unordered_set<net::Ipv4Address> down_rlocs_;
   [[nodiscard]] bool rloc_usable(net::Ipv4Address rloc) const {
     return down_rlocs_.empty() || !down_rlocs_.contains(rloc);
   }
+  telemetry::CausalTracer* tracer_ = nullptr;
+  Sgacl sgacl_;
 
-  std::unordered_set<net::Ipv4Address> down_rlocs_;
   /// Ordered default-route candidates (front = primary); empty when the
   /// edge was wired with a single static border_rloc only.
   std::vector<net::Ipv4Address> border_rlocs_;
@@ -496,7 +488,6 @@ class EdgeRouter {
   BroadcastHandler broadcast_handler_;
 
   Counters counters_;
-  telemetry::CausalTracer* tracer_ = nullptr;
 };
 
 }  // namespace sda::dataplane

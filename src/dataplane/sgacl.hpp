@@ -56,7 +56,6 @@ class Sgacl {
   /// groups whose rules never downloaded. Only meaningful for egress
   /// enforcement, where install_destination_rules marks provisioning.
   void set_fail_mode(PolicyFailMode mode) { fail_mode_ = mode; }
-  [[nodiscard]] PolicyFailMode fail_mode() const { return fail_mode_; }
 
   /// True once install_destination_rules has run for (vn, destination)
   /// and the rules have not been removed since.

@@ -11,7 +11,7 @@ VrfSet::Slot VrfSet::install(const AttachedEndpoint& endpoint) {
   for_each_identity(endpoint, [&](const net::VnEid& eid) {
     by_eid_.erase(eid, eid_of());  // the latest attachment owns the identity
     const std::uint32_t k = record.identity_count++;
-    record.identities[k] = eid;
+    (k == 0 ? record.ipv4 : record.more[k - 1]) = eid;
     by_eid_.insert(eid, slot * kMaxIdentities + k);
   });
   by_mac_.insert(endpoint.mac, slot);
@@ -24,9 +24,10 @@ const AttachedEndpoint* VrfSet::remove(const net::MacAddress& mac) {
   Record& record = records_[slot];
   for (std::uint32_t k = 0; k < record.identity_count; ++k) {
     // Unindex only what is still ours: a later attachment may hold it.
-    const net::VnEid& eid = record.identities[k];
-    if (by_eid_.find(eid, eid_of()) == slot * kMaxIdentities + k) by_eid_.erase(eid, eid_of());
+    const std::uint32_t e = slot * kMaxIdentities + k;
+    if (by_eid_.find(eid_of()(e), eid_of()) == e) by_eid_.erase(eid_of()(e), eid_of());
   }
+  record.identity_count = 0;
   records_.release(slot);
   return &record.endpoint;
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,20 +30,20 @@ namespace sda::dataplane {
 
 using PortId = std::uint16_t;
 
-/// A fully onboarded endpoint as the edge sees it.
+/// A fully onboarded endpoint as the edge sees it; what a packet reads first.
 struct AttachedEndpoint {
   net::MacAddress mac;
-  net::Ipv4Address ip;
-  std::optional<net::Ipv6Address> ipv6;  // SLAAC identity, when the VN has one
-  net::VnId vn;
-  net::GroupId group;
   PortId port = 0;
-  std::string credential;
-  bool register_mac = false;  // also index by MAC for L2 services (§3.5)
+  net::GroupId group;
   /// Access VLAN on the edge port, if the port is tagged. VLANs never
   /// stretch across the fabric (§3.5 element i): the tag is validated and
   /// stripped at ingress and re-applied at egress.
   std::optional<std::uint16_t> vlan;
+  net::VnId vn;
+  net::Ipv4Address ip;
+  bool register_mac = false;  // also index by MAC for L2 services (§3.5)
+  std::optional<net::Ipv6Address> ipv6;  // SLAAC identity, when the VN has one
+  std::string credential;
 };
 
 /// Visits the endpoint's identities: IPv4, then IPv6 and MAC when present.
@@ -75,10 +76,10 @@ class VrfSet {
   /// The endpoint attached with `mac`.
   [[nodiscard]] const AttachedEndpoint* find(const net::MacAddress& mac) const;
 
-  /// The endpoint in `slot`, if that slot still holds `mac`: no probe.
+  /// The endpoint in `slot`, if that slot still holds `mac`: one line, no probe.
   [[nodiscard]] const AttachedEndpoint* at(Slot slot, const net::MacAddress& mac) const {
-    const bool held = records_.is_live(slot) && records_[slot].endpoint.mac == mac;
-    return held ? &records_[slot].endpoint : nullptr;
+    const Record* r = slot < records_.size() ? &records_[slot] : nullptr;
+    return r != nullptr && r->identity_count != 0 && r->endpoint.mac == mac ? &r->endpoint : nullptr;
   }
 
   /// Updates the GroupId of the endpoint with `mac` (re-authentication
@@ -102,15 +103,21 @@ class VrfSet {
   /// slot * kMaxIdentities + its position in the record.
   static constexpr std::uint32_t kMaxIdentities = 3;
 
-  struct Record {
-    std::array<net::VnEid, kMaxIdentities> identities;  // the keys by_eid_ reads
-    std::uint32_t identity_count = 0;
+  /// The IPv4 key, the live mark and the endpoint's packet fields fill the
+  /// first line: an IPv4 hit and egress delivery read one line.
+  struct alignas(64) Record {
+    net::VnEid ipv4;  // identity 0
+    std::uint32_t identity_count = 0;  // 0 while the slot is free
     AttachedEndpoint endpoint;
+    std::array<net::VnEid, kMaxIdentities - 1> more;  // identities 1 and 2
   };
+  static_assert(offsetof(Record, endpoint) + offsetof(AttachedEndpoint, register_mac) <= 64,
+                "an IPv4 hit and the fields egress reads share one 64-byte line");
 
   [[nodiscard]] auto eid_of() const {
     return [this](std::uint32_t e) -> const net::VnEid& {
-      return records_[e / kMaxIdentities].identities[e % kMaxIdentities];
+      const Record& record = records_[e / kMaxIdentities];
+      return e % kMaxIdentities == 0 ? record.ipv4 : record.more[e % kMaxIdentities - 1];
     };
   }
   [[nodiscard]] auto mac_of() const {

@@ -322,9 +322,10 @@ void SdaFabric::finalize() {
         const auto it = endpoint_by_credential_.find(credential);
         if (it == endpoint_by_credential_.end()) return;
         EndpointState& state = endpoints_[it->second];
-        if (state.edge == kDetached) return;
+        const std::uint32_t edge = attachments_[it->second].edge;
+        if (edge == kDetached) return;
         state.definition.group = policy.group;
-        dataplane::EdgeRouter& hosting = *edges_[state.edge];
+        dataplane::EdgeRouter& hosting = *edges_[edge];
         const net::MacAddress mac = state.definition.mac;
         // CoA-style signal: one control message to the hosting edge.
         policy_server_.record_group_host(hosting.rloc(), policy.vn, policy.group);
@@ -853,9 +854,11 @@ void SdaFabric::provision_endpoint(const EndpointDefinition& endpoint) {
   if (index == kNoEndpoint) {
     index = static_cast<std::uint32_t>(endpoints_.size());
     endpoints_.push_back(std::move(state));
+    attachments_.push_back(Attachment{endpoint.mac});
     endpoint_by_mac_.insert(endpoint.mac, index);
   } else {
     endpoints_[index] = std::move(state);
+    attachments_[index] = Attachment{endpoint.mac};
   }
   endpoint_by_credential_[endpoint.credential] = index;
 }
@@ -892,9 +895,9 @@ void SdaFabric::roam_endpoint(const net::MacAddress& mac, const std::string& new
                               dataplane::PortId port, OnboardCallback callback) {
   const std::uint32_t index = endpoint_index(mac);
   if (index == kNoEndpoint) throw std::invalid_argument("unknown endpoint MAC");
-  EndpointState& state = endpoints_[index];
+  Attachment& attachment = attachments_[index];
   const std::uint32_t target = edge_index_.at(new_edge);
-  const bool moves = state.edge != kDetached && state.edge != target;
+  const bool moves = attachment.edge != kDetached && attachment.edge != target;
   std::uint64_t move_trace = 0;
   if (telemetry_.causal.enabled() && moves) {
     // A cross-edge roam is a Move operation: it spans re-auth, the fresh
@@ -905,19 +908,19 @@ void SdaFabric::roam_endpoint(const net::MacAddress& mac, const std::string& new
   if (moves) {
     // Detach from the previous edge; its registration stays until the new
     // edge overwrites it (the old edge keeps forwarding via Map-Notify).
-    edges_[state.edge]->detach_endpoint(mac, /*deregister=*/false);
-    state.edge = kDetached;
+    edges_[attachment.edge]->detach_endpoint(mac, /*deregister=*/false);
+    attachment.edge = kDetached;
   }
   onboard(index, target, port, /*fast_reauth=*/true, std::move(callback), move_trace);
 }
 
 void SdaFabric::disconnect_endpoint(const net::MacAddress& mac) {
   const std::uint32_t index = endpoint_index(mac);
-  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return;
-  EndpointState& state = endpoints_[index];
-  services_.withdraw_provider(state.definition.vn, mac);  // mDNS goodbye
-  edges_[state.edge]->detach_endpoint(mac, /*deregister=*/true);
-  state.edge = kDetached;
+  if (index == kNoEndpoint || attachments_[index].edge == kDetached) return;
+  Attachment& attachment = attachments_[index];
+  services_.withdraw_provider(endpoints_[index].definition.vn, mac);  // mDNS goodbye
+  edges_[attachment.edge]->detach_endpoint(mac, /*deregister=*/true);
+  attachment.edge = kDetached;
 }
 
 void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
@@ -927,9 +930,10 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
   EndpointState& state = endpoints_[endpoint];
   // An endpoint can only be attached in one place: a fresh connect while
   // attached elsewhere behaves like an unplug + replug.
-  if (state.edge != kDetached && state.edge != edge_index) {
-    edges_[state.edge]->detach_endpoint(state.definition.mac, /*deregister=*/false);
-    state.edge = kDetached;
+  Attachment& attachment = attachments_[endpoint];
+  if (attachment.edge != kDetached && attachment.edge != edge_index) {
+    edges_[attachment.edge]->detach_endpoint(state.definition.mac, /*deregister=*/false);
+    attachment.edge = kDetached;
   }
   dataplane::EdgeRouter& edge = *edges_[edge_index];
   const std::string& edge_name = edge.name();
@@ -1023,7 +1027,7 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
       }
 
       EndpointState& onboarded = endpoints_[endpoint];
-      onboarded.edge = edge_index;
+      attachments_[endpoint].edge = edge_index;
       onboarded.port = port;
       onboarded.onboarding = false;
       onboarded.definition.group = policy->group;
@@ -1072,7 +1076,7 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
             result.elapsed = simulator_.now() - started;
             callback(result);
           });
-      onboarded.slot = edge.attach_endpoint(attached);
+      attachments_[endpoint].slot = edge.attach_endpoint(attached);
     });
   });
 }
@@ -1084,10 +1088,9 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
 std::pair<dataplane::EdgeRouter*, const dataplane::AttachedEndpoint*> SdaFabric::sender_of(
     const net::MacAddress& mac) {
   const std::uint32_t index = endpoint_index(mac);
-  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return {nullptr, nullptr};
-  const EndpointState& state = endpoints_[index];
-  dataplane::EdgeRouter* edge = edges_[state.edge].get();
-  return {edge, edge->vrf().at(state.slot, mac)};
+  if (index == kNoEndpoint || attachments_[index].edge == kDetached) return {nullptr, nullptr};
+  dataplane::EdgeRouter* edge = edges_[attachments_[index].edge].get();
+  return {edge, edge->vrf().at(attachments_[index].slot, mac)};
 }
 
 bool SdaFabric::endpoint_send_udp(const net::MacAddress& mac, net::Ipv4Address destination,
@@ -1257,9 +1260,9 @@ void SdaFabric::reboot_edge(const std::string& name, sim::Duration downtime) {
   // order; they re-onboard when the router returns.
   std::vector<std::uint32_t> stranded;
   for (const auto& [credential, endpoint] : endpoint_by_credential_) {
-    EndpointState& state = endpoints_[endpoint];
-    if (state.edge == index) {
-      state.edge = kDetached;
+    Attachment& attachment = attachments_[endpoint];
+    if (attachment.edge == index) {
+      attachment.edge = kDetached;
       stranded.push_back(endpoint);
     }
   }
@@ -1607,8 +1610,8 @@ std::vector<std::string> SdaFabric::border_names() const { return names_of(borde
 
 std::optional<std::string> SdaFabric::location_of(const net::MacAddress& mac) const {
   const std::uint32_t index = endpoint_index(mac);
-  if (index == kNoEndpoint || endpoints_[index].edge == kDetached) return std::nullopt;
-  return edges_[endpoints_[index].edge]->name();
+  if (index == kNoEndpoint || attachments_[index].edge == kDetached) return std::nullopt;
+  return edges_[attachments_[index].edge]->name();
 }
 
 }  // namespace sda::fabric

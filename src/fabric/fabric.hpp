@@ -274,10 +274,14 @@ class SdaFabric {
   /// Edge index of an endpoint that is attached nowhere.
   static constexpr std::uint32_t kDetached = UINT32_MAX;
 
-  struct EndpointState {
-    EndpointDefinition definition;
+  /// All a send reads of an endpoint, 16 bytes: its MAC and attachment.
+  struct Attachment {
+    net::MacAddress mac;
     std::uint32_t edge = kDetached;  // index into edges_
     dataplane::VrfSet::Slot slot = 0;  // the edge's record of it, while attached
+  };
+  struct EndpointState {
+    EndpointDefinition definition;
     dataplane::PortId port = 0;
     bool onboarding = false;
   };
@@ -302,9 +306,7 @@ class SdaFabric {
   /// The index of `mac`'s record in endpoints_, or kNoEndpoint if the MAC
   /// was never provisioned.
   [[nodiscard]] std::uint32_t endpoint_index(const net::MacAddress& mac) const {
-    return endpoint_by_mac_.find(mac, [this](std::uint32_t i) -> const net::MacAddress& {
-      return endpoints_[i].definition.mac;
-    });
+    return endpoint_by_mac_.find(mac, [this](std::uint32_t i) { return attachments_[i].mac; });
   }
 
   /// The edge whose RLOC is `rloc`, if it is an edge's.
@@ -466,8 +468,9 @@ class SdaFabric {
   std::unique_ptr<l2::L2Gateway> l2_gateway_;
 
   /// One dense record per provisioned endpoint (never unprovisioned), with
-  /// a flat MAC index: the sender lookup on every packet is one probe.
+  /// a flat MAC index into attachments_ (parallel): one probe per send.
   std::vector<EndpointState> endpoints_;
+  std::vector<Attachment> attachments_;
   lisp::FlatIndex<net::MacAddress> endpoint_by_mac_;
   /// Serves the credential-keyed calls only (index into endpoints_).
   std::unordered_map<std::string, std::uint32_t> endpoint_by_credential_;

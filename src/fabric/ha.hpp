@@ -110,7 +110,6 @@ class HaMonitor {
   [[nodiscard]] bool election_enabled() const {
     return config_.election && servers_.size() > 1;
   }
-  [[nodiscard]] bool dampening_enabled() const { return config_.dampening; }
   [[nodiscard]] std::size_t server_count() const { return servers_.size(); }
   [[nodiscard]] bool server_up(std::size_t i) const { return state_[i].up; }
 

@@ -1,6 +1,5 @@
 #include "lisp/map_cache.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -22,7 +21,7 @@ void MapCache::fill(std::uint32_t i, std::span<const net::Rloc> rlocs,
                     std::uint32_t ttl_seconds, net::GroupId group, sim::SimTime now) {
   MapCacheEntry& entry = slots_[i].entry;
   entry.rlocs.assign(rlocs.begin(), rlocs.end());
-  entry.inserted_at = now;
+  entry.primary_ = rlocs.empty() ? net::Ipv4Address{} : rlocs.front().address;
   entry.expires_at = now + std::chrono::seconds{ttl_seconds};
   entry.group = group;
 }

@@ -6,20 +6,21 @@
 // the Map-Reply TTL; negative replies are cached briefly; capacity is
 // bounded with LRU eviction to model small-FIB devices.
 //
-// Layout: entries live in a contiguous slot vector; the LRU list (head =
-// most recently used) is a parallel array of 8-byte {prev, next} links, so
+// Layout: entries live in a contiguous vector of 64-byte slots; a slot
+// holds the key, primary RLOC, group and expiry, so a hit reads one line
+// and never the locator set's heap buffer. The LRU list (head = most
+// recently used) is a parallel array of 8-byte {prev, next} links, so
 // relinking on a hit writes links, not entry slots. The key index is a
 // FlatIndex (flat open addressing over slot numbers, hash-tagged, one-mix
-// VnEidHash). A hit is one flat-table probe plus a relink — no per-entry
-// node allocation and no pointer chasing. Erased slots are recycled through a
-// sim::Slab and keep their locator vector's capacity, so a cache at steady
-// state (hits, refreshes, installs and evictions at capacity) performs no
-// allocation.
+// VnEidHash). A hit is one flat-table probe, one slot and a relink — no
+// per-entry node allocation and no pointer chasing. Erased slots are
+// recycled through a sim::Slab and keep their locator vector's capacity, so
+// a cache at steady state (hits, refreshes, installs and evictions at
+// capacity) performs no allocation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,16 +36,17 @@ class MetricsRegistry;
 
 namespace sda::lisp {
 
-struct MapCacheEntry {
-  std::vector<net::Rloc> rlocs;  // empty = negative entry
-  sim::SimTime expires_at;
-  sim::SimTime inserted_at;
+class MapCacheEntry {
+  friend class MapCache;  // the only writer of primary_, set with rlocs
+  net::Ipv4Address primary_;  // rlocs.front().address inline (unspecified if negative)
+
+ public:
   net::GroupId group;  // destination SGT, when distributed (§5.3 ablation)
+  sim::SimTime expires_at;
+  std::vector<net::Rloc> rlocs;  // empty = negative entry
 
   [[nodiscard]] bool negative() const { return rlocs.empty(); }
-  [[nodiscard]] net::Ipv4Address primary_rloc() const {
-    return rlocs.empty() ? net::Ipv4Address{} : rlocs.front().address;
-  }
+  [[nodiscard]] net::Ipv4Address primary_rloc() const { return primary_; }
 };
 
 class MapCache {
@@ -121,10 +123,11 @@ class MapCache {
   using Index = FlatIndex<net::VnEid, net::VnEidHash>;
   static constexpr std::uint32_t kNone = Index::kNone;
 
-  struct Slot {
+  struct alignas(64) Slot {
     net::VnEid eid;
     MapCacheEntry entry;
   };
+  static_assert(sizeof(Slot) == 64, "a map-cache hit reads one 64-byte line");
   /// A slot's place in the LRU chain, kept apart from the slot.
   struct Link {
     std::uint32_t prev = kNone;  // towards MRU

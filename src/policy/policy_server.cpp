@@ -25,11 +25,6 @@ bool PolicyServer::reassign_group(const std::string& credential, net::GroupId ne
 
 ConnectivityMatrix& PolicyServer::matrix(net::VnId vn) { return matrices_[vn]; }
 
-const ConnectivityMatrix* PolicyServer::find_matrix(net::VnId vn) const {
-  const auto it = matrices_.find(vn);
-  return it == matrices_.end() ? nullptr : &it->second;
-}
-
 void PolicyServer::update_rule(net::VnId vn, net::GroupId source, net::GroupId destination,
                                Action action) {
   if (!matrices_[vn].set_rule(source, destination, action)) return;

@@ -66,7 +66,6 @@ class PolicyServer {
 
   /// The per-VN connectivity matrix (created on first touch).
   [[nodiscard]] ConnectivityMatrix& matrix(net::VnId vn);
-  [[nodiscard]] const ConnectivityMatrix* find_matrix(net::VnId vn) const;
 
   /// Sets a matrix rule and pushes the delta to every edge router hosting
   /// the destination group (the §5.4 "update the ACLs" strategy).

@@ -1,8 +1,8 @@
 #include "underlay/network.hpp"
 
 #include <cassert>
-#include "telemetry/metrics.hpp"
 
+#include "telemetry/metrics.hpp"
 
 namespace sda::underlay {
 
@@ -11,20 +11,33 @@ UnderlayNetwork::UnderlayNetwork(sim::Simulator& simulator, Topology& topology,
     : simulator_(simulator), topology_(topology), config_(config) {}
 
 void UnderlayNetwork::refresh(NodeId node) {
-  if (tables_.size() < topology_.node_count()) {
-    tables_.resize(topology_.node_count());
-    table_versions_.resize(topology_.node_count(), 0);
+  if (routes_.size() < topology_.node_count()) routes_.resize(topology_.node_count());
+  NodeRoutes& routes = routes_[node];
+  if (routes.version == topology_.version()) return;
+  routes.version = topology_.version();
+  routes.table = compute_spf(topology_, node);
+  routes.legs.assign(topology_.node_count(), kUnreachable);
+  routes.legs[node] = 0;
+  for (NodeId to = 0; to < routes.legs.size(); ++to) {
+    const SpfRoute* route = routes.table.route(to);
+    if (route == nullptr) continue;
+    const sim::Duration base = route->latency + config_.per_hop_processing * route->hop_count;
+    assert(base.count() >= 0 && base.count() < (std::int64_t{1} << 47) && route->hop_count < 0xFFFF);
+    routes.legs[to] = static_cast<Leg>(base.count()) << 16 | route->hop_count;
   }
-  if (!tables_[node] || table_versions_[node] != topology_.version()) {
-    tables_[node] = compute_spf(topology_, node);
-    table_versions_[node] = topology_.version();
-  }
+}
+
+UnderlayNetwork::Leg UnderlayNetwork::leg(NodeId from, NodeId to) {
+  assert(from < topology_.node_count());
+  if (from >= routes_.size() || routes_[from].version != topology_.version()) refresh(from);
+  const std::vector<Leg>& legs = routes_[from].legs;
+  return to < legs.size() ? legs[to] : kUnreachable;
 }
 
 const SpfTable& UnderlayNetwork::table(NodeId node) {
   assert(node < topology_.node_count());
   refresh(node);
-  return *tables_[node];
+  return routes_[node].table;
 }
 
 bool UnderlayNetwork::reachable(NodeId node, net::Ipv4Address rloc) {
@@ -34,25 +47,12 @@ bool UnderlayNetwork::reachable(NodeId node, net::Ipv4Address rloc) {
   return table(node).reachable(*dest);
 }
 
-std::optional<UnderlayNetwork::ResolvedRoute> UnderlayNetwork::resolve_route(NodeId from,
-                                                                             NodeId to) {
-  if (to >= topology_.node_count()) return std::nullopt;
-  if (to == from) return ResolvedRoute{true, nullptr};
-  const SpfRoute* route = table(from).route(to);
-  if (!route) return std::nullopt;
-  return ResolvedRoute{false, route};
-}
-
-sim::Duration UnderlayNetwork::modeled_delay(const ResolvedRoute& resolved,
-                                             std::size_t bytes) const {
-  if (resolved.self) return sim::Duration{0};
-  const SpfRoute& route = *resolved.route;
-  sim::Duration delay = route.latency;
-  delay += config_.per_hop_processing * route.hop_count;
+sim::Duration UnderlayNetwork::delay(Leg leg, std::size_t bytes) const {
+  sim::Duration delay{static_cast<std::int64_t>(leg >> 16)};
   if (config_.model_serialization && bytes > 0) {
     // Serialize once per hop at 10 Gbps nominal: bytes * 8 / 10e9 seconds.
     const auto per_hop_ns = static_cast<std::int64_t>(static_cast<double>(bytes) * 8.0 / 10.0);
-    delay += sim::Duration{per_hop_ns * route.hop_count};
+    delay += sim::Duration{per_hop_ns * static_cast<std::int64_t>(leg & 0xFFFF)};
   }
   return delay;
 }
@@ -66,25 +66,21 @@ std::optional<sim::Duration> UnderlayNetwork::transit_delay(NodeId from,
                     // in the signature for per-flow pinning extensions.
   const auto dest = topology_.node_by_loopback(to_rloc);
   if (!dest) return std::nullopt;
-  const auto resolved = resolve_route(from, *dest);
-  if (!resolved) return std::nullopt;
-  return modeled_delay(*resolved, bytes);
+  const Leg route = leg(from, *dest);
+  if (route == kUnreachable) return std::nullopt;
+  return delay(route, bytes);
 }
 
 bool UnderlayNetwork::deliver(NodeId from, NodeId to, std::size_t bytes,
                               sim::InlineAction on_arrival, TrafficClass cls) {
-  // Resolve the SPF route exactly once: the delay model and the fault
-  // injector's hop count used to each recompute it (up to three lookups
-  // per packet).
-  const auto resolved = resolve_route(from, to);
-  if (!resolved) {
+  const Leg route = leg(from, to);
+  if (route == kUnreachable) {
     ++unreachable_drops_;
     return false;
   }
-  const sim::Duration delay = modeled_delay(*resolved, bytes);
   sim::Duration jitter{0};
   if (fault_injector_) {
-    const std::uint32_t hops = resolved->self ? 0 : resolved->route->hop_count;
+    const auto hops = static_cast<std::uint32_t>(route & 0xFFFF);
     const FaultDecision decision = fault_injector_(from, to, bytes, hops, cls);
     if (decision.drop) {
       ++fault_drops_;
@@ -92,7 +88,7 @@ bool UnderlayNetwork::deliver(NodeId from, NodeId to, std::size_t bytes,
     }
     jitter = decision.extra_delay;
   }
-  simulator_.schedule_after(delay + jitter, std::move(on_arrival));
+  simulator_.schedule_after(delay(route, bytes) + jitter, std::move(on_arrival));
   return true;
 }
 

@@ -1,9 +1,9 @@
 // Underlay network facade: routing tables, packet transit, and the
 // IGP-reachability monitoring that edge routers rely on (paper §5.1).
 //
-// Per-node SPF tables are recomputed lazily when the topology version
-// changes. Packet delivery schedules a simulator event after the path's
-// propagation latency plus per-hop processing and serialization delay.
+// Per-node SPF tables are recomputed lazily when the topology changes, each
+// with a row of 8-byte legs. Delivery reads one leg and schedules an event
+// after the path's latency plus per-hop processing and serialization delay.
 //
 // Reachability watching models the paper's "monitor the address
 // announcements of the underlay routing protocol": after a topology
@@ -82,8 +82,8 @@ class UnderlayNetwork {
   /// Delivers from node `from` to node `to` after the transit delay;
   /// returns false (and drops) when `to` is unreachable at send time (or
   /// not a node, e.g. kInvalidNode) or a fault injector drops the packet in
-  /// transit. The SPF route is resolved exactly once per call and shared
-  /// between the delay model and the fault injector's hop count.
+  /// transit. One leg of `from`'s delay row gives both the delay and the
+  /// fault injector's hop count.
   bool deliver(NodeId from, NodeId to, std::size_t bytes, sim::InlineAction on_arrival,
                TrafficClass cls = TrafficClass::Data);
 
@@ -115,16 +115,20 @@ class UnderlayNetwork {
     std::unordered_map<net::Ipv4Address, bool> last_view;
   };
 
-  /// Route resolution shared by transit_delay() and deliver(): `self`
-  /// means from == to (zero-hop delivery); otherwise
-  /// `route` is the SPF route, or nullptr when unreachable.
-  struct ResolvedRoute {
-    bool self = false;
-    const SpfRoute* route = nullptr;
+  /// One destination from a sender: SPF latency plus per-hop processing
+  /// (ns) << 16 | hop count (0 to itself); all ones when unreachable.
+  using Leg = std::uint64_t;
+  static constexpr Leg kUnreachable = ~Leg{0};
+  /// A sender's SPF table and the delay row built with it.
+  struct NodeRoutes {
+    std::uint64_t version = 0;  // of the topology both were built at (from 1)
+    std::vector<Leg> legs;      // by destination node
+    SpfTable table;
   };
-  [[nodiscard]] std::optional<ResolvedRoute> resolve_route(NodeId from, NodeId to);
-  [[nodiscard]] sim::Duration modeled_delay(const ResolvedRoute& resolved,
-                                            std::size_t bytes) const;
+  /// `from`'s leg to `to`, rebuilding `from`'s routes if stale.
+  [[nodiscard]] Leg leg(NodeId from, NodeId to);
+  /// The delay a delivery of `bytes` over reachable `leg` takes.
+  [[nodiscard]] sim::Duration delay(Leg leg, std::size_t bytes) const;
 
   void refresh(NodeId node);
   void notify_watchers();
@@ -132,8 +136,7 @@ class UnderlayNetwork {
   sim::Simulator& simulator_;
   Topology& topology_;
   UnderlayConfig config_;
-  std::vector<std::optional<SpfTable>> tables_;
-  std::vector<std::uint64_t> table_versions_;
+  std::vector<NodeRoutes> routes_;  // by node
   std::vector<Watcher> watchers_;
   FaultInjector fault_injector_;
   std::uint64_t unreachable_drops_ = 0;

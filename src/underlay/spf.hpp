@@ -30,8 +30,6 @@ class SpfTable {
   SpfTable(NodeId source, std::vector<SpfRoute> routes)
       : source_(source), routes_(std::move(routes)) {}
 
-  [[nodiscard]] NodeId source() const { return source_; }
-
   /// Route to `destination`; nullopt when unreachable (or self).
   [[nodiscard]] const SpfRoute* route(NodeId destination) const {
     if (destination >= routes_.size() || destination == source_) return nullptr;

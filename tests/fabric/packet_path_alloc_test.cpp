@@ -21,6 +21,8 @@
 //    nothing;
 //  * rule re-download at one edge: pushing a destination group's rules
 //    again, with the same rule count, allocates nothing;
+//  * map-cache reinstall at capacity: an install reuses the evicted slot's
+//    locator buffer, allocating nothing;
 //  * causal tracing off: the tracer's per-hook call pattern allocates
 //    nothing.
 //
@@ -28,6 +30,7 @@
 // with a counting one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -49,14 +52,33 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc{};
 }
 
+/// Cache-line-aligned slots (the map-cache's, the VRF's) take this path.
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  ++g_allocations;
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + alignment - 1) / alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded * alignment)) return p;
+  throw std::bad_alloc{};
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace sda::fabric {
 namespace {
@@ -668,6 +690,31 @@ TEST(PacketPathAlloc, RuleRedownloadAllocatesNothing) {
   EXPECT_EQ(edge.sgacl().rule_count(), 4u * 24u);
   EXPECT_EQ(edge.sgacl().evaluate(kPolicyVn, net::GroupId{3}, net::GroupId{11}),
             policy::Action::Deny);
+}
+
+// A bounded map-cache at capacity: each install evicts the LRU entry and
+// takes its slot, whose locator buffer holds the newcomer's 0-3 locators.
+TEST(PacketPathAlloc, MapCacheReinstallAllocatesNothing) {
+  lisp::MapCache cache{8};
+  std::vector<lisp::MapReply> replies(4);
+  for (std::uint32_t n = 0; n < replies.size(); ++n) {
+    replies[n].ttl_seconds = 60;
+    for (std::uint32_t k = 0; k < n; ++k) {
+      replies[n].rlocs.push_back(net::Rloc{net::Ipv4Address{0x0A00'0001u + k}});
+    }
+  }
+  std::uint32_t i = 0;
+  const auto install = [&] {
+    const net::VnEid eid{kVn, net::Eid{net::Ipv4Address{0x0A40'0000u + i % 64}}};
+    cache.install(eid, replies[3 - i % 4], sim::SimTime{std::chrono::seconds{i}});
+    ++i;
+  };
+  for (int k = 0; k < 64; ++k) install();  // every slot has held three locators
+  const std::uint64_t allocations = g_allocations;
+  for (int k = 0; k < 10000; ++k) install();
+  EXPECT_EQ(g_allocations - allocations, 0u);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.positive_size(), 6u);
 }
 
 // Causal tracing off (the default): the call pattern every control-plane

@@ -22,6 +22,17 @@ MapReply reply(const char* rloc_ip, std::uint32_t ttl = 3600) {
   return r;
 }
 
+MapReply reply_with(std::vector<Rloc> rlocs) {
+  MapReply r;
+  r.rlocs = std::move(rlocs);
+  r.ttl_seconds = 3600;
+  return r;
+}
+
+Rloc loc(const char* ip, std::uint8_t priority = 1) {
+  return Rloc{*Ipv4Address::parse(ip), priority};
+}
+
 MapReply negative_reply(std::uint32_t ttl = 60) {
   MapReply r;
   r.action = MapReplyAction::NativelyForward;
@@ -214,6 +225,91 @@ TEST(MapCache, GroupTagCarriedFromReply) {
   r.group = 77;
   cache.install(eid("10.1.0.5"), r, at_s(0));
   EXPECT_EQ(cache.lookup(eid("10.1.0.5"), at_s(1))->group, net::GroupId{77});
+}
+
+TEST(MapCache, ZeroOneAndThreeLocators) {
+  MapCache cache;
+  cache.install(eid("10.1.0.1"), reply_with({}), at_s(0));
+  cache.install(eid("10.1.0.2"), reply_with({loc("10.0.0.2")}), at_s(0));
+  cache.install(eid("10.1.0.3"),
+                reply_with({loc("10.0.0.3"), loc("10.0.0.4", 2), loc("10.0.0.5", 3)}), at_s(0));
+  const MapCacheEntry* none = cache.lookup(eid("10.1.0.1"), at_s(1));
+  ASSERT_NE(none, nullptr);
+  EXPECT_TRUE(none->negative());
+  EXPECT_EQ(none->primary_rloc(), Ipv4Address{});
+  const MapCacheEntry* one = cache.lookup(eid("10.1.0.2"), at_s(1));
+  ASSERT_NE(one, nullptr);
+  EXPECT_FALSE(one->negative());
+  EXPECT_EQ(one->primary_rloc(), *Ipv4Address::parse("10.0.0.2"));
+  EXPECT_EQ(one->rlocs.size(), 1u);
+  const MapCacheEntry* three = cache.lookup(eid("10.1.0.3"), at_s(1));
+  ASSERT_NE(three, nullptr);
+  EXPECT_FALSE(three->negative());
+  EXPECT_EQ(three->primary_rloc(), *Ipv4Address::parse("10.0.0.3"));
+  ASSERT_EQ(three->rlocs.size(), 3u);
+  EXPECT_EQ(three->rlocs[2].address, *Ipv4Address::parse("10.0.0.5"));
+  EXPECT_EQ(three->rlocs[2].priority, 3);
+  EXPECT_EQ(cache.positive_size(), 2u);
+}
+
+TEST(MapCache, ReplaceKeepsTheFullNewLocatorSet) {
+  MapCache cache;
+  cache.install(eid("10.1.0.1"),
+                reply_with({loc("10.0.0.3"), loc("10.0.0.4", 2), loc("10.0.0.5", 3)}), at_s(0));
+  cache.install(eid("10.1.0.1"), reply_with({loc("10.0.0.7"), loc("10.0.0.8", 2)}), at_s(1));
+  const MapCacheEntry* entry = cache.lookup(eid("10.1.0.1"), at_s(2));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->primary_rloc(), *Ipv4Address::parse("10.0.0.7"));
+  ASSERT_EQ(entry->rlocs.size(), 2u);
+  EXPECT_EQ(entry->rlocs[0].address, *Ipv4Address::parse("10.0.0.7"));
+  EXPECT_EQ(entry->rlocs[1].address, *Ipv4Address::parse("10.0.0.8"));
+  // A negative replace clears the primary with the set.
+  cache.install(eid("10.1.0.1"), negative_reply(), at_s(3));
+  entry = cache.lookup(eid("10.1.0.1"), at_s(4));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->negative());
+  EXPECT_EQ(entry->primary_rloc(), Ipv4Address{});
+  EXPECT_EQ(cache.positive_size(), 0u);
+  // And a positive one (Map-Notify) restores both.
+  cache.install(eid("10.1.0.1"), {loc("10.0.0.9"), loc("10.0.0.3", 2)}, 600, at_s(5));
+  entry = cache.lookup(eid("10.1.0.1"), at_s(6));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->primary_rloc(), *Ipv4Address::parse("10.0.0.9"));
+  EXPECT_EQ(entry->rlocs.size(), 2u);
+  EXPECT_EQ(cache.positive_size(), 1u);
+}
+
+TEST(MapCache, InvalidateRlocMatchesOnlyThePrimary) {
+  MapCache cache;
+  cache.install(eid("10.1.0.1"), reply_with({loc("10.0.0.2"), loc("10.0.0.9", 2)}), at_s(0));
+  cache.install(eid("10.1.0.2"), reply_with({loc("10.0.0.9"), loc("10.0.0.2", 2)}), at_s(0));
+  cache.install(eid("10.1.0.3"),
+                reply_with({loc("10.0.0.2"), loc("10.0.0.4", 2), loc("10.0.0.5", 3)}), at_s(0));
+  // 10.0.0.2 is the primary of .1 and .3, and only a backup of .2.
+  EXPECT_EQ(cache.invalidate_rloc(*Ipv4Address::parse("10.0.0.2")), 2u);
+  EXPECT_EQ(cache.lookup(eid("10.1.0.1"), at_s(1)), nullptr);
+  EXPECT_EQ(cache.lookup(eid("10.1.0.3"), at_s(1)), nullptr);
+  const MapCacheEntry* kept = cache.lookup(eid("10.1.0.2"), at_s(1));
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->primary_rloc(), *Ipv4Address::parse("10.0.0.9"));
+  EXPECT_EQ(cache.positive_size(), 1u);
+}
+
+TEST(MapCache, ReinstallReusesTheLocatorBuffer) {
+  // A bounded cache at capacity: an install takes the slot the previous
+  // install's eviction freed, locator buffer included.
+  MapCache cache{1};
+  cache.install(eid("10.1.0.1"),
+                reply_with({loc("10.0.0.3"), loc("10.0.0.4", 2), loc("10.0.0.5", 3)}), at_s(0));
+  const Rloc* buffer = cache.lookup(eid("10.1.0.1"), at_s(1))->rlocs.data();
+  cache.install(eid("10.1.0.2"), reply("10.0.0.6"), at_s(2));  // evicts .1
+  cache.install(eid("10.1.0.3"), reply_with({loc("10.0.0.7"), loc("10.0.0.8", 2)}), at_s(3));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  const MapCacheEntry* entry = cache.lookup(eid("10.1.0.3"), at_s(4));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->rlocs.data(), buffer);
+  EXPECT_EQ(entry->primary_rloc(), *Ipv4Address::parse("10.0.0.7"));
+  EXPECT_EQ(entry->rlocs.size(), 2u);
 }
 
 }  // namespace
