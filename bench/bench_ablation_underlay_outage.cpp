@@ -155,7 +155,7 @@ int main() {
       topo.add_link(n, e % 2 ? d0 : d1, std::chrono::microseconds{30});
       edge_nodes.push_back(n);
     }
-    underlay::LinkStateProtocol igp{lsim, topo, {}};
+    underlay::LinkStateProtocol igp{lsim, topo};
     igp.start();
     lsim.run();
 

@@ -135,9 +135,7 @@ void print_boxplot_table(const char* title, const char* x_label,
 stats::Summary simulate_load(double queries_per_second, std::uint32_t queries) {
   sim::Simulator sim;
   lisp::MapServer server = make_server(10000);
-  lisp::MapServerNodeConfig config;
-  config.rloc = net::Ipv4Address{0xC0A80001u};
-  lisp::MapServerNode node{sim, server, config, 7};
+  lisp::MapServerNode node{sim, server, net::Ipv4Address{0xC0A80001u}, {}, 7};
   sim::Rng rng{kSeed};
 
   sim::SimTime at = sim::SimTime::zero();

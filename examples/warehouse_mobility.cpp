@@ -18,7 +18,6 @@ int main() {
   // Robots use fast PSK transitions: tighter timings than office Wi-Fi.
   config.timings.detection = std::chrono::microseconds{500};
   config.timings.auth_processing = std::chrono::microseconds{500};
-  config.timings.roam_auth_round_trips = 1;
   fabric::SdaFabric fabric{sim, config};
 
   fabric.add_border("border");

@@ -98,7 +98,7 @@ void EdgeRouter::detach_endpoint(const net::MacAddress& mac, bool deregister) {
   }
   // A roam: senders re-resolving now would still get this edge back, so
   // SMRs for the EID wait for the Map-Notify of its new location (Fig. 6).
-  const sim::SimTime hold_until = simulator_.now() + config_.smr_min_interval;
+  const sim::SimTime hold_until = simulator_.now() + kSmrMinInterval;
   for_each_identity(endpoint, [&](const net::VnEid& eid) {
     mobility_record(eid).hold_until = hold_until;
   });
@@ -377,7 +377,7 @@ void EdgeRouter::resolve(const net::VnEid& eid, bool smr_invoked, std::uint64_t 
   const auto [pending, fresh] = pending_requests_.find_or_insert_reused(eid);
   if (!fresh) return;  // already resolving
   *pending = PendingRequest{next_nonce_++, config_.map_request_retries, smr_invoked, trace,
-                            config_.map_request_timeout};
+                            kInitialRto};
   transmit_map_request(eid, *pending);
 }
 
@@ -411,8 +411,8 @@ void EdgeRouter::transmit_map_request(const net::VnEid& eid, PendingRequest& att
     }
     --pending->retries_left;
     pending->nonce = next_nonce_++;
-    pending->timeout = next_backoff(pending->timeout, config_.map_request_timeout,
-                                    config_.map_request_timeout_cap);
+    pending->timeout = sim::decorrelated_backoff(rng_, pending->timeout, kInitialRto,
+                                                 kMapRequestTimeoutCap);
     ++counters_.map_request_retries;
     transmit_map_request(eid, *pending);
   };
@@ -462,7 +462,6 @@ void EdgeRouter::receive_map_register_busy(const net::VnEid& eid, sim::Duration 
 }
 
 sim::Duration EdgeRouter::jittered_retry_after(sim::Duration retry_after) {
-  if (!config_.retransmit_jitter) return retry_after;
   // Uniform in [retry_after, 3*retry_after): never earlier than the
   // server's hint, spread enough that shed peers do not re-collide.
   return sim::decorrelated_backoff(rng_, retry_after, retry_after, retry_after * 3);
@@ -490,7 +489,7 @@ void EdgeRouter::solicit(const net::VnEid& eid, net::Ipv4Address sender_rloc) {
                          [sender_rloc](const auto& t) { return t.first == sender_rloc; });
   if (it == throttles.end()) it = throttles.emplace(it, sender_rloc, sim::SimTime{});
   if (now < it->second) return;
-  it->second = now + config_.smr_min_interval;
+  it->second = now + kSmrMinInterval;
   ++counters_.smr_sent;
   send_smr_(sender_rloc, lisp::SolicitMapRequest{eid, config_.rloc});
 }
@@ -545,7 +544,7 @@ void EdgeRouter::send_register(const net::VnEid& eid, net::GroupId group,
   pending->group = group;
   pending->ttl_seconds = ttl_seconds;
   pending->retries_left = config_.map_register_retries;
-  pending->timeout = config_.map_register_timeout;
+  pending->timeout = kInitialRto;
   transmit_map_register(eid);
 }
 
@@ -572,8 +571,8 @@ void EdgeRouter::transmit_map_register(const net::VnEid& eid) {
       return;
     }
     --entry->retries_left;
-    entry->timeout = next_backoff(entry->timeout, config_.map_register_timeout,
-                                  config_.map_register_timeout_cap);
+    entry->timeout = sim::decorrelated_backoff(rng_, entry->timeout, kInitialRto,
+                                               kMapRegisterTimeoutCap);
     ++counters_.map_register_retries;
     transmit_map_register(eid);
   };
@@ -589,19 +588,6 @@ void EdgeRouter::abandon_pending_register(const net::VnEid& eid) {
   if (pending == nullptr) return;
   simulator_.cancel(pending->timer);
   pending_registers_.erase(eid);
-}
-
-sim::Duration EdgeRouter::next_backoff(sim::Duration current, sim::Duration initial,
-                                       sim::Duration cap) {
-  if (config_.retransmit_jitter) {
-    // Decorrelated jitter: grows on average, never below the initial RTO,
-    // and desynchronizes retransmit storms across routers.
-    return sim::decorrelated_backoff(rng_, current, initial, cap);
-  }
-  const double next_ns = std::min(static_cast<double>(current.count()) *
-                                      config_.retransmit_backoff,
-                                  static_cast<double>(cap.count()));
-  return sim::Duration{static_cast<std::int64_t>(next_ns)};
 }
 
 void EdgeRouter::maybe_schedule_probe_sweep() {

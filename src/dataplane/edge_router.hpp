@@ -48,8 +48,6 @@ struct EdgeRouterConfig {
   std::size_t map_cache_capacity = 0;
   /// Map-cache entry TTL requested on registration (paper default 1440 min).
   std::uint32_t register_ttl_seconds = 1440 * 60;
-  /// Minimum spacing between SMRs for the same EID (rate limiting).
-  sim::Duration smr_min_interval = std::chrono::seconds{1};
   /// §5.3 ablation: enforce SGACL on ingress instead of egress.
   bool enforce_on_ingress = false;
   policy::Action default_action = policy::Action::Allow;
@@ -60,24 +58,13 @@ struct EdgeRouterConfig {
   bool rloc_probing = false;
   sim::Duration probe_interval = std::chrono::seconds{10};
   /// Map-Requests are retransmitted until answered (control messages can
-  /// be lost to underlay outages); 0 retries = fire-and-forget. The timeout
-  /// is the *initial* RTO; each retransmit backs off (see below).
-  sim::Duration map_request_timeout = std::chrono::seconds{1};
+  /// be lost to underlay outages); 0 retries = fire-and-forget. Each
+  /// retransmit backs off with decorrelated jitter from a 1 s RTO.
   unsigned map_request_retries = 3;
-  /// Retransmission backoff policy, shared by Map-Request and Map-Register
-  /// timers. With jitter (default), the next RTO is drawn uniformly from
-  /// [initial, 3 * previous] (decorrelated jitter) so retransmit storms
-  /// desynchronize across edges; without it, a plain exponential with this
-  /// multiplier. Both are capped.
-  bool retransmit_jitter = true;
-  double retransmit_backoff = 2.0;
-  sim::Duration map_request_timeout_cap = std::chrono::seconds{8};
-  /// Reliable Map-Register: keep retransmitting (with the same backoff
-  /// policy) until the routing server's Map-Notify ack arrives or retries
-  /// run out. 0 = classic fire-and-forget registration.
+  /// Reliable Map-Register: keep retransmitting (with the same backoff)
+  /// until the routing server's Map-Notify ack arrives or retries run out.
+  /// 0 = classic fire-and-forget registration.
   unsigned map_register_retries = 0;
-  sim::Duration map_register_timeout = std::chrono::seconds{1};
-  sim::Duration map_register_timeout_cap = std::chrono::seconds{16};
   /// Seed for the retransmission-jitter RNG (mixed with the RLOC so edges
   /// decorrelate even with identical config).
   std::uint64_t seed = 0x5DA;
@@ -106,6 +93,10 @@ struct EdgeRouterConfig {
 
 class EdgeRouter {
  public:
+  /// Minimum spacing between SMRs for the same EID (rate limiting), and the
+  /// longest a roamed-away EID's SMRs wait for its Map-Notify.
+  static constexpr sim::Duration kSmrMinInterval = std::chrono::seconds{1};
+
   // --- Environment hooks (wired by the fabric layer or by tests) ---------
   /// Data plane: transmit an encapsulated frame into the underlay.
   using SendData = std::function<void(const net::FabricFrame&)>;
@@ -312,9 +303,9 @@ class EdgeRouter {
   using ParkedFrames = std::vector<std::pair<net::GroupId, net::OverlayFrame>>;
   /// Mobility state of an EID that is not attached here (Fig. 6). An EID
   /// that left for a roam holds its SMRs until the Map-Notify brings the new
-  /// location (at most smr_min_interval, in case the notify is lost); after
+  /// location (at most kSmrMinInterval, in case the notify is lost); after
   /// that every stale sender is solicited, each at most once per
-  /// smr_min_interval. The record settles once both have passed: settled
+  /// kSmrMinInterval. The record settles once both have passed: settled
   /// records are swept before the table grows, and a Map-Notify, a
   /// re-attach or a reboot erases the record outright.
   struct MobilityRecord {
@@ -381,13 +372,17 @@ class EdgeRouter {
   /// EID's new home.
   void abandon_pending_register(const net::VnEid& eid);
 
-  /// Next retransmission timeout under the configured backoff policy.
-  [[nodiscard]] sim::Duration next_backoff(sim::Duration current, sim::Duration initial,
-                                           sim::Duration cap);
+  /// Retransmission timeouts of the Map-Request and Map-Register timers:
+  /// the first RTO is kInitialRto, and each retransmit draws the next
+  /// uniformly from [kInitialRto, 3 × previous] (decorrelated jitter,
+  /// capped per timer), so retransmit storms desynchronize across edges.
+  static constexpr sim::Duration kInitialRto = std::chrono::seconds{1};
+  static constexpr sim::Duration kMapRequestTimeoutCap = std::chrono::seconds{8};
+  static constexpr sim::Duration kMapRegisterTimeoutCap = std::chrono::seconds{16};
 
   /// A shed server's retry-after hint, de-synchronized: uniform in
   /// [retry_after, 3*retry_after) so the deflected stampede does not
-  /// re-collide at the exact deadline. Identity with jitter disabled.
+  /// re-collide at the exact deadline.
   [[nodiscard]] sim::Duration jittered_retry_after(sim::Duration retry_after);
 
   /// Downloads (vn, group)'s rules; on refusal books the pair for retry.

@@ -26,22 +26,18 @@ struct FabricTimings {
   sim::Duration detection = std::chrono::milliseconds{2};
   /// Policy-server CPU per authentication round.
   sim::Duration auth_processing = std::chrono::milliseconds{2};
-  /// RADIUS/EAP round trips for a fresh authentication.
-  unsigned auth_round_trips = 2;
-  /// Round trips for a fast re-authentication while roaming (cached keys).
-  unsigned roam_auth_round_trips = 1;
   /// Policy-server CPU to assemble a destination-group rule download.
   sim::Duration rule_download_processing = std::chrono::microseconds{500};
-  /// DHCP server processing (fresh lease; renewals are half this).
-  sim::Duration dhcp_processing = std::chrono::milliseconds{1};
-  /// Lognormal sigma applied to the onboarding delays (radio detection and
-  /// server processing are never deterministic in the field).
-  double jitter_sigma = 0.15;
   /// Policy-server CPU capacity: authentication work queues on this many
   /// workers, so onboarding storms (mass arrivals, §Conclusion's "large
   /// gatherings") exhibit realistic queueing delay.
   unsigned policy_workers = 8;
 };
+
+/// RADIUS/EAP round trips for a fresh authentication, and for a fast
+/// re-authentication while roaming (cached keys).
+inline constexpr unsigned kAuthRoundTrips = 2;
+inline constexpr unsigned kRoamAuthRoundTrips = 1;
 
 /// Control-plane high-availability knobs (PR 4). All mechanisms default
 /// off so single-server fabrics and existing experiments are unchanged.
@@ -66,8 +62,6 @@ struct HaConfig {
   /// database, reconciling registrations a replica missed during an
   /// outage window. 0 = disabled. Runs forever once armed: run_until().
   sim::Duration anti_entropy_interval{0};
-  /// How long deletion tombstones are retained for anti-entropy.
-  sim::Duration tombstone_horizon = std::chrono::minutes{5};
 
   /// Leader election (PR 6): a bully-style election over the control legs
   /// with monotonically increasing epochs, so any live replica — not just
@@ -139,10 +133,8 @@ struct FabricConfig {
   /// backoff for Map-Requests, and reliable Map-Register (retransmit until
   /// the Map-Notify ack) so registrations survive lossy control paths and
   /// map-server outage windows.
-  sim::Duration map_request_timeout = std::chrono::seconds{1};
   unsigned map_request_retries = 3;
   unsigned map_register_retries = 8;
-  sim::Duration map_register_timeout = std::chrono::seconds{1};
   /// Periodic soft-state re-registration of attached endpoints (keeps
   /// registrations alive across MapServer::expire_registrations sweeps).
   /// 0 = disabled; real xTRs refresh well inside the TTL.
@@ -165,16 +157,13 @@ struct FabricConfig {
   /// coalescing: one in-flight resolution, a bounded pending queue).
   /// 0 = classic drop-until-resolved.
   std::size_t pending_packet_limit = 0;
-  /// TTL of negative Map-Replies (the edge's negative map-cache horizon);
-  /// short TTLs re-probe unresolvable EIDs sooner after an outage heals.
-  std::uint32_t negative_ttl_seconds = 60;
   /// What traffic gets while a destination group's SGACL rules have not
   /// downloaded (policy-server outage): Open = fall through to the VN
   /// default (availability), Closed = deny until rules arrive (security).
   dataplane::PolicyFailMode policy_fail_mode = dataplane::PolicyFailMode::Open;
   /// Retry cadence for rule downloads the policy server refused. 0 = never.
   sim::Duration rule_retry_interval = std::chrono::seconds{1};
-  /// Underlay timing model (per-hop processing, IGP convergence, §5.1).
+  /// Underlay IGP convergence after a topology change (§5.1).
   underlay::UnderlayConfig underlay;
   /// Per-VN default action for micro-segmentation.
   policy::Action default_action = policy::Action::Allow;
@@ -189,8 +178,6 @@ struct FabricConfig {
   /// it at finalize(). The registry uses pull probes, so leaving this on
   /// costs nothing on the hot path — snapshots sample on demand.
   bool telemetry = true;
-  /// Flight-recorder ring capacity (control-plane events kept).
-  std::size_t flight_recorder_capacity = 2048;
   /// Opt-in first-packet tracing: arm a FirstPacket operation of the
   /// causal tracer for the first packet of every new (source, destination)
   /// flow sent via endpoint_send_udp, so first-packet latency decomposes
@@ -205,9 +192,6 @@ struct FabricConfig {
   /// costs one predictable branch per control hook and leaves the wire
   /// format byte-identical (the trace id is a trailing optional field).
   bool causal_tracing = false;
-  /// Completed causal operations retained for export (FIFO), first packets
-  /// included.
-  std::size_t causal_trace_keep = 256;
   /// Debug/chaos knob: artificial delay inserted before each SMR leaves
   /// the old edge. Used by the assurance gate to inject a demonstrable
   /// smr_fanout SLO breach; leave at 0 for faithful behaviour.

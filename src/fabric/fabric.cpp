@@ -13,6 +13,12 @@ namespace {
 /// Virtual gateway MAC endpoints address their off-link traffic to.
 const net::MacAddress kGatewayMac = net::MacAddress::from_u64(0x02'00'00'00'00'01ull);
 
+/// DHCP server processing for a fresh lease.
+constexpr sim::Duration kDhcpProcessing = std::chrono::milliseconds{1};
+/// Lognormal sigma applied to the onboarding delays (radio detection and
+/// server processing are never deterministic in the field).
+constexpr double kOnboardJitterSigma = 0.15;
+
 template <typename Router>
 std::vector<std::string> names_of(const std::vector<std::unique_ptr<Router>>& routers) {
   std::vector<std::string> names;
@@ -25,8 +31,7 @@ std::vector<std::string> names_of(const std::vector<std::unique_ptr<Router>>& ro
 SdaFabric::SdaFabric(sim::Simulator& simulator, FabricConfig config)
     : simulator_(simulator),
       config_(std::move(config)),
-      rng_(config_.seed),
-      telemetry_(config_.flight_recorder_capacity, config_.causal_trace_keep) {
+      rng_(config_.seed) {
   underlay_ = std::make_unique<underlay::UnderlayNetwork>(simulator_, topology_,
                                                           config_.underlay);
   policy_cpu_free_.assign(std::max(1u, config_.timings.policy_workers), sim::SimTime::zero());
@@ -98,10 +103,8 @@ void SdaFabric::add_edge(const std::string& name) {
   cfg.rloc_probing = config_.rloc_probing;
   cfg.probe_interval = config_.probe_interval;
   cfg.default_route_fallback = config_.default_route_fallback;
-  cfg.map_request_timeout = config_.map_request_timeout;
   cfg.map_request_retries = config_.map_request_retries;
   cfg.map_register_retries = config_.map_register_retries;
-  cfg.map_register_timeout = config_.map_register_timeout;
   cfg.pending_packet_limit = config_.pending_packet_limit;
   cfg.policy_fail_mode = config_.policy_fail_mode;
   cfg.rule_retry_interval = config_.rule_retry_interval;
@@ -131,18 +134,15 @@ void SdaFabric::finalize() {
   policy_server_rloc_ = primary.rloc();
 
   const unsigned server_count = std::max(1u, config_.routing_servers);
-  map_server_.set_negative_ttl_seconds(config_.negative_ttl_seconds);
   for (unsigned i = 0; i < server_count; ++i) {
-    lisp::MapServerNodeConfig ms_cfg = config_.map_server;
-    ms_cfg.rloc = borders_[i % borders_.size()]->rloc();
     lisp::MapServer* database = &map_server_;
     if (i > 0) {
       replica_dbs_.push_back(std::make_unique<lisp::MapServer>());
       database = replica_dbs_.back().get();
-      database->set_negative_ttl_seconds(config_.negative_ttl_seconds);
     }
     server_nodes_.push_back(std::make_unique<lisp::MapServerNode>(
-        simulator_, *database, ms_cfg, config_.seed ^ (0x5D + i)));
+        simulator_, *database, borders_[i % borders_.size()]->rloc(), config_.map_server,
+        config_.seed ^ (0x5D + i)));
     server_refs_.push_back(telemetry_.recorder.intern(
         i == 0 ? "map_server" : "routing_server[" + std::to_string(i) + "]"));
     // Every Map-Request job completes into the control slab slot it came
@@ -964,9 +964,9 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
   const sim::Duration rtt = *one_way * 2;
   const FabricTimings& t = config_.timings;
 
-  const unsigned rounds = fast_reauth ? t.roam_auth_round_trips : t.auth_round_trips;
+  const unsigned rounds = fast_reauth ? kRoamAuthRoundTrips : kAuthRoundTrips;
   // Radio detection and server processing jitter (lognormal multiplier).
-  const double jitter = t.jitter_sigma > 0 ? rng_.lognormal(0.0, t.jitter_sigma) : 1.0;
+  const double jitter = rng_.lognormal(0.0, kOnboardJitterSigma);
   const auto jittered = [jitter](sim::Duration d) {
     return sim::Duration{static_cast<std::int64_t>(static_cast<double>(d.count()) * jitter)};
   };
@@ -978,7 +978,7 @@ void SdaFabric::onboard(std::uint32_t endpoint, std::uint32_t edge_index,
   // style fast transition; the address must survive the move for L3
   // mobility to be seamless).
   const sim::Duration dhcp_delay =
-      fast_reauth ? sim::Duration{0} : jittered(rtt + t.dhcp_processing);
+      fast_reauth ? sim::Duration{0} : jittered(rtt + kDhcpProcessing);
   const sim::Duration rules_delay = jittered(rtt + t.rule_download_processing);
 
   // Reserve the auth CPU up front: requests hit the RADIUS queue in

@@ -499,7 +499,7 @@ void HaMonitor::anti_entropy_with(std::size_t driver, std::size_t replica) {
     control_send_(servers_[replica]->rloc(), driver_rloc, bytes, [this, driver, replica] {
       if (!servers_[replica]->online() || !servers_[driver]->online()) return;
       const lisp::MapServer::ReconcileStats stats = databases_[driver]->reconcile_with(
-          *databases_[replica], simulator_.now(), config_.tombstone_horizon);
+          *databases_[replica], simulator_.now());
       const std::uint64_t repaired = stats.total();
       counters_.anti_entropy_repairs += repaired;
       last_divergence_ += repaired;

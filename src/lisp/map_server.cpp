@@ -193,7 +193,7 @@ void MapServer::answer(const MapRequest& request, MapReply& reply) const {
     reply.rlocs.clear();
     reply.group = 0;
     reply.action = MapReplyAction::NativelyForward;
-    reply.ttl_seconds = negative_ttl_seconds_;
+    reply.ttl_seconds = kNegativeTtlSeconds;
   }
 }
 

@@ -119,8 +119,7 @@ class MapServer {
 
   /// TTL stamped on negative replies (the ITR's negative map-cache window:
   /// how long a miss is remembered before the EID is re-resolved).
-  void set_negative_ttl_seconds(std::uint32_t ttl) { negative_ttl_seconds_ = ttl; }
-  [[nodiscard]] std::uint32_t negative_ttl_seconds() const { return negative_ttl_seconds_; }
+  static constexpr std::uint32_t kNegativeTtlSeconds = 60;
 
   // --- Replica anti-entropy (PR 4) ---------------------------------------
 
@@ -278,7 +277,6 @@ class MapServer {
   std::size_t log_size_ = 0;  // entries retained (<= capacity)
   std::uint64_t log_next_seq_ = 1;
   std::uint64_t generation_ = 0;
-  std::uint32_t negative_ttl_seconds_ = 60;
   MoveCallback on_move_;
   PublishCallback on_publish_;
   mutable Stats stats_;

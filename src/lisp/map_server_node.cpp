@@ -8,9 +8,11 @@
 namespace sda::lisp {
 
 MapServerNode::MapServerNode(sim::Simulator& simulator, MapServer& server,
-                             MapServerNodeConfig config, std::uint64_t seed)
+                             net::Ipv4Address rloc, MapServerNodeConfig config,
+                             std::uint64_t seed)
     : simulator_(simulator),
       server_(server),
+      rloc_(rloc),
       config_(config),
       rng_(seed),
       worker_free_at_(std::max(1u, config.workers), sim::SimTime::zero()) {}

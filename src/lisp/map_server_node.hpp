@@ -20,7 +20,6 @@
 namespace sda::lisp {
 
 struct MapServerNodeConfig {
-  net::Ipv4Address rloc;
   unsigned workers = 8;  // vCPUs of the paper's VM
   sim::Duration request_service = std::chrono::microseconds{25};
   sim::Duration register_service = std::chrono::microseconds{30};
@@ -49,12 +48,12 @@ class MapServerNode {
   /// the job; carries the server's retry-after hint.
   using ShedCallback = std::function<void(sim::Duration retry_after)>;
 
-  MapServerNode(sim::Simulator& simulator, MapServer& server, MapServerNodeConfig config,
-                std::uint64_t seed = 1);
+  MapServerNode(sim::Simulator& simulator, MapServer& server, net::Ipv4Address rloc,
+                MapServerNodeConfig config, std::uint64_t seed = 1);
 
   [[nodiscard]] MapServer& server() { return server_; }
   [[nodiscard]] const MapServerNodeConfig& config() const { return config_; }
-  [[nodiscard]] net::Ipv4Address rloc() const { return config_.rloc; }
+  [[nodiscard]] net::Ipv4Address rloc() const { return rloc_; }
 
   /// Sets, once, where every Map-Request this node answers or sheds is
   /// completed. Either sink may be empty (the outcome is then discarded).
@@ -149,6 +148,7 @@ class MapServerNode {
 
   sim::Simulator& simulator_;
   MapServer& server_;
+  net::Ipv4Address rloc_;
   MapServerNodeConfig config_;
   sim::Rng rng_;
   std::vector<sim::SimTime> worker_free_at_;

@@ -102,24 +102,26 @@ std::optional<SxpMessage> decode_sxp(std::span<const std::uint8_t> bytes) {
   net::ByteReader r{bytes};
   const auto type = r.read_u8();
   if (!type) return std::nullopt;
+  // Each message is built in place inside the result.
+  std::optional<SxpMessage> message;
   switch (static_cast<SxpMessageType>(*type)) {
-    case SxpMessageType::BindingUpdate: {
-      auto m = SxpBindingUpdate::decode(r);
-      if (m) return SxpMessage{std::move(*m)};
+    case SxpMessageType::BindingUpdate:
+      if (auto m = SxpBindingUpdate::decode(r)) {
+        message.emplace(std::in_place_type<SxpBindingUpdate>, std::move(*m));
+      }
       break;
-    }
-    case SxpMessageType::RuleInstall: {
-      auto m = SxpRuleInstall::decode(r);
-      if (m) return SxpMessage{std::move(*m)};
+    case SxpMessageType::RuleInstall:
+      if (auto m = SxpRuleInstall::decode(r)) {
+        message.emplace(std::in_place_type<SxpRuleInstall>, std::move(*m));
+      }
       break;
-    }
-    case SxpMessageType::GroupReassign: {
-      const auto m = SxpGroupReassign::decode(r);
-      if (m) return SxpMessage{*m};
+    case SxpMessageType::GroupReassign:
+      if (const auto m = SxpGroupReassign::decode(r)) {
+        message.emplace(std::in_place_type<SxpGroupReassign>, *m);
+      }
       break;
-    }
   }
-  return std::nullopt;
+  return message;
 }
 
 }  // namespace sda::policy

@@ -22,9 +22,6 @@ struct Telemetry {
   FlightRecorder recorder;
   CausalTracer causal;
   AssuranceEngine assurance;
-
-  explicit Telemetry(std::size_t recorder_capacity = 2048, std::size_t causal_keep = 256)
-      : recorder(recorder_capacity), causal(causal_keep) {}
 };
 
 }  // namespace sda::telemetry

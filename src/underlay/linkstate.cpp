@@ -6,11 +6,9 @@
 
 namespace sda::underlay {
 
-LinkStateProtocol::LinkStateProtocol(sim::Simulator& simulator, const Topology& topology,
-                                     LinkStateConfig config)
+LinkStateProtocol::LinkStateProtocol(sim::Simulator& simulator, const Topology& topology)
     : simulator_(simulator),
       topology_(topology),
-      config_(config),
       nodes_(topology.node_count()),
       next_sequence_(topology.node_count(), 1) {}
 
@@ -50,7 +48,7 @@ void LinkStateProtocol::flood_from(NodeId node, const Lsp& lsp, LinkId except) {
     const Link& link = topology_.link(link_id);
     const NodeId peer = link.other(node);
     ++stats_.lsps_flooded;
-    simulator_.schedule_after(link.latency + config_.lsp_processing,
+    simulator_.schedule_after(link.latency + kLspProcessing,
                               [this, peer, lsp, link_id] { receive(peer, lsp, link_id); });
   }
 }
@@ -73,13 +71,13 @@ void LinkStateProtocol::notify_link_change(LinkId link) {
   const Link& l = topology_.link(link);
   for (const NodeId endpoint : {l.a, l.b}) {
     if (!topology_.node(endpoint).up) continue;
-    simulator_.schedule_after(config_.failure_detection,
+    simulator_.schedule_after(kFailureDetection,
                               [this, endpoint] { originate(endpoint); });
   }
 }
 
 void LinkStateProtocol::notify_node_change(NodeId node) {
-  simulator_.schedule_after(config_.failure_detection, [this, node] {
+  simulator_.schedule_after(kFailureDetection, [this, node] {
     if (topology_.node(node).up) originate(node);
     for (const LinkId link_id : topology_.links_of(node)) {
       const NodeId peer = topology_.link(link_id).other(node);
@@ -93,7 +91,7 @@ void LinkStateProtocol::mark_dirty(NodeId node) {
   state.view_dirty = true;
   if (state.spf_scheduled) return;
   state.spf_scheduled = true;
-  simulator_.schedule_after(config_.spf_delay, [this, node] {
+  simulator_.schedule_after(kSpfDelay, [this, node] {
     NodeState& s = nodes_[node];
     s.spf_scheduled = false;
     if (s.view_dirty) {

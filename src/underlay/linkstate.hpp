@@ -25,16 +25,6 @@ class MetricsRegistry;
 
 namespace sda::underlay {
 
-struct LinkStateConfig {
-  /// How long an adjacent router needs to declare a link/neighbor dead
-  /// (hello dead-interval) or alive again.
-  sim::Duration failure_detection = std::chrono::milliseconds{300};
-  /// Per-hop LSP processing + forwarding delay during flooding.
-  sim::Duration lsp_processing = std::chrono::milliseconds{1};
-  /// SPF schedule delay after a new LSP is installed (SPF damping).
-  sim::Duration spf_delay = std::chrono::milliseconds{50};
-};
-
 /// A link-state PDU: one router's view of its own adjacencies.
 struct Lsp {
   NodeId origin = kInvalidNode;
@@ -47,11 +37,18 @@ struct Lsp {
 
 class LinkStateProtocol {
  public:
-  /// (node) — fired when `node`'s SPF view changes (after spf_delay).
+  /// (node) — fired when `node`'s SPF view changes (after kSpfDelay).
   using ViewChangeCallback = std::function<void(NodeId)>;
 
-  LinkStateProtocol(sim::Simulator& simulator, const Topology& topology,
-                    LinkStateConfig config = {});
+  /// How long an adjacent router needs to declare a link/neighbor dead
+  /// (hello dead-interval) or alive again.
+  static constexpr sim::Duration kFailureDetection = std::chrono::milliseconds{300};
+  /// Per-hop LSP processing + forwarding delay during flooding.
+  static constexpr sim::Duration kLspProcessing = std::chrono::milliseconds{1};
+  /// SPF schedule delay after a new LSP is installed (SPF damping).
+  static constexpr sim::Duration kSpfDelay = std::chrono::milliseconds{50};
+
+  LinkStateProtocol(sim::Simulator& simulator, const Topology& topology);
 
   /// Originates every node's initial LSP and floods. Views converge after
   /// the flood settles (run the simulator).
@@ -115,7 +112,6 @@ class LinkStateProtocol {
 
   sim::Simulator& simulator_;
   const Topology& topology_;
-  LinkStateConfig config_;
   std::vector<NodeState> nodes_;
   std::vector<std::uint64_t> next_sequence_;
   ViewChangeCallback on_view_change_;

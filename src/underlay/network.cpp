@@ -21,7 +21,7 @@ void UnderlayNetwork::refresh(NodeId node) {
   for (NodeId to = 0; to < routes.legs.size(); ++to) {
     const SpfRoute* route = routes.table.route(to);
     if (route == nullptr) continue;
-    const sim::Duration base = route->latency + config_.per_hop_processing * route->hop_count;
+    const sim::Duration base = route->latency + kPerHopProcessing * route->hop_count;
     assert(base.count() >= 0 && base.count() < (std::int64_t{1} << 47) && route->hop_count < 0xFFFF);
     routes.legs[to] = static_cast<Leg>(base.count()) << 16 | route->hop_count;
   }
@@ -49,7 +49,7 @@ bool UnderlayNetwork::reachable(NodeId node, net::Ipv4Address rloc) {
 
 sim::Duration UnderlayNetwork::delay(Leg leg, std::size_t bytes) const {
   sim::Duration delay{static_cast<std::int64_t>(leg >> 16)};
-  if (config_.model_serialization && bytes > 0) {
+  if (bytes > 0) {
     // Serialize once per hop at 10 Gbps nominal: bytes * 8 / 10e9 seconds.
     const auto per_hop_ns = static_cast<std::int64_t>(static_cast<double>(bytes) * 8.0 / 10.0);
     delay += sim::Duration{per_hop_ns * static_cast<std::int64_t>(leg & 0xFFFF)};

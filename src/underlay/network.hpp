@@ -30,13 +30,8 @@ class MetricsRegistry;
 namespace sda::underlay {
 
 struct UnderlayConfig {
-  /// Per-hop packet processing (lookup + queueing headroom).
-  sim::Duration per_hop_processing = std::chrono::microseconds{5};
   /// IGP convergence after a topology change (detection + flood + SPF).
   sim::Duration igp_convergence = std::chrono::milliseconds{200};
-  /// Per-byte serialization delay divisor: bytes / (gbps * this) — applied
-  /// per hop using the slowest link's bandwidth on the path.
-  bool model_serialization = true;
 };
 
 /// Coarse classification of a delivery, so fault models can treat the
@@ -115,6 +110,8 @@ class UnderlayNetwork {
     std::unordered_map<net::Ipv4Address, bool> last_view;
   };
 
+  /// Packet processing at each hop (lookup + queueing headroom).
+  static constexpr sim::Duration kPerHopProcessing = std::chrono::microseconds{5};
   /// One destination from a sender: SPF latency plus per-hop processing
   /// (ns) << 16 | hop count (0 to itself); all ones when unreachable.
   using Leg = std::uint64_t;

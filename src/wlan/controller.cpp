@@ -11,8 +11,7 @@ namespace sda::wlan {
 WlanController::WlanController(fabric::SdaFabric& fabric, WlanConfig config)
     : fabric_(fabric),
       config_(std::move(config)),
-      rng_(config_.seed),
-      cpu_free_at_(std::max(1u, config_.workers), sim::SimTime::zero()) {
+      cpu_free_at_(kWorkers, sim::SimTime::zero()) {
   // Fail fast if the anchor edge does not exist.
   (void)fabric_.edge(config_.controller_edge);
 }
@@ -43,7 +42,7 @@ void WlanController::associate(const std::string& credential, const std::string&
   const sim::SimTime started = fabric_.simulator().now();
 
   // Association + 802.1X exchange serialized through the controller CPU.
-  const sim::SimTime ready = reserve_cpu(config_.association_processing);
+  const sim::SimTime ready = reserve_cpu(kAssociationProcessing);
   fabric_.simulator().schedule_at(ready, [this, credential, ap, started,
                                           cb = std::move(callback)] {
     fabric_.connect_endpoint(
@@ -68,7 +67,7 @@ void WlanController::roam(const net::MacAddress& mac, const std::string& ap,
   if (config_.mode == DataPlaneMode::Centralized) {
     // The anchor never moves: only the AP-side tunnel endpoint changes.
     // Key hand-off still costs controller CPU.
-    const sim::SimTime ready = reserve_cpu(config_.association_processing / 2);
+    const sim::SimTime ready = reserve_cpu(kAssociationProcessing / 2);
     fabric_.simulator().schedule_at(ready, [this, mac, ap, started, cb = std::move(callback)] {
       stations_.at(mac).ap = ap;
       if (cb) {
@@ -84,7 +83,7 @@ void WlanController::roam(const net::MacAddress& mac, const std::string& ap,
 
   // Distributed: 802.11r fast transition, then L3 re-registration at the
   // new AP's edge (Fig. 5 machinery).
-  const sim::SimTime ready = reserve_cpu(config_.association_processing / 2);
+  const sim::SimTime ready = reserve_cpu(kAssociationProcessing / 2);
   fabric_.simulator().schedule_at(ready, [this, mac, ap, started, cb = std::move(callback)] {
     fabric_.roam_endpoint(mac, aps_.at(ap).edge, aps_.at(ap).port,
                           [this, mac, ap, started, cb](const fabric::OnboardResult& r) {
@@ -123,8 +122,8 @@ bool WlanController::station_send_udp(const net::MacAddress& mac, net::Ipv4Addre
   ++stats_.frames_tunneled;
   stats_.bytes_tunneled += payload_bytes;
   fabric_.simulator().schedule_after(*tunnel, [this, mac, destination, dport, payload_bytes] {
-    const sim::SimTime done = reserve_cpu(config_.frame_processing);
-    stats_.busy_time += config_.frame_processing;
+    const sim::SimTime done = reserve_cpu(kFrameProcessing);
+    stats_.busy_time += kFrameProcessing;
     fabric_.simulator().schedule_at(done, [this, mac, destination, dport, payload_bytes] {
       fabric_.endpoint_send_udp(mac, destination, dport, payload_bytes);
     });
@@ -150,8 +149,8 @@ void WlanController::set_station_delivery_listener(StationDeliveryListener liste
                                                        endpoint.mac.to_u64(),
                                                        frame.wire_size() + 50u);
     ++stats_.frames_tunneled;
-    stats_.busy_time += config_.frame_processing;
-    const sim::SimTime cpu_done = reserve_cpu(config_.frame_processing);
+    stats_.busy_time += kFrameProcessing;
+    const sim::SimTime cpu_done = reserve_cpu(kFrameProcessing);
     const sim::SimTime delivered_at = down ? cpu_done + *down : cpu_done;
     fabric_.simulator().schedule_at(delivered_at, [listener, endpoint, frame, delivered_at] {
       listener(endpoint, frame, delivered_at);

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "sim/random.hpp"
 
 namespace sda::telemetry {
 class MetricsRegistry;
@@ -45,13 +44,6 @@ struct WlanConfig {
   /// Edge hosting the controller (and anchoring traffic in centralized
   /// mode). Must exist in the fabric.
   std::string controller_edge;
-  /// Controller CPU per association / key exchange.
-  sim::Duration association_processing = std::chrono::milliseconds{1};
-  /// Controller CPU per tunneled data frame (centralized mode only) —
-  /// this is the §2 scalability bottleneck.
-  sim::Duration frame_processing = std::chrono::microseconds{8};
-  unsigned workers = 4;
-  std::uint64_t seed = 21;
 };
 
 /// Result of an association (wraps fabric onboarding).
@@ -123,6 +115,14 @@ class WlanController {
     std::string ap;
   };
 
+  /// Controller CPU per association / key exchange.
+  static constexpr sim::Duration kAssociationProcessing = std::chrono::milliseconds{1};
+  /// Controller CPU per tunneled data frame (centralized mode only) —
+  /// this is the §2 scalability bottleneck.
+  static constexpr sim::Duration kFrameProcessing = std::chrono::microseconds{8};
+  /// Controller CPU cores the association and frame work queue on.
+  static constexpr std::size_t kWorkers = 4;
+
   /// Reserves controller CPU; returns the completion time.
   sim::SimTime reserve_cpu(sim::Duration service);
 
@@ -131,7 +131,6 @@ class WlanController {
 
   fabric::SdaFabric& fabric_;
   WlanConfig config_;
-  sim::Rng rng_;
   std::unordered_map<std::string, AccessPointConfig> aps_;
   std::unordered_map<net::MacAddress, Station> stations_;
   std::vector<sim::SimTime> cpu_free_at_;

@@ -13,18 +13,6 @@ constexpr net::VnId kVn{100};
 /// Width of the sent/arrived buckets behind the re-convergence figures.
 constexpr sim::Duration kBucket = milliseconds{100};
 
-/// drill_config() plus routing-server failover on fast heartbeats (every
-/// 100 ms, 30 ms ack timeout; the default 3 misses declare a server down and
-/// 4 acks bring it back) and anti-entropy every 500 ms.
-fabric::FabricConfig failover_config(unsigned routing_servers) {
-  fabric::FabricConfig config = drill_config(routing_servers);
-  config.ha.failover = true;
-  config.ha.heartbeat_interval = milliseconds{100};
-  config.ha.heartbeat_timeout = milliseconds{30};
-  config.ha.anti_entropy_interval = milliseconds{500};
-  return config;
-}
-
 long long leader_as_int(std::size_t leader) {
   return leader == fabric::HaMonitor::kNoLeader ? -1 : static_cast<long long>(leader);
 }
@@ -38,6 +26,15 @@ fabric::FabricConfig drill_config(unsigned routing_servers) {
   config.routing_servers = routing_servers;
   config.map_request_retries = 8;
   config.map_register_retries = 10;
+  return config;
+}
+
+fabric::FabricConfig failover_config(unsigned routing_servers) {
+  fabric::FabricConfig config = drill_config(routing_servers);
+  config.ha.failover = true;
+  config.ha.heartbeat_interval = milliseconds{100};
+  config.ha.heartbeat_timeout = milliseconds{30};
+  config.ha.anti_entropy_interval = milliseconds{500};
   return config;
 }
 

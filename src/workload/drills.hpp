@@ -35,6 +35,10 @@ inline constexpr std::chrono::milliseconds kDrillSendGap{5};
 /// replicas, and retry budgets (8 Map-Request, 10 Map-Register retransmits)
 /// that ride out a multi-second outage.
 [[nodiscard]] fabric::FabricConfig drill_config(unsigned routing_servers);
+/// drill_config() plus routing-server failover on fast heartbeats (every
+/// 100 ms, 30 ms ack timeout; the default 3 misses declare a server down and
+/// 4 acks bring it back) and anti-entropy every 500 ms.
+[[nodiscard]] fabric::FabricConfig failover_config(unsigned routing_servers);
 
 /// The fabric a drill runs on. Hosts h<i> have MAC 02:00:00:00:00:<i>, group
 /// 10, and live in VN 100 ("corp", 10.100.0.0/16). Set-up is: construct,

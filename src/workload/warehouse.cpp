@@ -194,7 +194,7 @@ stats::Summary WarehouseWorkload::run_proactive(std::size_t* moves_out) {
   const sim::Duration hop = std::chrono::microseconds{50} + std::chrono::microseconds{5};
   const sim::Duration rtt = hop * 2;
   const sim::Duration attach_delay =
-      t.detection + (rtt + t.auth_processing) * t.roam_auth_round_trips;
+      t.detection + (rtt + t.auth_processing) * fabric::kRoamAuthRoundTrips;
 
   struct Robot {
     net::VnEid eid;

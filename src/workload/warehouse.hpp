@@ -40,10 +40,7 @@ struct WarehouseSpec {
   fabric::FabricTimings timings{
       .detection = std::chrono::microseconds{500},
       .auth_processing = std::chrono::microseconds{500},
-      .auth_round_trips = 2,
-      .roam_auth_round_trips = 1,
       .rule_download_processing = std::chrono::microseconds{200},
-      .dhcp_processing = std::chrono::milliseconds{1},
   };
   bgp::ReflectorConfig reflector;  // proactive-baseline knobs
   std::uint64_t seed = 11;

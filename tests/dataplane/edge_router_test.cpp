@@ -298,7 +298,7 @@ TEST_F(EdgeFixture, RoamedAwayEidHoldsSmrUntilMapNotify) {
 }
 
 // A lost Map-Notify must not leave the senders stale for good: the hold
-// lapses after smr_min_interval and data-triggered SMRs resume.
+// lapses after kSmrMinInterval and data-triggered SMRs resume.
 TEST_F(EdgeFixture, SmrHoldLapsesWhenNoMapNotifyArrives) {
   const auto e = make_endpoint(1, "10.1.0.5", 20);
   router.attach_endpoint(e);
@@ -310,7 +310,7 @@ TEST_F(EdgeFixture, SmrHoldLapsesWhenNoMapNotifyArrives) {
   frame.inner = udp_to(make_endpoint(9, "10.1.9.9", 10), "10.1.0.5");
   router.receive_fabric_frame(frame);
   EXPECT_TRUE(smrs.empty());
-  sim.run_until(sim.now() + router.config().smr_min_interval);
+  sim.run_until(sim.now() + EdgeRouter::kSmrMinInterval);
   router.receive_fabric_frame(frame);
   EXPECT_EQ(smrs.size(), 1u);
 }
@@ -362,7 +362,7 @@ TEST_F(EdgeFixture, SettledMobilityRecordsAreSwept) {
   ASSERT_EQ(smrs.size(), 1u);
   EXPECT_EQ(router.mobility_record_count(), 1u);  // its throttle
 
-  sim.run_until(sim.now() + router.config().smr_min_interval);
+  sim.run_until(sim.now() + EdgeRouter::kSmrMinInterval);
   const auto e = make_endpoint(1, "10.1.0.5", 20);
   router.attach_endpoint(e);
   router.detach_endpoint(e.mac, /*deregister=*/false);
@@ -491,6 +491,44 @@ TEST_F(EdgeFixture, MapReplyCancelsRetransmission) {
   sim.run();
   EXPECT_EQ(requests.size(), 1u);  // timer found nothing pending
   EXPECT_EQ(router.counters().map_request_retries, 0u);
+}
+
+// A Map-Request and a Map-Register that go unanswered through every retry.
+// The gaps between sends are the RTOs: each starts at 1 s, never passes its
+// cap (8 s for a request, 16 s for a register) and grows by at most 3x a
+// step.
+TEST_F(EdgeFixture, UnansweredRetransmitsStayWithinTheirBounds) {
+  EdgeRouterConfig cfg = make_config();
+  cfg.map_request_retries = 24;
+  cfg.map_register_retries = 24;
+  EdgeRouter edge{sim, cfg};
+  std::vector<sim::SimTime> request_at;
+  std::vector<sim::SimTime> register_at;
+  edge.set_send_data([](const net::FabricFrame&) {});
+  edge.set_send_map_request([&](const lisp::MapRequest&) { request_at.push_back(sim.now()); });
+  edge.set_send_map_register([&](const lisp::MapRegister&) { register_at.push_back(sim.now()); });
+  edge.set_download_rules([](VnId, GroupId) { return std::vector<policy::Rule>{}; });
+  const auto e = make_endpoint(1, "10.1.0.5", 20);
+  edge.attach_endpoint(e);
+  edge.endpoint_transmit(e.mac, udp_to(e, "10.1.7.7"));
+  sim.run();
+
+  const auto check = [](const std::vector<sim::SimTime>& sends, sim::Duration cap,
+                        const char* what) {
+    ASSERT_EQ(sends.size(), 25u) << what;
+    sim::Duration previous{0};
+    for (std::size_t i = 1; i < sends.size(); ++i) {
+      const sim::Duration rto = sends[i] - sends[i - 1];
+      EXPECT_GE(rto, std::chrono::seconds{1}) << what << " RTO " << i;
+      EXPECT_LE(rto, cap) << what << " RTO " << i;
+      if (i > 1) {
+        EXPECT_LE(rto, previous * 3) << what << " RTO " << i;
+      }
+      previous = rto;
+    }
+  };
+  check(request_at, std::chrono::seconds{8}, "Map-Request");
+  check(register_at, std::chrono::seconds{16}, "Map-Register");
 }
 
 TEST_F(EdgeFixture, NoDefaultRouteModeDropsWhileResolving) {
@@ -669,41 +707,6 @@ TEST(RetryJitter, ShedRetriesSpreadAcrossEdges) {
   }
   // Spread, not lockstep: the retry instants must actually differ.
   EXPECT_GE(distinct.size(), 4u) << "shed retries re-synchronized";
-}
-
-TEST(RetryJitter, DisabledJitterHonorsExactHint) {
-  // With retransmit_jitter off the retry fires exactly at the server's
-  // hint — the deterministic baseline older tests and reproductions rely
-  // on.
-  sim::Simulator sim;
-  EdgeRouterConfig cfg;
-  cfg.name = "edge-0";
-  cfg.rloc = *Ipv4Address::parse("10.0.0.10");
-  cfg.border_rloc = *Ipv4Address::parse("10.0.0.1");
-  cfg.map_register_retries = 3;
-  cfg.retransmit_jitter = false;
-  EdgeRouter router{sim, cfg};
-  int sends = 0;
-  sim::SimTime retry_at;
-  router.set_send_data([](const net::FabricFrame&) {});
-  router.set_send_map_register([&](const lisp::MapRegister&) {
-    if (++sends == 2) retry_at = sim.now();
-  });
-  router.set_download_rules([](VnId, GroupId) { return std::vector<policy::Rule>{}; });
-
-  AttachedEndpoint e;
-  e.mac = MacAddress::from_u64(1);
-  e.ip = *Ipv4Address::parse("10.1.0.5");
-  e.vn = kVn;
-  e.group = GroupId{10};
-  e.port = 1;
-  e.credential = "ep-1";
-  router.attach_endpoint(e);
-  router.receive_map_register_busy(VnEid{kVn, net::Eid{e.ip}},
-                                   std::chrono::milliseconds{100});
-  sim.run_until(sim.now() + std::chrono::seconds{1});
-  ASSERT_EQ(sends, 2);
-  EXPECT_EQ(retry_at - sim::SimTime{}, sim::Duration{std::chrono::milliseconds{100}});
 }
 
 }  // namespace

@@ -5,69 +5,14 @@
 // like the original sequence-numbered heap did.
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "fabric/fabric.hpp"
+#include "determinism_scenario.hpp"
 
 namespace sda::fabric {
 namespace {
 
-using net::GroupId;
-using net::MacAddress;
-using net::VnId;
-
-constexpr VnId kVn{100};
-
-struct RunResult {
-  std::string flight_log;
-  std::size_t executed_events = 0;
-  sim::SimTime final_time;
-  std::uint64_t delivered = 0;
-};
-
 RunResult run_scenario(std::uint64_t seed) {
-  sim::Simulator sim;
-  FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = seed;
-  SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  fabric.add_edge("e0");
-  fabric.add_edge("e1");
-  fabric.add_edge("e2");
-  fabric.link("e0", "b0");
-  fabric.link("e1", "b0");
-  fabric.link("e2", "b0");
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-  fabric.provision_endpoint({"alice", "pw", MacAddress::from_u64(0x02AA), kVn, GroupId{10}});
-  fabric.provision_endpoint({"bob", "pw", MacAddress::from_u64(0x02BB), kVn, GroupId{10}});
-
-  net::Ipv4Address alice_ip;
-  net::Ipv4Address bob_ip;
-  fabric.connect_endpoint("alice", "e0", 1,
-                          [&alice_ip](const OnboardResult& r) { alice_ip = r.ip; });
-  fabric.connect_endpoint("bob", "e1", 1, [&bob_ip](const OnboardResult& r) { bob_ip = r.ip; });
-  sim.run();
-
-  // Traffic (cache miss + hits), a roam (SMR churn), then more traffic —
-  // enough same-timestamp fan-out to exercise the tie-break everywhere.
-  for (int i = 0; i < 4; ++i) {
-    fabric.endpoint_send_udp(MacAddress::from_u64(0x02AA), bob_ip, 443, 200);
-  }
-  sim.run();
-  fabric.roam_endpoint(MacAddress::from_u64(0x02BB), "e2", 2);
-  sim.run();
-  for (int i = 0; i < 4; ++i) {
-    fabric.endpoint_send_udp(MacAddress::from_u64(0x02AA), bob_ip, 443, 200);
-  }
-  sim.run();
-
-  RunResult result;
-  result.flight_log = fabric.flight_recorder().dump();
-  result.executed_events = sim.executed_events();
-  result.final_time = sim.now();
-  result.delivered = fabric.metrics().snapshot().counters.at("edge[0].encapsulated");
+  RunResult result = run_determinism_scenario(determinism_config(seed));
+  result.delivered = result.metrics.counters.at("edge[0].encapsulated");
   return result;
 }
 

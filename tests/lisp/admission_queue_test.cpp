@@ -19,11 +19,10 @@ using std::chrono::milliseconds;
 VnEid eid(const char* ip) { return VnEid{VnId{1}, Eid{*Ipv4Address::parse(ip)}}; }
 
 struct AdmissionFixture : ::testing::Test {
-  AdmissionFixture() : node(sim, server, config(), 42) {}
+  AdmissionFixture() : node(sim, server, *Ipv4Address::parse("10.0.0.1"), config(), 42) {}
 
   static MapServerNodeConfig config() {
     MapServerNodeConfig c;
-    c.rloc = *Ipv4Address::parse("10.0.0.1");
     c.workers = 2;
     c.request_service = std::chrono::microseconds{25};
     c.register_service = std::chrono::microseconds{30};
@@ -114,10 +113,9 @@ TEST(AdmissionUnlimited, ZeroLimitNeverSheds) {
   sim::Simulator sim;
   MapServer server;
   MapServerNodeConfig c;
-  c.rloc = *Ipv4Address::parse("10.0.0.1");
   c.workers = 1;
   c.jitter_sigma = 0.0;
-  MapServerNode node{sim, server, c, 42};
+  MapServerNode node{sim, server, *Ipv4Address::parse("10.0.0.1"), c, 42};
   int shed = 0;
   node.set_request_sink({}, [&](std::uint32_t, sim::Duration) { ++shed; });
   for (int i = 0; i < 100; ++i) {

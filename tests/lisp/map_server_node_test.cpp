@@ -14,11 +14,10 @@ using net::VnId;
 VnEid eid(const char* ip) { return VnEid{VnId{1}, Eid{*Ipv4Address::parse(ip)}}; }
 
 struct NodeFixture : ::testing::Test {
-  NodeFixture() : node(sim, server, config(), 42) {}
+  NodeFixture() : node(sim, server, *Ipv4Address::parse("10.0.0.1"), config(), 42) {}
 
   static MapServerNodeConfig config() {
     MapServerNodeConfig c;
-    c.rloc = *Ipv4Address::parse("10.0.0.1");
     c.workers = 2;
     c.request_service = std::chrono::microseconds{25};
     c.register_service = std::chrono::microseconds{30};

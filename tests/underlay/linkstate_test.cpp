@@ -19,14 +19,13 @@ struct LinkStateFixture : ::testing::Test {
     bc = topo.add_link(b, c, us100);
     cd = topo.add_link(c, d, us100);
     ad = topo.add_link(a, d, us100, 5);  // backup, higher cost
-    protocol = std::make_unique<LinkStateProtocol>(sim, topo, config);
+    protocol = std::make_unique<LinkStateProtocol>(sim, topo);
     protocol->start();
     sim.run();
   }
 
   sim::Simulator sim;
   Topology topo;
-  LinkStateConfig config;
   NodeId a{}, b{}, c{}, d{};
   LinkId ab{}, bc{}, cd{}, ad{};
   std::unique_ptr<LinkStateProtocol> protocol;
@@ -131,7 +130,7 @@ TEST_F(LinkStateFixture, NodeRecoveryReconverges) {
 
 TEST_F(LinkStateFixture, ConvergenceTimingBounds) {
   // For a failure at c-d, node b's view updates no earlier than
-  // failure_detection + one flood hop + spf_delay, and not much later.
+  // kFailureDetection + one flood hop + kSpfDelay, and not much later.
   double b_time = -1;
   protocol->set_view_change_callback([&](NodeId node) {
     if (node == b && b_time < 0) b_time = sim.now().seconds();
@@ -158,7 +157,7 @@ TEST(LinkStateScale, WarehouseStarConverges) {
     spokes.push_back(topo.add_node("s" + std::to_string(i), rloc(static_cast<std::uint32_t>(i))));
     topo.add_link(hub, spokes.back(), us100);
   }
-  LinkStateProtocol protocol{sim, topo, {}};
+  LinkStateProtocol protocol{sim, topo};
   protocol.start();
   sim.run();
   EXPECT_TRUE(protocol.view_reachable(spokes[0], spokes[199]));
