@@ -1,126 +1,27 @@
-// Ablation (§1/§2 "Resource optimization") — edge FIB size vs. control and
-// border load.
-//
-// The paper's CAPEX argument: the reactive protocol lets operators deploy
-// edge devices with small FIBs, because an edge only needs entries for the
-// destinations its endpoints are *actively* talking to. This bench sweeps
-// the edge map-cache capacity under a Zipf-skewed campus traffic mix and
-// reports what shrinking the FIB actually costs: map-cache hit rate,
-// Map-Request load on the routing server, and default-routed packets the
-// border has to absorb. Delivery stays at 100% throughout — the default
-// route turns FIB pressure into border/CPU load, never into loss.
+// Ablation (§1-2 "Resource optimization") — edge FIB size vs. control and
+// border load: the reactive protocol lets cheap small-FIB edges serve a
+// campus, because misses ride the border default route. Prints
+// run_cache_capacity_ablation() (workload/ablations.hpp).
 #include <cstdio>
-#include <vector>
 
-#include "fabric/fabric.hpp"
-#include "sim/random.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{100};
-constexpr unsigned kEdges = 8;
-constexpr unsigned kHosts = 240;
-constexpr unsigned kPackets = 40000;
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-struct CapacityResult {
-  double hit_rate = 0;
-  std::uint64_t map_requests = 0;
-  std::uint64_t default_routed = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t delivered = 0;
-  std::size_t max_fib = 0;
-};
-
-CapacityResult run(std::size_t capacity) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.edge_map_cache_capacity = capacity;
-  config.l2_gateway = false;
-  config.seed = 23;
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < kEdges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0");
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  std::vector<net::Ipv4Address> ips(kHosts);
-  for (unsigned i = 0; i < kHosts; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = "h" + std::to_string(i);
-    def.secret = "pw";
-    def.mac = mac(i);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, "e" + std::to_string(i % kEdges), 1,
-                            [&ips, i](const fabric::OnboardResult& r) { ips[i] = r.ip; });
-  }
-  sim.run();
-
-  CapacityResult result;
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime) {
-        ++result.delivered;
-      });
-
-  // Zipf-skewed destinations (popular servers + long tail), Poisson sends.
-  sim::Rng rng{41};
-  sim::ZipfSampler popularity{kHosts, 1.0};
-  sim::SimTime at;
-  for (unsigned p = 0; p < kPackets; ++p) {
-    at += rng.exp_interarrival(2000.0);
-    const auto src = rng.next_below(kHosts);
-    auto dst = popularity.sample(rng);
-    if (dst == src) dst = (dst + 1) % kHosts;
-    sim.schedule_at(at, [&fabric, src, dst, &ips] {
-      fabric.endpoint_send_udp(mac(src), ips[dst], 443, 200);
-    });
-  }
-  sim.run();
-
-  std::uint64_t hits = 0, misses = 0;
-  for (const auto& name : fabric.edge_names()) {
-    auto& edge = fabric.edge(name);
-    hits += edge.map_cache().stats().hits;
-    misses += edge.map_cache().stats().misses;
-    result.map_requests += edge.counters().map_requests_sent;
-    result.default_routed += edge.counters().default_routed;
-    result.evictions += edge.map_cache().stats().evictions;
-    result.max_fib = std::max(result.max_fib, edge.fib_size());
-  }
-  result.hit_rate = static_cast<double>(hits) / static_cast<double>(hits + misses);
-  return result;
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
+  using A = sda::workload::CacheCapacityAblation;
   std::printf("=== Ablation (CAPEX): edge map-cache capacity vs control/border load ===\n");
   std::printf("%u hosts on %u edges, %u packets, Zipf(1.0) destination popularity\n\n",
-              kHosts, kEdges, kPackets);
+              A::kHosts, A::kEdges, A::kPackets);
 
-  sda::stats::Table table{{"capacity", "hit rate", "map-requests", "default-routed",
-                           "evictions", "max FIB", "delivered"}};
-  for (const std::size_t capacity : {std::size_t{4}, std::size_t{8}, std::size_t{16},
-                                     std::size_t{32}, std::size_t{64}, std::size_t{0}}) {
-    const CapacityResult r = run(capacity);
-    table.add_row({capacity == 0 ? "unbounded" : sda::stats::Table::num(capacity),
-                   sda::stats::Table::num(r.hit_rate, 3),
-                   sda::stats::Table::num(std::size_t{r.map_requests}),
-                   sda::stats::Table::num(std::size_t{r.default_routed}),
-                   sda::stats::Table::num(std::size_t{r.evictions}),
-                   sda::stats::Table::num(r.max_fib),
-                   sda::stats::Table::num(std::size_t{r.delivered})});
+  Table table{{"capacity", "hit rate", "map-requests", "default-routed", "evictions", "max FIB",
+               "delivered"}};
+  for (const auto& r : sda::workload::run_cache_capacity_ablation().rows) {
+    table.add_row({r.capacity == 0 ? "unbounded" : Table::num(r.capacity),
+                   Table::num(r.hit_rate, 3), Table::num(std::size_t{r.map_requests}),
+                   Table::num(std::size_t{r.default_routed}),
+                   Table::num(std::size_t{r.evictions}), Table::num(r.max_fib),
+                   Table::num(std::size_t{r.delivered})});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("takeaway: shrinking the edge FIB never drops traffic — misses fall back to\n");

@@ -1,177 +1,43 @@
-// Ablation (§5.3) — ingress vs egress policy-enforcement point.
-//
-// The paper chose egress enforcement to minimize data-plane state: an edge
-// only needs the rules whose destination groups are locally attached. The
-// price is fabric bandwidth wasted on traffic that will be dropped at the
-// far end. This bench quantifies both sides on the same topology, traffic
-// matrix and policy:
-//   * rule-state footprint per edge (egress: local destination groups only;
-//     ingress: the full matrix everywhere, since any destination group may
-//     be remote);
-//   * overlay bytes carried by frames that end up dropped by policy.
+// Ablation (§5.3) — ingress vs egress policy-enforcement point: egress keeps
+// only the rules of locally attached destination groups, at the price of
+// fabric bytes carried by frames the far end drops. Prints
+// run_enforcement_point_ablation() (workload/ablations.hpp).
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "fabric/fabric.hpp"
-#include "sim/random.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{100};
-constexpr unsigned kEdges = 8;
-constexpr unsigned kGroups = 12;
-constexpr unsigned kEndpointsPerEdge = 12;
-constexpr unsigned kFlows = 4000;
-constexpr std::uint16_t kPayload = 400;
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-struct RunResult {
-  std::size_t total_rules = 0;
-  std::size_t max_rules_per_edge = 0;
-  std::uint64_t policy_drops_ingress = 0;
-  std::uint64_t policy_drops_egress = 0;
-  std::uint64_t wasted_fabric_bytes = 0;  // encapsulated but later dropped
-  std::uint64_t delivered = 0;
-};
-
-RunResult run(bool enforce_on_ingress) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.enforce_on_ingress = enforce_on_ingress;
-  config.l2_gateway = false;
-  config.seed = 17;
-  fabric::SdaFabric fabric{sim, config};
-
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < kEdges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0");
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  // Deny a quarter of the directed group pairs.
-  sim::Rng policy_rng{3};
-  std::vector<policy::Rule> all_rules;
-  for (unsigned s = 1; s <= kGroups; ++s) {
-    for (unsigned d = 1; d <= kGroups; ++d) {
-      if (s != d && policy_rng.chance(0.25)) {
-        const policy::Rule rule{{net::GroupId{static_cast<std::uint16_t>(s)},
-                                 net::GroupId{static_cast<std::uint16_t>(d)}},
-                                policy::Action::Deny};
-        all_rules.push_back(rule);
-        fabric.set_rule({kVn, rule.pair.source, rule.pair.destination, rule.action});
-      }
-    }
-  }
-
-  // Endpoints: each edge hosts only 3 of the 12 groups (real deployments
-  // cluster device types — this locality is what egress enforcement
-  // exploits to keep rule state small).
-  std::vector<net::Ipv4Address> ips;
-  unsigned id = 0;
-  for (unsigned e = 0; e < kEdges; ++e) {
-    for (unsigned i = 0; i < kEndpointsPerEdge; ++i, ++id) {
-      fabric::EndpointDefinition def;
-      def.credential = "h" + std::to_string(id);
-      def.secret = "pw";
-      def.mac = mac(id);
-      def.vn = kVn;
-      def.group = net::GroupId{static_cast<std::uint16_t>(1 + (e * 3 + i % 3) % kGroups)};
-      fabric.provision_endpoint(def);
-      fabric.connect_endpoint(def.credential, "e" + std::to_string(e), 1,
-                              [&ips](const fabric::OnboardResult& r) {
-                                if (r.success) ips.push_back(r.ip);
-                              });
-    }
-  }
-  sim.run();
-
-  // Ingress mode needs the *whole* matrix at every edge: any destination
-  // group can be remote (the §5.3 state-cost argument, Fig. 13 top).
-  if (enforce_on_ingress) {
-    for (unsigned e = 0; e < kEdges; ++e) {
-      for (const auto& rule : all_rules) {
-        fabric.edge("e" + std::to_string(e)).sgacl().install_rule(kVn, rule);
-      }
-    }
-  }
-
-  std::uint64_t delivered = 0;
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime) {
-        ++delivered;
-      });
-
-  // Uniform random traffic matrix.
-  sim::Rng traffic_rng{29};
-  for (unsigned f = 0; f < kFlows; ++f) {
-    const auto src = traffic_rng.next_below(ips.size());
-    auto dst = traffic_rng.next_below(ips.size());
-    if (dst == src) dst = (dst + 1) % ips.size();
-    sim.schedule_after(std::chrono::microseconds{f * 50}, [&, src, dst] {
-      fabric.endpoint_send_udp(mac(src), ips[dst], 443, kPayload);
-    });
-  }
-  sim.run();
-
-  RunResult result;
-  result.delivered = delivered;
-  for (unsigned e = 0; e < kEdges; ++e) {
-    auto& edge = fabric.edge("e" + std::to_string(e));
-    result.total_rules += edge.sgacl().rule_count();
-    result.max_rules_per_edge = std::max(result.max_rules_per_edge, edge.sgacl().rule_count());
-    if (enforce_on_ingress) {
-      result.policy_drops_ingress += edge.counters().policy_drops;
-    } else {
-      result.policy_drops_egress += edge.counters().policy_drops;
-    }
-  }
-  // Frames dropped at egress crossed the fabric once: inner + encap bytes.
-  const std::uint64_t frame_bytes = kPayload + 14 + 20 + 8 + 36;
-  result.wasted_fabric_bytes = result.policy_drops_egress * frame_bytes;
-  return result;
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
+  using A = sda::workload::EnforcementPointAblation;
   std::printf("=== Ablation (section 5.3): policy enforcement point ===\n");
   std::printf("%u edges, %u groups, %u endpoints, %u flows, ~25%% of group pairs denied\n\n",
-              kEdges, kGroups, kEdges * kEndpointsPerEdge, kFlows);
+              A::kEdges, A::kGroups, A::kEdges * A::kEndpointsPerEdge, A::kFlows);
 
-  const RunResult egress = run(false);
-  const RunResult ingress = run(true);
-
-  sda::stats::Table table{{"metric", "egress (SDA)", "ingress (ablation)"}};
-  table.add_row({"SGACL rules, total across edges",
-                 sda::stats::Table::num(egress.total_rules),
-                 sda::stats::Table::num(ingress.total_rules)});
-  table.add_row({"SGACL rules, max per edge",
-                 sda::stats::Table::num(egress.max_rules_per_edge),
-                 sda::stats::Table::num(ingress.max_rules_per_edge)});
-  table.add_row({"frames dropped at ingress", sda::stats::Table::num(std::size_t{0}),
-                 sda::stats::Table::num(std::size_t{ingress.policy_drops_ingress})});
-  table.add_row({"frames dropped at egress",
-                 sda::stats::Table::num(std::size_t{egress.policy_drops_egress}),
-                 sda::stats::Table::num(std::size_t{ingress.policy_drops_egress})});
-  table.add_row({"wasted fabric bytes",
-                 sda::stats::Table::num(std::size_t{egress.wasted_fabric_bytes}),
-                 sda::stats::Table::num(std::size_t{ingress.wasted_fabric_bytes})});
-  table.add_row({"frames delivered", sda::stats::Table::num(std::size_t{egress.delivered}),
-                 sda::stats::Table::num(std::size_t{ingress.delivered})});
+  const A r = sda::workload::run_enforcement_point_ablation();
+  const auto row = [](const char* metric, std::size_t egress, std::size_t ingress) {
+    return std::vector<std::string>{metric, Table::num(egress), Table::num(ingress)};
+  };
+  Table table{{"metric", "egress (SDA)", "ingress (ablation)"}};
+  table.add_row(row("SGACL rules, total across edges", r.egress.total_rules,
+                    r.ingress.total_rules));
+  table.add_row(row("SGACL rules, max per edge", r.egress.max_rules_per_edge,
+                    r.ingress.max_rules_per_edge));
+  table.add_row(row("frames dropped at ingress", r.egress.dropped_at_ingress,
+                    r.ingress.dropped_at_ingress));
+  table.add_row(row("frames dropped at egress", r.egress.dropped_at_egress,
+                    r.ingress.dropped_at_egress));
+  table.add_row(row("wasted fabric bytes", r.egress.wasted_fabric_bytes,
+                    r.ingress.wasted_fabric_bytes));
+  table.add_row(row("frames delivered", r.egress.delivered, r.ingress.delivered));
   std::printf("%s\n", table.render().c_str());
 
   std::printf("takeaway: ingress saves the wasted bytes but multiplies rule state by ~%.1fx;\n",
-              static_cast<double>(ingress.total_rules) /
-                  static_cast<double>(std::max<std::size_t>(egress.total_rules, 1)));
+              static_cast<double>(r.ingress.total_rules) /
+                  static_cast<double>(std::max<std::size_t>(r.egress.total_rules, 1)));
   std::printf("egress also keeps (IP, GroupId) fresh without extra signaling (Fig. 13).\n");
   return 0;
 }

@@ -6,153 +6,41 @@
 // that points to the border router, and by synchronizing the routing state
 // in the border."
 //
-// This bench quantifies that design decision: the same cold-start flow set
-// runs (a) with the SDA border default route and (b) classic-LISP style
-// (drop until the Map-Reply arrives), under increasing routing-server
-// load. Reported per mode: first-packet loss, first-packet delivery
-// latency, and warm-path latency.
+// Prints run_first_packet_ablation() (workload/ablations.hpp): the same cold
+// flows with the border default route and classic-LISP drop-on-miss, as the
+// routing server slows down.
 #include <cstdio>
-#include <optional>
-#include <vector>
 
-#include "fabric/fabric.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
+#include "workload/ablations.hpp"
 
 namespace {
 
-using namespace sda;
+using sda::stats::Table;
 
-constexpr net::VnId kVn{100};
-constexpr unsigned kEdges = 10;
-constexpr unsigned kHostsPerEdge = 8;
-constexpr unsigned kColdFlows = 300;
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-struct ModeResult {
-  std::uint64_t first_packets_sent = 0;
-  std::uint64_t first_packets_lost = 0;
-  stats::Summary first_packet_ms;  // latency of delivered first packets
-  stats::Summary warm_packet_ms;
-};
-
-ModeResult run(bool default_route_fallback, sim::Duration extra_server_latency) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.default_route_fallback = default_route_fallback;
-  config.l2_gateway = false;
-  config.seed = 5;
-  // Model a loaded routing server with a slower service time.
-  config.map_server.request_service =
-      std::chrono::microseconds{25} + std::chrono::duration_cast<std::chrono::microseconds>(
-                                          extra_server_latency);
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < kEdges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0", std::chrono::microseconds{80});
-  }
-  // Short edge-to-edge ring links: the direct overlay path is cheaper than
-  // the border detour, so the default-route fallback has a visible cost.
-  for (unsigned e = 0; e < kEdges; ++e) {
-    fabric.link("e" + std::to_string(e), "e" + std::to_string((e + 1) % kEdges),
-                std::chrono::microseconds{20});
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  std::vector<net::Ipv4Address> ips(kEdges * kHostsPerEdge);
-  for (unsigned i = 0; i < ips.size(); ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = "h" + std::to_string(i);
-    def.secret = "pw";
-    def.mac = mac(i);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, "e" + std::to_string(i % kEdges), 1,
-                            [&ips, i](const fabric::OnboardResult& r) { ips[i] = r.ip; });
-  }
-  sim.run();
-
-  ModeResult result;
-  std::uint64_t delivered = 0;
-  std::uint64_t burst_baseline = 0;
-  sim::SimTime last_delivery, first_in_burst;
-  fabric.set_delivery_listener(
-      [&](const dataplane::AttachedEndpoint&, const net::OverlayFrame&, sim::SimTime at) {
-        ++delivered;
-        last_delivery = at;
-        if (delivered == burst_baseline + 1) first_in_burst = at;
-      });
-
-  sim::Rng rng{31};
-  for (unsigned f = 0; f < kColdFlows; ++f) {
-    // Always a cross-edge pair: same-edge flows never touch the map cache.
-    const auto src = rng.next_below(ips.size());
-    auto dst = rng.next_below(ips.size());
-    while (dst % kEdges == src % kEdges) dst = (dst + 1) % ips.size();
-
-    // Cold burst: 5 packets, 2 ms apart — a TCP-handshake-like opening.
-    // With a slow routing server more of the burst falls inside the
-    // resolution window.
-    constexpr int kBurst = 5;
-    burst_baseline = delivered;
-    const sim::SimTime t0 = sim.now();
-    for (int p = 0; p < kBurst; ++p) {
-      sim.schedule_after(std::chrono::milliseconds{2 * p}, [&fabric, src, dst, &ips] {
-        fabric.endpoint_send_udp(mac(src), ips[dst], 443, 400);
-      });
-    }
-    sim.run();
-    result.first_packets_sent += kBurst;
-    const std::uint64_t got = delivered - burst_baseline;
-    result.first_packets_lost += kBurst - got;
-    if (got > 0) {
-      // Time until the flow's first packet actually got through.
-      result.first_packet_ms.add(static_cast<double>((first_in_burst - t0).count()) / 1e6);
-    }
-
-    // Warm packet (mapping now cached): the direct-path latency.
-    const std::uint64_t before2 = delivered;
-    const sim::SimTime t1 = sim.now();
-    fabric.endpoint_send_udp(mac(src), ips[dst], 443, 400);
-    sim.run();
-    if (delivered > before2) {
-      result.warm_packet_ms.add(static_cast<double>((last_delivery - t1).count()) / 1e6);
-    }
-  }
-  return result;
-}
-
-void print_mode_row(sda::stats::Table& table, const char* label, const ModeResult& r) {
-  table.add_row(
-      {label, sda::stats::Table::num(std::size_t{r.first_packets_sent}),
-       sda::stats::Table::num(std::size_t{r.first_packets_lost}),
-       r.first_packet_ms.empty() ? "-" : sda::stats::Table::num(r.first_packet_ms.median(), 3),
-       sda::stats::Table::num(r.warm_packet_ms.median(), 3)});
+void add_mode_row(Table& table, const char* label, const sda::workload::FirstPacketArm& r) {
+  table.add_row({label, Table::num(std::size_t{r.first_packets_sent}),
+                 Table::num(std::size_t{r.first_packets_lost}),
+                 Table::num(std::size_t{r.flows_delivered}) + "/" +
+                     Table::num(std::size_t{sda::workload::FirstPacketAblation::kColdFlows}),
+                 r.first_packet_ms.empty() ? "-" : Table::num(r.first_packet_ms.median(), 3),
+                 Table::num(r.warm_packet_ms.median(), 3)});
 }
 
 }  // namespace
 
 int main() {
+  using A = sda::workload::FirstPacketAblation;
   std::printf("=== Ablation (section 3.2.2): absorbing the reactive initial delay ===\n");
   std::printf("%u cold flows across %u edges; border default route vs drop-on-miss\n\n",
-              kColdFlows, kEdges);
+              A::kColdFlows, A::kEdges);
 
-  for (const auto extra_us : {0, 2000, 10000}) {
-    const auto extra = std::chrono::microseconds{extra_us};
-    const ModeResult with_default = run(true, extra);
-    const ModeResult classic = run(false, extra);
-
-    std::printf("routing-server service time: %d us\n", 25 + extra_us);
-    sda::stats::Table table{{"mode", "first pkts", "lost", "first-pkt median ms",
-                             "warm median ms"}};
-    print_mode_row(table, "SDA (border default route)", with_default);
-    print_mode_row(table, "classic LISP (drop on miss)", classic);
+  for (const auto& row : sda::workload::run_first_packet_ablation().rows) {
+    std::printf("routing-server service time: %u us\n", row.service_us);
+    Table table{{"mode", "first pkts", "lost", "flows delivered", "first-pkt median ms",
+                 "warm median ms"}};
+    add_mode_row(table, "SDA (border default route)", row.sda);
+    add_mode_row(table, "classic LISP (drop on miss)", row.classic);
     std::printf("%s\n", table.render().c_str());
   }
 

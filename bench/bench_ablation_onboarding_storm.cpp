@@ -1,96 +1,26 @@
 // Ablation — onboarding storms ("large gatherings with highly mobile
-// end-hosts", paper conclusion; "dealing with policy updates at scale",
-// §1).
-//
-// A flash crowd of devices arrives within a short window (doors open at a
-// stadium / shift change at a warehouse). Authentication queues on the
-// policy server's CPU, so the p99 onboarding delay is governed by worker
-// capacity. This bench sweeps the arrival rate and the RADIUS worker
-// count, reporting onboarding-latency percentiles.
+// end-hosts", paper conclusion): a flash crowd queues on the policy
+// server's RADIUS workers. Prints run_onboarding_storm_ablation()
+// (workload/ablations.hpp).
 #include <cstdio>
-#include <vector>
 
-#include "fabric/fabric.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{1};
-constexpr unsigned kEdges = 20;
-constexpr unsigned kDevices = 2000;
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0600'0000'0000ull | i);
-}
-
-stats::Summary run(double arrivals_per_second, unsigned workers) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.timings.policy_workers = workers;
-  config.timings.auth_processing = std::chrono::milliseconds{2};
-  config.seed = 13;
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < kEdges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0");
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "venue", *net::Ipv4Prefix::parse("10.64.0.0/14")});
-
-  for (unsigned i = 0; i < kDevices; ++i) {
-    fabric::EndpointDefinition def;
-    def.credential = "dev" + std::to_string(i);
-    def.secret = "pw";
-    def.mac = mac(i);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-  }
-
-  stats::Summary onboarding_ms;
-  sim::Rng rng{4};
-  sim::SimTime at;
-  for (unsigned i = 0; i < kDevices; ++i) {
-    at += rng.exp_interarrival(arrivals_per_second);
-    sim.schedule_at(at, [&fabric, &onboarding_ms, i] {
-      fabric.connect_endpoint("dev" + std::to_string(i), "e" + std::to_string(i % kEdges), 1,
-                              [&onboarding_ms](const fabric::OnboardResult& r) {
-                                if (r.success) {
-                                  onboarding_ms.add(
-                                      static_cast<double>(r.elapsed.count()) / 1e6);
-                                }
-                              });
-    });
-  }
-  sim.run();
-  return onboarding_ms;
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
   std::printf("=== Ablation: onboarding storm (flash-crowd authentication) ===\n");
-  std::printf("%u devices arriving Poisson; RADIUS service 2 ms per auth round\n\n", kDevices);
+  std::printf("%u devices arriving Poisson; RADIUS service 2 ms per auth round\n\n",
+              sda::workload::OnboardingStormAblation::kDevices);
 
-  sda::stats::Table table{{"arrivals/s", "workers", "utilization", "median ms", "p95 ms",
-                           "p99 ms", "max ms"}};
-  for (const double rate : {50.0, 200.0, 800.0}) {
-    for (const unsigned workers : {2u, 8u, 32u}) {
-      const sda::stats::Summary s = run(rate, workers);
-      // Two EAP rounds * 2 ms CPU per onboarding = 4 ms of work each.
-      const double utilization = rate * 0.004 / workers;
-      table.add_row({sda::stats::Table::num(rate, 0), sda::stats::Table::num(std::size_t{workers}),
-                     sda::stats::Table::num(utilization, 2),
-                     sda::stats::Table::num(s.median(), 1),
-                     sda::stats::Table::num(s.percentile(95), 1),
-                     sda::stats::Table::num(s.percentile(99), 1),
-                     sda::stats::Table::num(s.max(), 1)});
-    }
+  Table table{{"arrivals/s", "workers", "utilization", "median ms", "p95 ms", "p99 ms",
+               "max ms"}};
+  for (const auto& r : sda::workload::run_onboarding_storm_ablation().rows) {
+    const auto& s = r.onboarding_ms;
+    table.add_row({Table::num(r.arrivals_per_second, 0), Table::num(std::size_t{r.workers}),
+                   Table::num(r.utilization, 2), Table::num(s.median(), 1),
+                   Table::num(s.percentile(95), 1), Table::num(s.percentile(99), 1),
+                   Table::num(s.max(), 1)});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("takeaway: onboarding latency is flat while the auth pool keeps up and\n");

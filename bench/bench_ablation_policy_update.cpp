@@ -1,141 +1,24 @@
 // Ablation (§5.4) — policy-update strategies: moving endpoints between
-// groups vs rewriting the group ACLs.
-//
-// The paper reports that which strategy is cheaper depends on the endpoint
-// distribution: few large groups vs many small groups. This bench sweeps
-// that distribution and counts control-plane signaling messages for two
-// equivalent intents:
-//   A. "Acquisition": grant a cohort of endpoints the access of a target
-//      group — either move each endpoint into the target group (one
-//      CoA-style signal per endpoint) or add rules from their current
-//      groups to every destination the target group can reach (one rule
-//      push per affected (rule, hosting-edge) pair).
+// groups vs rewriting the group ACLs. The paper reports that which is
+// cheaper depends on the endpoint distribution. Prints
+// run_policy_update_ablation() (workload/ablations.hpp).
 #include <cstdio>
-#include <string>
-#include <vector>
 
-#include "fabric/fabric.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{100};
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-struct Scenario {
-  std::string name;
-  unsigned groups;       // cohort is split across this many source groups
-  unsigned cohort;       // endpoints being granted access
-  unsigned edges;        // edges hosting them
-  unsigned reach;        // destination groups the target group may reach
-};
-
-struct Costs {
-  std::uint64_t move_signals = 0;  // strategy A: endpoint group moves
-  std::uint64_t rule_pushes = 0;   // strategy B: matrix updates
-};
-
-Costs run(const Scenario& s) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < s.edges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0");
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  const net::GroupId target{500};
-  // The target group's existing access: deny-by-default world where the
-  // target group has `reach` allow rules.
-  std::vector<net::GroupId> destinations;
-  for (unsigned d = 0; d < s.reach; ++d) {
-    destinations.push_back(net::GroupId{static_cast<std::uint16_t>(600 + d)});
-    fabric.set_rule({kVn, target, destinations.back(), policy::Action::Allow});
-  }
-
-  // Cohort endpoints spread over source groups and edges. Each destination
-  // group is also hosted somewhere (one service endpoint per destination).
-  unsigned id = 0;
-  for (unsigned i = 0; i < s.cohort; ++i, ++id) {
-    fabric::EndpointDefinition def;
-    def.credential = "emp" + std::to_string(id);
-    def.secret = "pw";
-    def.mac = mac(id);
-    def.vn = kVn;
-    def.group = net::GroupId{static_cast<std::uint16_t>(1 + i % s.groups)};
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, "e" + std::to_string(i % s.edges), 1);
-  }
-  for (unsigned d = 0; d < s.reach; ++d, ++id) {
-    fabric::EndpointDefinition def;
-    def.credential = "svc" + std::to_string(d);
-    def.secret = "pw";
-    def.mac = mac(id);
-    def.vn = kVn;
-    def.group = destinations[d];
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, "e" + std::to_string(d % s.edges), 1);
-  }
-  sim.run();
-
-  Costs costs;
-  const auto& stats = fabric.policy_server().stats();
-
-  // Strategy A: move every cohort endpoint into the target group.
-  const auto signals_before = stats.endpoint_change_signals;
-  for (unsigned i = 0; i < s.cohort; ++i) {
-    fabric.reassign_endpoint_group("emp" + std::to_string(i), target);
-  }
-  sim.run();
-  costs.move_signals = stats.endpoint_change_signals - signals_before;
-
-  // Strategy B (counterfactual on the same fabric): instead of moving the
-  // endpoints, extend each of the target group's `reach` rules to every
-  // source group of the cohort.
-  const auto pushes_before = stats.rule_push_messages;
-  for (unsigned g = 1; g <= s.groups; ++g) {
-    for (const auto destination : destinations) {
-      fabric.update_rule({kVn, net::GroupId{static_cast<std::uint16_t>(g)}, destination,
-                          policy::Action::Allow});
-    }
-  }
-  sim.run();
-  costs.rule_pushes = stats.rule_push_messages - pushes_before;
-  return costs;
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
   std::printf("=== Ablation (section 5.4): group-move vs ACL-update signaling ===\n\n");
 
-  const std::vector<Scenario> scenarios = {
-      {"few large groups, small reach", 2, 200, 8, 2},
-      {"few large groups, wide reach", 2, 200, 8, 16},
-      {"many small groups, small reach", 40, 200, 8, 2},
-      {"many small groups, wide reach", 40, 200, 8, 16},
-      {"small cohort, wide reach", 4, 12, 8, 16},
-  };
-
-  sda::stats::Table table{{"scenario", "cohort", "src groups", "reach",
-                           "A: move signals", "B: rule pushes", "cheaper"}};
-  for (const auto& s : scenarios) {
-    const Costs costs = run(s);
-    table.add_row({s.name, sda::stats::Table::num(std::size_t{s.cohort}),
-                   sda::stats::Table::num(std::size_t{s.groups}),
-                   sda::stats::Table::num(std::size_t{s.reach}),
-                   sda::stats::Table::num(std::size_t{costs.move_signals}),
-                   sda::stats::Table::num(std::size_t{costs.rule_pushes}),
-                   costs.move_signals <= costs.rule_pushes ? "move endpoints" : "update rules"});
+  Table table{{"scenario", "cohort", "src groups", "reach", "A: move signals", "B: rule pushes",
+               "cheaper"}};
+  for (const auto& r : sda::workload::run_policy_update_ablation()) {
+    const auto& s = r.scenario;
+    table.add_row({s.name, Table::num(std::size_t{s.cohort}), Table::num(std::size_t{s.groups}),
+                   Table::num(std::size_t{s.reach}), Table::num(std::size_t{r.move_signals}),
+                   Table::num(std::size_t{r.rule_pushes}),
+                   r.move_cheaper() ? "move endpoints" : "update rules"});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("takeaway (paper section 5.4): neither strategy dominates — moving users wins\n");

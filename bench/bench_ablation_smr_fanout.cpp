@@ -1,145 +1,27 @@
 // Ablation (§3.4) — mobility signaling vs. traffic pattern.
 //
-// "Regarding signaling scalability, this method depends on traffic
-// patterns: if the roaming endpoint is very popular, we will have to
-// update a significant portion of edge routers. On the contrary, endpoints
-// that receive traffic from few sources require less signaling... the
-// control plane doesn't need to update *all* edge routers that have the
-// stale location, but only those that require it."
+// "...the control plane doesn't need to update *all* edge routers that have
+// the stale location, but only those that require it."
 //
-// One endpoint roams; K other endpoints (its active correspondents) keep
-// sending to it. We count control-plane messages for the reactive design
-// (Map-Register + Map-Notify + pub/sub + data-triggered SMR + re-requests)
-// against the proactive baseline (route reflected to every edge), sweeping
-// both the fabric size E and the correspondent count K.
+// Prints run_smr_fanout_ablation() (workload/ablations.hpp): the reactive
+// plane's messages for one roam with K correspondents vs the proactive
+// route reflector's, sweeping the fabric size E and K.
 #include <cstdio>
-#include <vector>
 
-#include "bgp/route_reflector.hpp"
-#include "fabric/fabric.hpp"
 #include "stats/table.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{100};
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-/// Control messages the reactive plane spends on one roam of a host with
-/// `senders` active correspondents in an `edges`-edge fabric.
-std::uint64_t reactive_messages(unsigned edges, unsigned senders) {
-  sim::Simulator sim;
-  fabric::FabricConfig config;
-  config.l2_gateway = false;
-  config.seed = 3;
-  fabric::SdaFabric fabric{sim, config};
-  fabric.add_border("b0");
-  for (unsigned e = 0; e < edges; ++e) {
-    fabric.add_edge("e" + std::to_string(e));
-    fabric.link("e" + std::to_string(e), "b0");
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  // The popular host on e0, correspondents spread over the other edges.
-  net::Ipv4Address popular_ip;
-  fabric::EndpointDefinition popular;
-  popular.credential = "popular";
-  popular.secret = "pw";
-  popular.mac = mac(0);
-  popular.vn = kVn;
-  popular.group = net::GroupId{10};
-  fabric.provision_endpoint(popular);
-  fabric.connect_endpoint("popular", "e0", 1,
-                          [&](const fabric::OnboardResult& r) { popular_ip = r.ip; });
-  for (unsigned s = 0; s < senders; ++s) {
-    fabric::EndpointDefinition def;
-    def.credential = "s" + std::to_string(s);
-    def.secret = "pw";
-    def.mac = mac(1 + s);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    fabric.connect_endpoint(def.credential, "e" + std::to_string(1 + s % (edges - 1)), 1);
-  }
-  sim.run();
-
-  // Correspondents warm their caches towards the popular host.
-  for (unsigned s = 0; s < senders; ++s) {
-    fabric.endpoint_send_udp(mac(1 + s), popular_ip, 443, 100);
-  }
-  sim.run();
-
-  auto control_total = [&] {
-    std::uint64_t total = fabric.map_server().stats().registers +
-                          fabric.map_server().stats().requests;
-    for (const auto& name : fabric.edge_names()) {
-      total += fabric.edge(name).counters().smr_sent;
-    }
-    // Pub/sub messages: one per border per publish; approximate with the
-    // border's applied publish count.
-    for (const auto& name : fabric.border_names()) {
-      total += fabric.border(name).counters().publishes_applied +
-               fabric.border(name).counters().withdrawals_applied;
-    }
-    return total;
-  };
-
-  const std::uint64_t before = control_total();
-  fabric.roam_endpoint(mac(0), "e" + std::to_string(edges - 1), 2);
-  sim.run();
-  // Every correspondent keeps talking: stale caches trigger SMRs and
-  // re-resolution (Fig. 6).
-  for (unsigned s = 0; s < senders; ++s) {
-    fabric.endpoint_send_udp(mac(1 + s), popular_ip, 443, 100);
-  }
-  sim.run();
-  for (unsigned s = 0; s < senders; ++s) {  // post-refresh traffic, no signaling
-    fabric.endpoint_send_udp(mac(1 + s), popular_ip, 443, 100);
-  }
-  sim.run();
-  return control_total() - before;
-}
-
-/// Messages the proactive plane spends: the reflector replicates the
-/// roamed host's route to every other peer, senders or not.
-std::uint64_t proactive_messages(unsigned edges) {
-  sim::Simulator sim;
-  bgp::RouteReflector reflector{sim, bgp::ReflectorConfig{}, 5};
-  std::vector<std::unique_ptr<bgp::BgpPeer>> peers;
-  for (unsigned i = 0; i <= edges; ++i) {  // edges + border
-    peers.push_back(std::make_unique<bgp::BgpPeer>(net::Ipv4Address{0x0A000000u + i}));
-    reflector.add_client(*peers.back());
-  }
-  const net::VnEid eid{kVn, net::Eid{net::Ipv4Address{10, 100, 0, 3}}};
-  reflector.announce(peers[1]->rloc(), eid, peers[1]->rloc());
-  sim.run();
-  return reflector.stats().routes_replicated + 1;  // + the announcement itself
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
   std::printf("=== Ablation (section 3.4): mobility signaling vs traffic pattern ===\n");
   std::printf("one host roams; K correspondents keep sending; count control messages\n\n");
 
-  sda::stats::Table table{{"edges", "correspondents", "reactive msgs", "proactive msgs",
-                           "reactive scales with"}};
-  for (const unsigned edges : {25u, 50u, 100u, 200u}) {
-    for (const unsigned senders : {4u, 16u, 64u}) {
-      if (senders >= edges) continue;
-      const auto reactive = reactive_messages(edges, senders);
-      const auto proactive = proactive_messages(edges);
-      table.add_row({sda::stats::Table::num(std::size_t{edges}),
-                     sda::stats::Table::num(std::size_t{senders}),
-                     sda::stats::Table::num(std::size_t{reactive}),
-                     sda::stats::Table::num(std::size_t{proactive}),
-                     reactive < proactive ? "senders (K)" : "senders (K) - large K"});
-    }
+  Table table{{"edges", "correspondents", "reactive msgs", "proactive msgs",
+               "reactive scales with"}};
+  for (const auto& r : sda::workload::run_smr_fanout_ablation()) {
+    table.add_row({Table::num(std::size_t{r.edges}), Table::num(std::size_t{r.senders}),
+                   Table::num(std::size_t{r.reactive}), Table::num(std::size_t{r.proactive}),
+                   r.reactive < r.proactive ? "senders (K)" : "senders (K) - large K"});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("takeaway: reactive signaling tracks the number of *active correspondents*\n");

@@ -1,166 +1,33 @@
 // Ablation (§2 "Mobility" / Table 1) — centralized vs distributed wireless
-// data plane.
-//
-// The traditional enterprise WLAN tunnels every frame from the AP to a
-// central controller before it enters the network: easy mobility (the
-// anchor never moves) but triangular routing and a controller bottleneck.
-// SDA keeps only the control plane central and routes data from the AP's
-// edge. This bench runs the same station population, traffic, and roaming
-// pattern through both modes and reports:
-//   * end-to-end data latency (steady state, caches warm);
-//   * controller data-plane load (frames, bytes, CPU busy time);
-//   * handover delay (the one metric the legacy design wins).
+// data plane: the legacy controller is every frame's data sink (easy
+// mobility, triangular routing); SDA keeps only the control plane central.
+// Prints run_wlan_dataplane_ablation() (workload/ablations.hpp).
 #include <cstdio>
 
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
-#include "wlan/controller.hpp"
-
-namespace {
-
-using namespace sda;
-
-constexpr net::VnId kVn{100};
-constexpr unsigned kEdges = 6;
-constexpr unsigned kApsPerEdge = 2;
-constexpr unsigned kStations = 120;
-constexpr unsigned kWarmFlows = 2;   // per station, to fill map caches
-constexpr unsigned kProbeFlows = 6;  // measured per station
-constexpr unsigned kRoams = 200;
-
-net::MacAddress mac(std::uint64_t i) {
-  return net::MacAddress::from_u64(0x0200'0000'0000ull | i);
-}
-
-struct ModeResult {
-  stats::Summary data_latency_ms;
-  stats::Summary handover_ms;
-  std::uint64_t frames_tunneled = 0;
-  std::uint64_t controller_busy_us = 0;
-  std::uint64_t delivered = 0;
-};
-
-ModeResult run(wlan::DataPlaneMode mode) {
-  sim::Simulator sim;
-  fabric::FabricConfig fconfig;
-  fconfig.l2_gateway = false;
-  fabric::SdaFabric fabric{sim, fconfig};
-  fabric.add_border("b0");
-  fabric.add_edge("e-anchor");
-  fabric.link("e-anchor", "b0", std::chrono::microseconds{50});
-  for (unsigned e = 0; e < kEdges; ++e) {
-    const std::string name = "e" + std::to_string(e);
-    fabric.add_edge(name);
-    fabric.link(name, "b0", std::chrono::microseconds{50});
-  }
-  fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
-
-  wlan::WlanConfig wconfig;
-  wconfig.mode = mode;
-  wconfig.controller_edge = "e-anchor";
-  wlan::WlanController wlc{fabric, wconfig};
-  std::vector<std::string> ap_names;
-  for (unsigned e = 0; e < kEdges; ++e) {
-    for (unsigned a = 0; a < kApsPerEdge; ++a) {
-      const std::string name = "ap-" + std::to_string(e) + "-" + std::to_string(a);
-      wlc.add_access_point({name, "e" + std::to_string(e), static_cast<std::uint16_t>(a + 1)});
-      ap_names.push_back(name);
-    }
-  }
-
-  std::vector<net::Ipv4Address> ips(kStations);
-  for (unsigned s = 0; s < kStations; ++s) {
-    fabric::EndpointDefinition def;
-    def.credential = "sta" + std::to_string(s);
-    def.secret = "pw";
-    def.mac = mac(s);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
-    fabric.provision_endpoint(def);
-    wlc.associate(def.credential, ap_names[s % ap_names.size()],
-                  [&ips, s](const wlan::AssociationResult& r) { ips[s] = r.ip; });
-  }
-  sim.run();
-
-  ModeResult result;
-  sim::SimTime last_delivery;
-  wlc.set_station_delivery_listener([&](const dataplane::AttachedEndpoint&,
-                                        const net::OverlayFrame&, sim::SimTime at) {
-    ++result.delivered;
-    last_delivery = at;
-  });
-
-  sim::Rng rng{77};
-
-  // Warm-up flows: fill map caches on every path we will measure.
-  for (unsigned s = 0; s < kStations; ++s) {
-    for (unsigned k = 0; k < kWarmFlows; ++k) {
-      wlc.station_send_udp(mac(s), ips[(s + 1 + k) % kStations], 443, 400);
-    }
-  }
-  sim.run();
-
-  // Measured flows: one probe at a time, running the simulator dry between
-  // probes, so send->delivery spans exactly one frame's path.
-  for (unsigned s = 0; s < kStations; ++s) {
-    for (unsigned k = 0; k < kProbeFlows; ++k) {
-      const unsigned dst = (s + 1 + k) % kStations;
-      const sim::SimTime t0 = sim.now();
-      const std::uint64_t before = result.delivered;
-      wlc.station_send_udp(mac(s), ips[dst], 443, 400);
-      sim.run();
-      if (result.delivered > before) {
-        result.data_latency_ms.add(static_cast<double>((last_delivery - t0).count()) / 1e6);
-      }
-    }
-  }
-
-  // Roams: random station to a random other AP; measure handover.
-  for (unsigned r = 0; r < kRoams; ++r) {
-    const unsigned s = static_cast<unsigned>(rng.next_below(kStations));
-    const std::string& target = ap_names[rng.next_below(ap_names.size())];
-    if (wlc.ap_of(mac(s)) == target) continue;
-    wlc.roam(mac(s), target, [&](const wlan::AssociationResult& res) {
-      if (res.success) {
-        result.handover_ms.add(static_cast<double>(res.elapsed.count()) / 1e6);
-      }
-    });
-    sim.run();
-  }
-
-  result.frames_tunneled = wlc.stats().frames_tunneled;
-  result.controller_busy_us =
-      static_cast<std::uint64_t>(wlc.stats().busy_time.count() / 1000);
-  return result;
-}
-
-}  // namespace
+#include "workload/ablations.hpp"
 
 int main() {
+  using sda::stats::Table;
+  using A = sda::workload::WlanDataplaneAblation;
   std::printf("=== Ablation (section 2, Table 1): wireless data-plane placement ===\n");
   std::printf("%u stations, %u APs on %u edges; same traffic and roaming both modes\n\n",
-              kStations, kEdges * kApsPerEdge, kEdges);
+              A::kStations, A::kEdges * A::kApsPerEdge, A::kEdges);
 
-  const ModeResult distributed = run(wlan::DataPlaneMode::Distributed);
-  const ModeResult centralized = run(wlan::DataPlaneMode::Centralized);
-
-  sda::stats::Table table{{"metric", "distributed (SDA)", "centralized (legacy WLC)"}};
-  table.add_row({"median data latency (ms)",
-                 sda::stats::Table::num(distributed.data_latency_ms.median(), 3),
-                 sda::stats::Table::num(centralized.data_latency_ms.median(), 3)});
-  table.add_row({"p95 data latency (ms)",
-                 sda::stats::Table::num(distributed.data_latency_ms.percentile(95), 3),
-                 sda::stats::Table::num(centralized.data_latency_ms.percentile(95), 3)});
-  table.add_row({"median handover (ms)",
-                 sda::stats::Table::num(distributed.handover_ms.median(), 3),
-                 sda::stats::Table::num(centralized.handover_ms.median(), 3)});
-  table.add_row({"frames through controller",
-                 sda::stats::Table::num(std::size_t{distributed.frames_tunneled}),
-                 sda::stats::Table::num(std::size_t{centralized.frames_tunneled})});
-  table.add_row({"controller CPU busy (us)",
-                 sda::stats::Table::num(std::size_t{distributed.controller_busy_us}),
-                 sda::stats::Table::num(std::size_t{centralized.controller_busy_us})});
+  const A r = sda::workload::run_wlan_dataplane_ablation();
+  const auto& dist = r.distributed;
+  const auto& cent = r.centralized;
+  Table table{{"metric", "distributed (SDA)", "centralized (legacy WLC)"}};
+  table.add_row({"median data latency (ms)", Table::num(dist.data_latency_ms.median(), 3),
+                 Table::num(cent.data_latency_ms.median(), 3)});
+  table.add_row({"p95 data latency (ms)", Table::num(dist.data_latency_ms.percentile(95), 3),
+                 Table::num(cent.data_latency_ms.percentile(95), 3)});
+  table.add_row({"median handover (ms)", Table::num(dist.handover_ms.median(), 3),
+                 Table::num(cent.handover_ms.median(), 3)});
+  table.add_row({"frames through controller", Table::num(std::size_t{dist.frames_tunneled}),
+                 Table::num(std::size_t{cent.frames_tunneled})});
+  table.add_row({"controller CPU busy (us)", Table::num(std::size_t{dist.controller_busy_us}),
+                 Table::num(std::size_t{cent.controller_busy_us})});
   std::printf("%s\n", table.render().c_str());
 
   std::printf("takeaway (Table 1): the legacy sink wins only on handover (anchor never\n");

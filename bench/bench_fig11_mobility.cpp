@@ -22,15 +22,7 @@ int main() {
   using namespace sda;
   std::printf("=== Figure 11: handover delay CDF, reactive (LISP) vs proactive (BGP) ===\n");
 
-  workload::WarehouseSpec spec;
-  spec.edges = 200;
-  spec.hosts = 16000;
-  spec.moves_per_second = 800;
-  spec.measure_seconds = 12;
-  // Reflector CPU cost per peer UPDATE: at 800 moves/s over 200 peers this
-  // keeps the output queue hot (utilization ~0.85) as in the overloaded
-  // lab run the paper describes.
-  spec.reflector.per_peer_send = std::chrono::microseconds{26};
+  workload::WarehouseSpec spec = workload::fig11_spec();
   // Telemetry: trace every flow's first packet in the reactive run and
   // export the fabric's metrics snapshot (per-edge map-cache hits/misses,
   // SMR counts, onboarding/roam/first-packet histograms) plus the Chrome

@@ -9,7 +9,6 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::seconds;
 
-constexpr net::VnId kVn{100};
 /// Width of the sent/arrived buckets behind the re-convergence figures.
 constexpr sim::Duration kBucket = milliseconds{100};
 
@@ -62,7 +61,7 @@ DrillFabric::DrillFabric(const fabric::FabricConfig& config, const Wiring& wire)
     : fabric(sim, config) {
   edges = wire(fabric);
   fabric.finalize();
-  fabric.define_vn({kVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
+  fabric.define_vn({kDrillVn, "corp", *net::Ipv4Prefix::parse("10.100.0.0/16")});
 }
 
 net::MacAddress DrillFabric::mac(int host) {
@@ -72,7 +71,8 @@ net::MacAddress DrillFabric::mac(int host) {
 
 std::string DrillFabric::credential(int host) { return "h" + std::to_string(host); }
 
-void DrillFabric::provision(int hosts, int connected, sim::Duration stagger) {
+void DrillFabric::provision(int hosts, int connected, sim::Duration stagger,
+                            const std::function<net::GroupId(int)>& group) {
   ips.assign(static_cast<std::size_t>(hosts), {});
   const sim::SimTime now = sim.now();
   for (int i = 0; i < hosts; ++i) {
@@ -80,8 +80,8 @@ void DrillFabric::provision(int hosts, int connected, sim::Duration stagger) {
     def.credential = credential(i);
     def.secret = "pw";
     def.mac = mac(i);
-    def.vn = kVn;
-    def.group = net::GroupId{10};
+    def.vn = kDrillVn;
+    def.group = group ? group(i) : net::GroupId{10};
     fabric.provision_endpoint(def);
     if (i >= connected) continue;
     const std::size_t edge = static_cast<std::size_t>(i) % edges.size();
@@ -94,11 +94,11 @@ void DrillFabric::provision(int hosts, int connected, sim::Duration stagger) {
 }
 
 void DrillFabric::connect(int host, std::size_t edge, dataplane::PortId port,
-                          std::function<void()> done) {
+                          std::function<void(const fabric::OnboardResult&)> done) {
   fabric.connect_endpoint(credential(host), edges[edge], port,
                           [this, host, done = std::move(done)](const fabric::OnboardResult& r) {
                             ips[static_cast<std::size_t>(host)] = r.ip;
-                            if (done) done();
+                            if (done) done(r);
                           });
 }
 
@@ -322,8 +322,9 @@ QuorumDrillResult run_quorum_drill() {
   d.sim.schedule_at(d.t0 + kPartitionAt + milliseconds{2500},
                     [&] { result.mid_leader = leader_as_int(ha.leader()); });
   // The majority keeps serving: an onboard mid-partition completes normally.
-  d.sim.schedule_at(d.t0 + kPartitionAt + milliseconds{1500},
-                    [&] { d.connect(6, 1, 2, [&result] { result.onboard_ok = true; }); });
+  d.sim.schedule_at(d.t0 + kPartitionAt + milliseconds{1500}, [&] {
+    d.connect(6, 1, 2, [&result](const fabric::OnboardResult&) { result.onboard_ok = true; });
+  });
 
   d.sim.run_until(d.t0 + kRun);
 
@@ -420,7 +421,7 @@ StampedeDrillResult run_stampede_drill() {
   d.sim.schedule_at(d.t0 + kKillAt + milliseconds{1500}, [&] {
     for (int i = kWarm; i < kWarm + kBurst; ++i) {
       d.connect(i, static_cast<std::size_t>(i) % d.edges.size(), 2,
-                [&result] { ++result.onboards_done; });
+                [&result](const fabric::OnboardResult&) { ++result.onboards_done; });
     }
   });
 

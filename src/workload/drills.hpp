@@ -7,6 +7,9 @@
 // it to quiesce and returns a plain result struct. bench_chaos_convergence
 // prints some of them; tests/workload/drills_test.cpp asserts all of them.
 // Fully deterministic: the fabric and the fault plane share one seed.
+//
+// DrillFabric serves the drills and the design-choice ablations
+// (ablations.hpp) alike: it is the one way to build a small fabric here.
 #pragma once
 
 #include <chrono>
@@ -25,6 +28,8 @@
 
 namespace sda::workload {
 
+/// The VN every DrillFabric defines and provisions its hosts into.
+inline constexpr net::VnId kDrillVn{100};
 /// Seed of every drill fabric and its fault plane.
 inline constexpr std::uint64_t kDrillSeed = 0x5DA;
 /// Gap between two packets of one flow (200 Hz). In whole milliseconds, so
@@ -41,9 +46,9 @@ inline constexpr std::chrono::milliseconds kDrillSendGap{5};
 [[nodiscard]] fabric::FabricConfig failover_config(unsigned routing_servers);
 
 /// The fabric a drill runs on. Hosts h<i> have MAC 02:00:00:00:00:<i>, group
-/// 10, and live in VN 100 ("corp", 10.100.0.0/16). Set-up is: construct,
-/// provision(), settle the simulator, start(), schedule faults and flows on
-/// `plane` relative to `t0`, run.
+/// 10 unless provision() is told otherwise, and live in VN 100 ("corp",
+/// 10.100.0.0/16). Set-up is: construct, provision(), settle the simulator,
+/// start(), schedule faults and flows on `plane` relative to `t0`, run.
 class DrillFabric {
  public:
   /// Adds the borders, edges and links and returns the edge names.
@@ -59,14 +64,19 @@ class DrillFabric {
   DrillFabric& operator=(const DrillFabric&) = delete;
 
   [[nodiscard]] static net::MacAddress mac(int host);
+  /// The RADIUS identity of `host`: "h<host>".
+  [[nodiscard]] static std::string credential(int host);
 
-  /// Provisions hosts 0..hosts-1 and onboards the first `connected` of them,
-  /// host i on edge i mod edges, port 1: at once, or with a nonzero
-  /// `stagger` the i-th after i × stagger.
-  void provision(int hosts, int connected, sim::Duration stagger = {});
-  /// Onboards `host` on `edges[edge]`; `done` runs once its address is in ips.
+  /// Provisions hosts 0..hosts-1, host i in `group(i)` (group 10 without
+  /// one), and onboards the first `connected` of them, host i on edge
+  /// i mod edges, port 1: at once, or with a nonzero `stagger` the i-th
+  /// after i × stagger.
+  void provision(int hosts, int connected, sim::Duration stagger = {},
+                 const std::function<net::GroupId(int)>& group = {});
+  /// Onboards `host` on `edges[edge]`; `done` gets the result once the
+  /// address is in ips.
   void connect(int host, std::size_t edge, dataplane::PortId port,
-               std::function<void()> done = {});
+               std::function<void(const fabric::OnboardResult&)> done = {});
 
   /// Ends set-up: t0 is now, the fault plane is armed (recording into the
   /// flight recorder), and sends and deliveries are counted in 100 ms
@@ -92,7 +102,6 @@ class DrillFabric {
   std::uint64_t delivered = 0;
 
  private:
-  [[nodiscard]] static std::string credential(int host);
   [[nodiscard]] std::size_t bucket_of(sim::SimTime at) const;
 
   sim::Duration run_for_{};

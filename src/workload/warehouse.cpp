@@ -255,6 +255,16 @@ stats::Summary WarehouseWorkload::run_proactive(std::size_t* moves_out) {
   return handovers;
 }
 
+WarehouseSpec fig11_spec() {
+  WarehouseSpec spec;
+  spec.edges = 200;
+  spec.hosts = 16000;
+  spec.moves_per_second = 800;
+  spec.measure_seconds = 12;
+  spec.reflector.per_peer_send = std::chrono::microseconds{26};
+  return spec;
+}
+
 WarehouseResult WarehouseWorkload::run() {
   WarehouseResult result;
   result.lisp_handover_s = run_reactive(&result.lisp_moves, &result.lisp_peers_converged_s);

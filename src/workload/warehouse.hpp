@@ -62,6 +62,12 @@ struct WarehouseResult {
   double peak_registers_per_second = 0;
 };
 
+/// The paper's Fig. 11 run: 200 edges, 16,000 hosts, 800 moves/s measured
+/// over 12 s, and a reflector that spends 26 µs of CPU per peer UPDATE. At
+/// 800 moves/s over 200 peers that keeps its output queue hot (utilization
+/// ~0.85), as in the overloaded lab run the paper describes.
+[[nodiscard]] WarehouseSpec fig11_spec();
+
 class WarehouseWorkload {
  public:
   explicit WarehouseWorkload(WarehouseSpec spec) : spec_(std::move(spec)) {}
